@@ -24,6 +24,8 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
+    _json_sanitize,
+    _load_frames_from_dir,
     run_benchmark,
     run_pipeline,
     write_json,
@@ -152,15 +154,7 @@ def _cmd_chain(args) -> int:
     if args.scene:
         frames = _scene_from_json(args.scene).frames()
     else:
-        paths = sorted(Path(args.frames_dir).glob("frame_*.s2sg"))
-        if not paths:
-            raise ConfigError(f"no frame_*.s2sg files in {args.frames_dir}")
-        frames = []
-        for p in paths:
-            grid = read_grid(p)
-            if not hasattr(grid, "channels"):
-                raise ConfigError(f"{p} is not a channel grid")
-            frames.append(grid)
+        frames = _load_frames_from_dir(Path(args.frames_dir))
     chain = build_reference_chain(frames, args.window)
     payload = {
         "indices": list(chain.indices),
@@ -214,11 +208,7 @@ def _cmd_metrics(args) -> int:
     if args.out:
         write_json(Path(args.out), payload)
     else:
-        sanitized = {
-            k: ("inf" if isinstance(v, float) and v == float("inf") else v)
-            for k, v in payload.items()
-        }
-        print(json.dumps(sanitized, sort_keys=True))
+        print(json.dumps(_json_sanitize(payload), sort_keys=True))
     return 0
 
 

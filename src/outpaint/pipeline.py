@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -32,21 +32,9 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import (
-    BaselineAligner,
-    BaselineFuser,
-    FlowBank,
-    propagate_sequence,
-    required_flow_pairs,
-)
-from .refselect import build_reference_chain
-from .synthetic import (
-    SyntheticScene,
-    TrajectorySpec,
-    generate_scene,
-    stand_in_decode,
-    stand_in_encode,
-)
+from .propagation import FlowBank, SequencePropagation, propagate_sequence, required_flow_pairs
+from .refselect import ReferenceChain, build_reference_chain
+from .synthetic import TrajectorySpec, generate_scene, stand_in_decode, stand_in_encode
 
 
 class ConfigError(ValueError):
@@ -100,12 +88,9 @@ class PipelineConfig:
     canvas: CanvasSpec
     mode: str = "propagate"
     window: int = 4
-    completer: str = "laplacian"
     completion_tol: float = 1e-6
     completion_max_iters: int | None = None
     complete_at_pixel: bool = False
-    aligner: str = "baseline"
-    fuser: str = "baseline"
     fill: float = 0.0
     denoiser: str = "zero"
     timesteps: int = 25
@@ -113,7 +98,6 @@ class PipelineConfig:
     beta_end: float = 0.02
     sampler_window: int = 25
     sampler_stride: int = 12
-    noise_condition: bool = False
     scene: SceneConfig | None = None
     inputs: InputPaths | None = None
     out_dir: str = "out"
@@ -126,9 +110,6 @@ class PipelineConfig:
             raise ConfigError("window must be >= 1")
         if (self.scene is None) == (self.inputs is None):
             raise ConfigError("exactly one of scene/inputs must be given")
-        resolve_completer(self.completer, self.completion_tol, self.completion_max_iters)
-        resolve_aligner(self.aligner)
-        resolve_fuser(self.fuser)
         if self.denoiser == "oracle":
             if self.scene is None:
                 raise ConfigError("oracle denoiser needs a synthetic scene")
@@ -164,26 +145,6 @@ class PipelineConfig:
         data["scene"] = asdict(self.scene) if self.scene else None
         data["inputs"] = asdict(self.inputs) if self.inputs else None
         return data
-
-
-def resolve_completer(name: str, tol: float, max_iters: int | None):
-    if name == "laplacian":
-        return LaplacianCompleter(tol=tol, max_iters=max_iters)
-    if name == "identity":
-        return IdentityCompleter()
-    raise ConfigError(f"unknown completer {name!r}")
-
-
-def resolve_aligner(name: str):
-    if name == "baseline":
-        return BaselineAligner()
-    raise ConfigError(f"unknown aligner {name!r}")
-
-
-def resolve_fuser(name: str):
-    if name == "baseline":
-        return BaselineFuser()
-    raise ConfigError(f"unknown fuser {name!r}")
 
 
 class IdentityCompleter:
@@ -276,10 +237,10 @@ def write_json(path: Path, payload) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _load_frames_from_dir(frames_dir: Path) -> list[ChannelGrid]:
-    paths = sorted(frames_dir.glob("frame_*.s2sg"))
+def _load_frames_from_dir(frames_dir: Path, prefix: str = "frame") -> list[ChannelGrid]:
+    paths = sorted(frames_dir.glob(f"{prefix}_*.s2sg"))
     if not paths:
-        raise FileNotFoundError(f"no frame_*.s2sg files in {frames_dir}")
+        raise FileNotFoundError(f"no {prefix}_*.s2sg files in {frames_dir}")
     frames = []
     for p in paths:
         grid = read_grid(p)
@@ -289,12 +250,36 @@ def _load_frames_from_dir(frames_dir: Path) -> list[ChannelGrid]:
     return frames
 
 
-def _pixel_flow_provider(config: PipelineConfig, scene: SyntheticScene | None):
-    if scene is not None:
-        return lambda a, b: scene.gt_flow(a, b)
+def _load_inputs(config: PipelineConfig):
+    """Frames, ground-truth expanded frames (None without ground truth), and
+    a function giving the pixel flow for a pair (a, b)."""
+    spec = config.canvas
+    if config.scene is not None:
+        scene = generate_scene(
+            seed=config.seed,
+            world_h=config.scene.world_h,
+            world_w=config.scene.world_w,
+            crop_h=spec.orig_h,
+            crop_w=spec.orig_w,
+            n_frames=config.scene.n_frames,
+            trajectory=config.scene.trajectory(),
+            spec=spec,
+        )
+        gt = [scene.gt_expanded(i) for i in range(scene.num_frames)]
+        return scene.frames(), gt, scene.gt_flow
+
+    frames = _load_frames_from_dir(Path(config.inputs.frames_dir))
+    for f in frames:
+        if (f.height, f.width) != (spec.orig_h, spec.orig_w):
+            raise ValueError(f"frame is {f.height}x{f.width}, expected {spec.orig_h}x{spec.orig_w}")
+    gt = None
+    if config.inputs.gt_dir:
+        gt = _load_frames_from_dir(Path(config.inputs.gt_dir), prefix="gt")
+        if len(gt) != len(frames):
+            raise ValueError("ground-truth frame count does not match inputs")
     flows_dir = Path(config.inputs.flows_dir)
 
-    def load(a: int, b: int) -> FlowField:
+    def load_flow(a: int, b: int) -> FlowField:
         path = flows_dir / f"flow_{a:04d}_to_{b:04d}.s2sg"
         if not path.exists():
             raise FileNotFoundError(f"missing flow file {path}")
@@ -303,7 +288,7 @@ def _pixel_flow_provider(config: PipelineConfig, scene: SyntheticScene | None):
             raise ValueError(f"{path} is not a flow grid")
         return grid
 
-    return load
+    return frames, gt, load_flow
 
 
 class _StageClock:
@@ -320,6 +305,77 @@ class _StageClock:
         return result
 
 
+class _Propagated(NamedTuple):
+    """What the shared stages leave for the rest of a run."""
+
+    frames: list[ChannelGrid]
+    gt_expanded: list[ChannelGrid] | None
+    chain: ReferenceChain
+    bank: FlowBank
+    latents: list[ChannelGrid]
+    prop: SequencePropagation
+
+    def report(self, peak_live_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
+        """Operation counts of the run, checked for the warp-count ordering."""
+        n = len(self.frames)
+        report = BenchmarkReport(
+            n_frames=n,
+            window=self.chain.window,
+            chain_len=len(self.chain),
+            warp_count_guided=self.prop.warp_count,
+            warp_count_sequential=self.prop.sequential_warp_count,
+            warp_count_all_pairs=n * (n - 1),
+            compose_count=sum(r.compose_count for r in self.prop.results),
+            peak_live_bytes=peak_live_bytes,
+            wall_time_s=dict(wall_time_s),
+        )
+        report.verify()
+        return report
+
+
+def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated:
+    """The stages run_pipeline and run_benchmark share: inputs, chain, flows
+    on the latent canvas, encode, propagate."""
+    spec = config.canvas
+    s = spec.downsample
+    frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
+    n = len(frames)
+    chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
+    completer = LaplacianCompleter(config.completion_tol, config.completion_max_iters)
+
+    def build_flows():
+        pixel_mask = make_outpaint_mask(spec)
+        bank = FlowBank()
+        for a, b in sorted(required_flow_pairs(chain, n)):
+            on_canvas = map_flow_to_canvas(pixel_flow(a, b), spec)
+            if config.complete_at_pixel:
+                on_canvas = completer.complete(on_canvas, pixel_mask)
+            bank.add(a, b, downscale_flow(on_canvas, s))
+        return bank
+
+    bank = clock.run("flows", build_flows)
+
+    def encode():
+        latents = [stand_in_encode(f, s) for f in frames]
+        mask = downscale_mask(make_outpaint_mask(spec), s)
+        return latents, [mask] * n
+
+    latents, masks = clock.run("encode", encode)
+    prop = clock.run(
+        "propagate",
+        lambda: propagate_sequence(
+            latents,
+            masks,
+            spec,
+            chain,
+            bank,
+            IdentityCompleter() if config.complete_at_pixel else completer,
+            fill=config.fill,
+        ),
+    )
+    return _Propagated(frames, gt_expanded, chain, bank, latents, prop)
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     """Execute the configured pipeline and write artifacts under out_dir.
 
@@ -330,113 +386,18 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()
-    spec = config.canvas
-    s = spec.downsample
-    peak_bytes = 0
+    s = config.canvas.downsample
 
     write_json(out / "config.json", config.to_dict())
     try:
-        # inputs
-        def load_inputs():
-            if config.scene is not None:
-                scene = generate_scene(
-                    seed=config.seed,
-                    world_h=config.scene.world_h,
-                    world_w=config.scene.world_w,
-                    crop_h=spec.orig_h,
-                    crop_w=spec.orig_w,
-                    n_frames=config.scene.n_frames,
-                    trajectory=config.scene.trajectory(),
-                    spec=spec,
-                )
-                return scene, scene.frames(), [scene.gt_expanded(i) for i in range(scene.num_frames)]
-            frames = _load_frames_from_dir(Path(config.inputs.frames_dir))
-            gt = None
-            if config.inputs.gt_dir:
-                gt = [read_grid(p) for p in sorted(Path(config.inputs.gt_dir).glob("gt_*.s2sg"))]
-                if len(gt) != len(frames):
-                    raise ValueError("ground-truth frame count does not match inputs")
-            return None, frames, gt
-
-        scene, frames, gt_expanded = clock.run("inputs", load_inputs)
+        staged = _propagate_stages(config, clock)
+        frames, gt_expanded, chain, bank, latents, prop = staged
         n = len(frames)
-        for f in frames:
-            if (f.height, f.width) != (spec.orig_h, spec.orig_w):
-                raise StageError(
-                    "inputs",
-                    ValueError(
-                        f"frame is {f.height}x{f.width}, expected {spec.orig_h}x{spec.orig_w}"
-                    ),
-                )
-        peak_bytes = max(peak_bytes, _live_bytes(frames, gt_expanded))
-
-        # reference chain
-        chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
+        results = prop.results
         write_json(
             out / "chain.json",
             {"indices": list(chain.indices), "window": chain.window, "num_frames": n},
         )
-
-        # flows on the latent canvas
-        def build_flows():
-            provider = _pixel_flow_provider(config, scene)
-            pixel_mask = make_outpaint_mask(spec)
-            completer = resolve_completer(
-                config.completer, config.completion_tol, config.completion_max_iters
-            )
-            bank = FlowBank()
-            for a, b in sorted(required_flow_pairs(chain, n)):
-                on_canvas = map_flow_to_canvas(provider(a, b), spec)
-                if config.complete_at_pixel:
-                    on_canvas = completer.complete(on_canvas, pixel_mask)
-                bank.add(a, b, downscale_flow(on_canvas, s))
-            return bank
-
-        bank = clock.run("flows", build_flows)
-        peak_bytes = max(peak_bytes, _live_bytes(frames, gt_expanded, dict(bank.items())))
-
-        # encode to latents + latent masks
-        def encode():
-            latents = [stand_in_encode(f, s) for f in frames]
-            mask = downscale_mask(make_outpaint_mask(spec), s)
-            return latents, [mask] * n
-
-        latents, masks = clock.run("encode", encode)
-        peak_bytes = max(
-            peak_bytes, _live_bytes(frames, gt_expanded, dict(bank.items()), latents, masks[:1])
-        )
-
-        # propagation
-        def propagate():
-            completer = (
-                IdentityCompleter()
-                if config.complete_at_pixel
-                else resolve_completer(
-                    config.completer, config.completion_tol, config.completion_max_iters
-                )
-            )
-            return propagate_sequence(
-                latents,
-                masks,
-                spec,
-                chain,
-                bank,
-                completer,
-                resolve_aligner(config.aligner),
-                resolve_fuser(config.fuser),
-                fill=config.fill,
-            )
-
-        prop = clock.run("propagate", propagate)
-        results = prop.results
-        peak_bytes = max(
-            peak_bytes,
-            _live_bytes(
-                frames, gt_expanded, dict(bank.items()), latents,
-                [r.latent for r in results], [r.coverage for r in results],
-            ),
-        )
-
         prop_dir = out / "propagated"
         for i, res in enumerate(results):
             write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
@@ -469,26 +430,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             sampled = clock.run("sample", sample)
             for i, grid in enumerate(sampled):
                 write_grid(out / "sampled" / f"latent_{i:04d}.s2sg", grid)
-            peak_bytes = max(
-                peak_bytes,
-                _live_bytes(
-                    frames, gt_expanded, dict(bank.items()), latents,
-                    [r.latent for r in results], sampled,
-                ),
-            )
 
         # decode
         decode_src = sampled if sampled is not None else [r.latent for r in results]
         decoded = clock.run("decode", lambda: [stand_in_decode(z, s) for z in decode_src])
         for i, grid in enumerate(decoded):
             write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", grid)
-        peak_bytes = max(
-            peak_bytes,
-            _live_bytes(
-                frames, gt_expanded, dict(bank.items()), latents,
-                [r.latent for r in results], sampled, decoded,
-            ),
-        )
 
         # metrics against ground truth, when available
         metrics = None
@@ -517,18 +464,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             metrics = clock.run("metrics", compute_metrics)
             write_json(out / "metrics.json", metrics)
 
-        report = BenchmarkReport(
-            n_frames=n,
-            window=config.window,
-            chain_len=len(chain),
-            warp_count_guided=prop.warp_count,
-            warp_count_sequential=prop.sequential_warp_count,
-            warp_count_all_pairs=n * (n - 1),
-            compose_count=sum(r.compose_count for r in results),
-            peak_live_bytes=peak_bytes,
-            wall_time_s=dict(clock.times),
-        )
-        report.verify()
+        # frames, ground truth, flows and latents stay live for the whole run;
+        # on top of them the coverage masks, or later the sampled and decoded grids
+        peak_bytes = _live_bytes(
+            frames, gt_expanded, dict(bank.items()), latents, [r.latent for r in results]
+        ) + max(_live_bytes([r.coverage for r in results]), _live_bytes(sampled, decoded))
+        report = staged.report(peak_bytes, clock.times)
         write_json(out / "report.json", report.to_dict(include_timings=False))
         if config.write_timings:
             write_json(out / "timings.json", {"wall_time_s": clock.times})
@@ -565,57 +506,37 @@ def run_benchmark(
     scene_kind: str = "static",
     out_csv: str | Path | None = None,
 ) -> list[BenchmarkReport]:
-    """Run the chain/flows/propagation stages over an (N, m) grid of small
+    """Run the stages up to propagation over an (N, m) grid of small
     synthetic scenes, verifying the warp-count ordering on every cell."""
+    if scene_kind not in ("static", "pan"):
+        raise ConfigError(f"unknown benchmark scene kind {scene_kind!r}")
+    pan = scene_kind == "pan"
     reports = []
     for n in n_values:
         for m in m_values:
-            spec = CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2)
-            if scene_kind == "static":
-                traj = TrajectorySpec(kind="static", start_y=8.0, start_x=8.0)
-                world_w = 48
-            elif scene_kind == "pan":
-                traj = TrajectorySpec(kind="pan", start_y=8.0, start_x=8.0, delta_x=1.0)
-                world_w = 48 + n
-            else:
-                raise ConfigError(f"unknown benchmark scene kind {scene_kind!r}")
-            scene = generate_scene(seed, 48, world_w, 16, 16, n, traj, spec)
-            clock = _StageClock()
-            frames = scene.frames()
-            chain = clock.run("chain", lambda: build_reference_chain(frames, m))
-            mask = downscale_mask(make_outpaint_mask(spec), spec.downsample)
-
-            def build_bank():
-                bank = FlowBank()
-                for a, b in sorted(required_flow_pairs(chain, n)):
-                    bank.add(
-                        a, b, downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), spec.downsample)
-                    )
-                return bank
-
-            bank = clock.run("flows", build_bank)
-            latents = [stand_in_encode(f, spec.downsample) for f in frames]
-            prop = clock.run(
-                "propagate",
-                lambda: propagate_sequence(
-                    latents, [mask] * n, spec, chain, bank, LaplacianCompleter(tol=1e-8)
-                ),
-            )
-            report = BenchmarkReport(
-                n_frames=n,
+            config = PipelineConfig(
+                seed=seed,
+                canvas=CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2),
                 window=m,
-                chain_len=len(chain),
-                warp_count_guided=prop.warp_count,
-                warp_count_sequential=prop.sequential_warp_count,
-                warp_count_all_pairs=n * (n - 1),
-                compose_count=sum(r.compose_count for r in prop.results),
-                peak_live_bytes=_live_bytes(
-                    frames, latents, dict(bank.items()), [r.latent for r in prop.results]
+                completion_tol=1e-8,
+                scene=SceneConfig(
+                    world_h=48,
+                    # a 1 px/frame pan moves the crop n columns
+                    world_w=48 + n if pan else 48,
+                    n_frames=n,
+                    kind=scene_kind,
+                    start_y=8.0,
+                    start_x=8.0,
+                    delta_x=1.0 if pan else 0.0,
                 ),
-                wall_time_s=dict(clock.times),
             )
-            report.verify()
-            reports.append(report)
+            clock = _StageClock()
+            staged = _propagate_stages(config, clock)
+            peak_bytes = _live_bytes(
+                staged.frames, staged.latents, dict(staged.bank.items()),
+                [r.latent for r in staged.prop.results],
+            )
+            reports.append(staged.report(peak_bytes, clock.times))
     if out_csv is not None:
         write_benchmark_csv(Path(out_csv), reports)
     return reports

@@ -169,16 +169,6 @@ def fuse_baseline(
     return ChannelGrid(out)
 
 
-class BaselineAligner:
-    def align(self, z_orig, z_prop, m_outpaint, m_prop):
-        return align_baseline(z_orig, z_prop, m_outpaint, m_prop)
-
-
-class BaselineFuser:
-    def fuse(self, forward, backward, cov_f, cov_b, dist_f, dist_b):
-        return fuse_baseline(forward, backward, cov_f, cov_b, dist_f, dist_b)
-
-
 def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[int]:
     if direction == "past":
         return [r for r in reversed(chain.indices) if r < i]
@@ -285,7 +275,8 @@ def propagate_sequence(
     directions per frame, align, and fuse.
 
     ``latents`` are original-resolution latent grids (orig dims / s);
-    ``masks`` are latent-canvas outpaint masks.  Returns the per-frame
+    ``masks`` are latent-canvas outpaint masks; without an ``aligner`` or
+    ``fuser``, align_baseline and fuse_baseline are used.  Returns the per-frame
     results, the measured pull count, and the analytic count a dense
     per-frame accumulation scheme would need (N * (N-1) pulls).
     """
@@ -294,8 +285,8 @@ def propagate_sequence(
         raise ValueError("need at least one frame")
     if chain.num_frames != n or len(masks) != n:
         raise ValueError("chain, latents, and masks must agree on frame count")
-    aligner = aligner or BaselineAligner()
-    fuser = fuser or BaselineFuser()
+    align = align_baseline if aligner is None else aligner.align
+    fuse = fuse_baseline if fuser is None else fuser.fuse
     lat_spec = spec.latent()
 
     placed = [place_on_canvas(z, lat_spec, fill) for z in latents]
@@ -309,9 +300,9 @@ def propagate_sequence(
         dist_b = future_ref - i
         rf = propagate_direction(i, chain, placed, masks, completed, "past")
         rb = propagate_direction(i, chain, placed, masks, completed, "future")
-        aligned_f = aligner.align(placed[i], rf.latent, masks[i], rf.coverage)
-        aligned_b = aligner.align(placed[i], rb.latent, masks[i], rb.coverage)
-        fused = fuser.fuse(aligned_f, aligned_b, rf.coverage, rb.coverage, dist_f, dist_b)
+        aligned_f = align(placed[i], rf.latent, masks[i], rf.coverage)
+        aligned_b = align(placed[i], rb.latent, masks[i], rb.coverage)
+        fused = fuse(aligned_f, aligned_b, rf.coverage, rb.coverage, dist_f, dist_b)
         coverage = BinaryMask(
             np.maximum(rf.coverage.data, rb.coverage.data)
         )

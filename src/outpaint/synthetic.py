@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import _bilinear
 from .grids import CanvasSpec, ChannelGrid, FlowField
 from .seeding import seeded_generator
 
@@ -58,15 +59,9 @@ def _bilinear_sample(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nd
     h, w = plane.shape
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(int)
     x0 = np.clip(np.floor(xs), 0, w - 1).astype(int)
-    fy = ys - y0
-    fx = xs - x0
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    a = plane[y0, x0]
-    b = plane[y0, x1]
-    c = plane[y1, x0]
-    d = plane[y1, x1]
-    return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a)
+    return _bilinear(plane, y0, x0, y1, x1, xs - x0, ys - y0)
 
 
 def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outpaint.cli import main
-from outpaint.grids import ChannelGrid, write_grid
+from outpaint.grids import ChannelGrid, FlowField, write_grid
 
 
 def synth_args(out, seed=13, frames=6):
@@ -72,6 +72,10 @@ class TestSynthAndChain:
         assert payload["window"] == 3
 
     def test_chain_empty_dir_is_config_error(self, tmp_path):
+        assert main(["chain", "--frames-dir", str(tmp_path), "--window", "3"]) == 2
+
+    def test_chain_flow_grid_in_frames_dir_is_config_error(self, tmp_path):
+        write_grid(tmp_path / "frame_0000.s2sg", FlowField.constant(8, 8, 1.0, 0.0))
         assert main(["chain", "--frames-dir", str(tmp_path), "--window", "3"]) == 2
 
 

@@ -56,11 +56,17 @@ class TestConfig:
     def test_unknown_component_names(self):
         base = dict(seed=1, canvas=CanvasSpec(4, 4, 4, 8, 0, 0), scene=SceneConfig())
         with pytest.raises(ConfigError):
-            PipelineConfig(completer="magic", **base)
-        with pytest.raises(ConfigError):
             PipelineConfig(denoiser="net", **base)
-        with pytest.raises(ConfigError):
-            PipelineConfig(aligner="deform", **base)
+        raw = PipelineConfig(**base).to_dict()
+        for key, value in (
+            ("completer", "magic"),
+            ("aligner", "deform"),
+            ("fuser", "baseline"),
+            ("noise_condition", True),
+            ("completer", "laplacian"),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                PipelineConfig.from_dict({**raw, key: value})
 
     def test_dict_round_trip(self):
         cfg = pan_config("/tmp/nowhere")
@@ -182,6 +188,33 @@ class TestRunPipeline:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "incomplete"
         assert summary["failed_stage"] == "flows"
+
+    def test_flow_grid_in_gt_dir_fails_at_inputs(self, tmp_path):
+        spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
+        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
+        scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
+        for i in range(3):
+            write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
+            write_grid(tmp_path / "gt" / f"gt_{i:04d}.s2sg", scene.gt_flow(i, i))
+        # complete flows, so that only the ground truth is wrong
+        for a, b in required_flow_pairs(build_reference_chain(scene.frames(), 4), 3):
+            write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
+        cfg = PipelineConfig(
+            seed=3,
+            canvas=spec,
+            inputs=InputPaths(
+                frames_dir=str(tmp_path / "frames"),
+                flows_dir=str(tmp_path / "flows"),
+                gt_dir=str(tmp_path / "gt"),
+            ),
+            out_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "inputs"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["failed_stage"] == "inputs"
+        assert "is not a channel grid" in summary["error"]
 
     def test_file_driven_flows(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
