@@ -12,7 +12,6 @@ content is ever fabricated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -20,24 +19,16 @@ from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField
 
 
 class FlowCompletionError(RuntimeError):
-    """Gauss-Seidel completion failed to converge; carries the residual."""
+    """Flow completion hit its iteration cap; carries the scaled residual
+    max(|r| / neighbour count) over the unknown cells."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
             f"flow completion did not converge after {iterations} iterations "
-            f"(max update {residual:.3e})"
+            f"(scaled residual {residual:.3e})"
         )
-
-
-class FlowCompleter(Protocol):
-    """Fills a flow field so it is valid everywhere.
-
-    Implementations must leave cells with missing=0 and valid=1 untouched.
-    """
-
-    def complete(self, flow: FlowField, missing: BinaryMask) -> FlowField: ...
 
 
 @dataclass(frozen=True)
@@ -164,32 +155,39 @@ def _neighbor_sum(values: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gauss_seidel_fill(
-    plane: np.ndarray, known: np.ndarray, tol: float, max_iters: int
-) -> tuple[np.ndarray, float, int, bool]:
-    """Red-black Gauss-Seidel solve of the discrete Laplace equation on the
-    unknown cells, with known cells as Dirichlet data.  Deterministic."""
-    h, w = plane.shape
-    counts = _neighbor_sum(np.ones((h, w)))
-    ys, xs = np.mgrid[0:h, 0:w]
-    colors = ((ys + xs) % 2).astype(bool)
+def _cg_fill(plane: np.ndarray, known: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """Matrix-free conjugate-gradient solve of the 5-point Laplace equation
+    on the unknown cells, with known cells as Dirichlet data and a Neumann
+    canvas border (each cell averages only its in-canvas neighbours).
+
+    Stops once max(|r| / neighbour count) over the unknown cells, the
+    change one Jacobi update would make, is below ``tol``; raises
+    FlowCompletionError after ``max_iters`` iterations.  Reductions use
+    np.sum, whose order is fixed, so results are bit-reproducible.
+    """
+    counts = _neighbor_sum(np.ones(plane.shape))
     unknown = ~known
-    work = plane.copy()
+    x = plane.copy()
     # seed unknowns with the mean of the known data: exact for constant fields
-    work[unknown] = np.mean(plane[known], dtype=np.float64)
-    residual = np.inf
-    for it in range(1, max_iters + 1):
-        residual = 0.0
-        for color in (False, True):
-            cells = unknown & (colors == color)
-            new = _neighbor_sum(work) / counts
-            delta = np.abs(new - work)[cells]
-            if delta.size:
-                residual = max(residual, float(delta.max()))
-            work[cells] = new[cells]
+    x[unknown] = np.mean(plane[known], dtype=np.float64)
+    # r and p vanish on known cells, so x keeps its Dirichlet data there and
+    # the scaled residual can be taken over the whole canvas
+    r = np.where(unknown, _neighbor_sum(x) - counts * x, 0.0)
+    p = r.copy()
+    rr = np.sum(r * r)
+    for it in range(max_iters + 1):
+        residual = float(np.max(np.abs(r) / counts))
         if residual < tol:
-            return work, residual, it, True
-    return work, residual, max_iters, False
+            return x
+        if it == max_iters:
+            raise FlowCompletionError(residual, max_iters)
+        ap = np.where(unknown, counts * p - _neighbor_sum(p), 0.0)
+        alpha = rr / np.sum(p * ap)
+        x += alpha * p
+        r -= alpha * ap
+        rr_next = np.sum(r * r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
 
 
 def complete_flow_laplacian(
@@ -202,23 +200,22 @@ def complete_flow_laplacian(
 
     Known cells (missing=0 and valid=1) act as Dirichlet boundary values
     and are returned bit-identical; u and v are solved independently.
-    The output is valid everywhere.
+    The output is valid everywhere.  ``max_iters`` defaults to the number of
+    unknown cells, the conjugate-gradient bound in exact arithmetic.
     """
     if (flow.height, flow.width) != (missing.height, missing.width):
         raise ValueError("missing mask dims must match the flow")
     known = (missing.data == 0.0) & (flow.valid == 1.0)
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
-    if max_iters is None:
-        max_iters = 10 * flow.height * flow.width
     if known.all():
         return FlowField(flow.u, flow.v, np.ones_like(flow.valid))
+    if max_iters is None:
+        max_iters = int(np.count_nonzero(~known))
     planes = []
     for plane in (flow.u, flow.v):
         src = np.where(known, plane, 0.0)
-        filled, residual, iters, converged = _gauss_seidel_fill(src, known, tol, max_iters)
-        if not converged:
-            raise FlowCompletionError(residual, iters)
+        filled = _cg_fill(src, known, tol, max_iters)
         filled[known] = plane[known]
         planes.append(filled)
     return FlowField(planes[0], planes[1], np.ones_like(flow.valid))
@@ -226,10 +223,13 @@ def complete_flow_laplacian(
 
 @dataclass(frozen=True)
 class LaplacianCompleter:
-    """Baseline FlowCompleter backed by complete_flow_laplacian."""
+    """complete_flow_laplacian at a fixed tolerance.
+
+    The function is looked up on this module at call time, so wrapping
+    ``outpaint.flow.complete_flow_laplacian`` also wraps this method.
+    """
 
     tol: float = 1e-6
-    max_iters: int | None = None
 
     def complete(self, flow: FlowField, missing: BinaryMask) -> FlowField:
-        return complete_flow_laplacian(flow, missing, self.tol, self.max_iters)
+        return complete_flow_laplacian(flow, missing, self.tol)

@@ -22,7 +22,6 @@ import numpy as np
 from .diffusion import make_schedule, plan_windows, resolve_denoiser, reverse_sample
 from .flow import FlowField, LaplacianCompleter, map_flow_to_canvas
 from .grids import (
-    BinaryMask,
     CanvasSpec,
     ChannelGrid,
     downscale_flow,
@@ -89,7 +88,6 @@ class PipelineConfig:
     mode: str = "propagate"
     window: int = 4
     completion_tol: float = 1e-6
-    completion_max_iters: int | None = None
     complete_at_pixel: bool = False
     fill: float = 0.0
     denoiser: str = "zero"
@@ -145,15 +143,6 @@ class PipelineConfig:
         data["scene"] = asdict(self.scene) if self.scene else None
         data["inputs"] = asdict(self.inputs) if self.inputs else None
         return data
-
-
-class IdentityCompleter:
-    """For flows completed upstream (pixel-space completion)."""
-
-    def complete(self, flow: FlowField, missing: BinaryMask) -> FlowField:
-        if not np.all(flow.valid == 1.0):
-            raise ValueError("identity completer requires already-complete flows")
-        return flow
 
 
 @dataclass
@@ -237,15 +226,25 @@ def write_json(path: Path, payload) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _load_frames_from_dir(frames_dir: Path, prefix: str = "frame") -> list[ChannelGrid]:
-    paths = sorted(frames_dir.glob(f"{prefix}_*.s2sg"))
-    if not paths:
+def _load_frames_from_dir(
+    frames_dir: Path, prefix: str = "frame", shape: tuple[int, int] | None = None
+) -> list[ChannelGrid]:
+    """Channel grids named ``{prefix}_0000.s2sg``, ``{prefix}_0001.s2sg``, ...:
+    the number in a name is the frame index, and N files must hold indices
+    0..N-1.  With ``shape``, every grid must be that (height, width)."""
+    count = len(list(frames_dir.glob(f"{prefix}_*.s2sg")))
+    if not count:
         raise FileNotFoundError(f"no {prefix}_*.s2sg files in {frames_dir}")
     frames = []
-    for p in paths:
+    for i in range(count):
+        p = frames_dir / f"{prefix}_{i:04d}.s2sg"
+        if not p.exists():
+            raise ValueError(f"{frames_dir} has {count} {prefix} files but no {p.name}")
         grid = read_grid(p)
         if not isinstance(grid, ChannelGrid):
             raise ValueError(f"{p} is not a channel grid")
+        if shape is not None and (grid.height, grid.width) != shape:
+            raise ValueError(f"{p} is {grid.height}x{grid.width}, expected {shape[0]}x{shape[1]}")
         frames.append(grid)
     return frames
 
@@ -268,13 +267,14 @@ def _load_inputs(config: PipelineConfig):
         gt = [scene.gt_expanded(i) for i in range(scene.num_frames)]
         return scene.frames(), gt, scene.gt_flow
 
-    frames = _load_frames_from_dir(Path(config.inputs.frames_dir))
-    for f in frames:
-        if (f.height, f.width) != (spec.orig_h, spec.orig_w):
-            raise ValueError(f"frame is {f.height}x{f.width}, expected {spec.orig_h}x{spec.orig_w}")
+    frames = _load_frames_from_dir(
+        Path(config.inputs.frames_dir), shape=(spec.orig_h, spec.orig_w)
+    )
     gt = None
     if config.inputs.gt_dir:
-        gt = _load_frames_from_dir(Path(config.inputs.gt_dir), prefix="gt")
+        gt = _load_frames_from_dir(
+            Path(config.inputs.gt_dir), prefix="gt", shape=(spec.canvas_h, spec.canvas_w)
+        )
         if len(gt) != len(frames):
             raise ValueError("ground-truth frame count does not match inputs")
     flows_dir = Path(config.inputs.flows_dir)
@@ -286,6 +286,10 @@ def _load_inputs(config: PipelineConfig):
         grid = read_grid(path)
         if not isinstance(grid, FlowField):
             raise ValueError(f"{path} is not a flow grid")
+        if (grid.height, grid.width) != (spec.orig_h, spec.orig_w):
+            raise ValueError(
+                f"{path} is {grid.height}x{grid.width}, expected {spec.orig_h}x{spec.orig_w}"
+            )
         return grid
 
     return frames, gt, load_flow
@@ -335,43 +339,33 @@ class _Propagated(NamedTuple):
 
 def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated:
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
-    on the latent canvas, encode, propagate."""
+    completed on the latent canvas, encode, propagate."""
     spec = config.canvas
     s = spec.downsample
+    pixel_mask = make_outpaint_mask(spec)
+    latent_mask = downscale_mask(pixel_mask, s)
     frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
     n = len(frames)
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
-    completer = LaplacianCompleter(config.completion_tol, config.completion_max_iters)
+    completer = LaplacianCompleter(config.completion_tol)
 
     def build_flows():
-        pixel_mask = make_outpaint_mask(spec)
         bank = FlowBank()
         for a, b in sorted(required_flow_pairs(chain, n)):
             on_canvas = map_flow_to_canvas(pixel_flow(a, b), spec)
             if config.complete_at_pixel:
-                on_canvas = completer.complete(on_canvas, pixel_mask)
-            bank.add(a, b, downscale_flow(on_canvas, s))
+                flow = downscale_flow(completer.complete(on_canvas, pixel_mask), s)
+            else:
+                flow = completer.complete(downscale_flow(on_canvas, s), latent_mask)
+            bank.add(a, b, flow)
         return bank
 
     bank = clock.run("flows", build_flows)
-
-    def encode():
-        latents = [stand_in_encode(f, s) for f in frames]
-        mask = downscale_mask(make_outpaint_mask(spec), s)
-        return latents, [mask] * n
-
-    latents, masks = clock.run("encode", encode)
+    latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
+    masks = [latent_mask] * n
     prop = clock.run(
         "propagate",
-        lambda: propagate_sequence(
-            latents,
-            masks,
-            spec,
-            chain,
-            bank,
-            IdentityCompleter() if config.complete_at_pixel else completer,
-            fill=config.fill,
-        ),
+        lambda: propagate_sequence(latents, masks, spec, chain, bank, fill=config.fill),
     )
     return _Propagated(frames, gt_expanded, chain, bank, latents, prop)
 

@@ -6,6 +6,8 @@ grid-warp, and only cells that are still uncovered and whose warped source
 mask is (near) saturated get filled.  Farther references therefore only fill
 holes the nearer ones could not reach.  Pulling runs independently toward
 the past and the future; the two directional results are aligned and fused.
+Flows arrive completed, valid on the whole latent canvas; this module never
+fills them in.
 
 Warp accounting: ``warp_count`` is the number of reference pulls (one
 stacked grid-warp per (frame, reference) pair).  Flow-composition resampling
@@ -20,7 +22,7 @@ from typing import Literal, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .flow import AccumulatedFlow, FlowCompleter, backward_warp, compose_accumulated
+from .flow import AccumulatedFlow, backward_warp, compose_accumulated
 from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, place_on_canvas
 from .refselect import ReferenceChain, nearest_refs
 
@@ -32,7 +34,7 @@ Direction = Literal["past", "future"]
 
 
 class FlowBank:
-    """Completed (or raw) flows keyed by (source frame, destination frame).
+    """Flows keyed by (source frame, destination frame).
 
     An entry (a, b) is the field on frame a's latent canvas whose
     displacements sample frame b.
@@ -52,9 +54,6 @@ class FlowBank:
 
     def items(self):
         return self._flows.items()
-
-    def map_values(self, fn) -> "FlowBank":
-        return FlowBank({k: fn(k, v) for k, v in self._flows.items()})
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -266,16 +265,16 @@ def propagate_sequence(
     spec: CanvasSpec,
     chain: ReferenceChain,
     flows: FlowBank,
-    completer: FlowCompleter,
     aligner: Aligner | None = None,
     fuser: Fuser | None = None,
     fill: float = 0.0,
 ) -> SequencePropagation:
-    """Full propagation driver: place latents, complete flows, pull in both
-    directions per frame, align, and fuse.
+    """Full propagation driver: place latents, pull in both directions per
+    frame, align, and fuse.
 
     ``latents`` are original-resolution latent grids (orig dims / s);
-    ``masks`` are latent-canvas outpaint masks; without an ``aligner`` or
+    ``masks`` are latent-canvas outpaint masks; ``flows`` hold completed
+    (everywhere-valid) latent-canvas flows; without an ``aligner`` or
     ``fuser``, align_baseline and fuse_baseline are used.  Returns the per-frame
     results, the measured pull count, and the analytic count a dense
     per-frame accumulation scheme would need (N * (N-1) pulls).
@@ -290,7 +289,6 @@ def propagate_sequence(
     lat_spec = spec.latent()
 
     placed = [place_on_canvas(z, lat_spec, fill) for z in latents]
-    completed = flows.map_values(lambda key, f: completer.complete(f, masks[key[0]]))
 
     results: list[PropagationResult] = []
     total_warps = 0
@@ -298,8 +296,8 @@ def propagate_sequence(
         past_ref, future_ref = nearest_refs(chain, i)
         dist_f = i - past_ref
         dist_b = future_ref - i
-        rf = propagate_direction(i, chain, placed, masks, completed, "past")
-        rb = propagate_direction(i, chain, placed, masks, completed, "future")
+        rf = propagate_direction(i, chain, placed, masks, flows, "past")
+        rb = propagate_direction(i, chain, placed, masks, flows, "future")
         aligned_f = align(placed[i], rf.latent, masks[i], rf.coverage)
         aligned_b = align(placed[i], rb.latent, masks[i], rb.coverage)
         fused = fuse(aligned_f, aligned_b, rf.coverage, rb.coverage, dist_f, dist_b)

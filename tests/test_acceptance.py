@@ -30,7 +30,6 @@ from outpaint.propagation import FlowBank, propagate_sequence, required_flow_pai
 from outpaint.refselect import ScalarGrid, build_reference_chain, ssim_structure_score
 from outpaint.seeding import seeded_generator
 from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
-from outpaint.flow import LaplacianCompleter
 from outpaint.grids import downscale_flow, downscale_mask, make_outpaint_mask
 from outpaint.flow import map_flow_to_canvas
 
@@ -195,11 +194,10 @@ def test_criterion_05_complexity_claim():
     mask = downscale_mask(make_outpaint_mask(spec), 2)
     bank = FlowBank()
     for a, b in required_flow_pairs(chain, n):
-        bank.add(a, b, downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2))
+        flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2)
+        bank.add(a, b, complete_flow_laplacian(flow, mask, tol=1e-8))
     latents = [stand_in_encode(f, 2) for f in frames]
-    prop = propagate_sequence(
-        latents, [mask] * n, spec, chain, bank, LaplacianCompleter(tol=1e-8)
-    )
+    prop = propagate_sequence(latents, [mask] * n, spec, chain, bank)
     chain_len = len(chain)
     assert prop.warp_count <= 2 * n * (chain_len - 1)
     assert prop.warp_count <= 0.55 * prop.sequential_warp_count

@@ -75,8 +75,12 @@ class TestSynthAndChain:
         assert main(["chain", "--frames-dir", str(tmp_path), "--window", "3"]) == 2
 
     def test_chain_flow_grid_in_frames_dir_is_config_error(self, tmp_path):
-        write_grid(tmp_path / "frame_0000.s2sg", FlowField.constant(8, 8, 1.0, 0.0))
-        assert main(["chain", "--frames-dir", str(tmp_path), "--window", "3"]) == 2
+        write_grid(tmp_path / "flow" / "frame_0000.s2sg", FlowField.constant(8, 8, 1.0, 0.0))
+        # frame_0001 is missing
+        for i in (0, 2):
+            write_grid(tmp_path / "gap" / f"frame_{i:04d}.s2sg", ChannelGrid(np.zeros((3, 8, 8))))
+        for bad in ("flow", "gap"):
+            assert main(["chain", "--frames-dir", str(tmp_path / bad), "--window", "3"]) == 2
 
 
 class TestPipelineCommands:

@@ -227,13 +227,41 @@ class TestLaplacianCompletion:
         assert np.allclose(once.u, twice.u, atol=1e-6)
         assert np.allclose(once.v, twice.v, atol=1e-6)
 
+    def test_matches_dense_solve(self):
+        # known left band, smooth non-harmonic data; the oracle solves the
+        # 5-point system (Neumann canvas border, known cells as Dirichlet
+        # data) densely
+        h, w = 8, 32
+        ys, xs = np.mgrid[0:h, 0:w].astype(float)
+        valid = (xs < 8).astype(float)
+        f = FlowField(
+            (np.sin(3 * ys / 8) + 0.3 * xs) * valid, (np.cos(xs / 3) - 0.1 * ys) * valid, valid
+        )
+        out = complete_flow_laplacian(f, BinaryMask(1.0 - valid), tol=1e-8)
+        cells = [(y, x) for y in range(h) for x in range(8, w)]
+        index = {cell: k for k, cell in enumerate(cells)}
+        a = np.zeros((len(cells), len(cells)))
+        rhs = np.zeros((len(cells), 2))
+        for (y, x), k in index.items():
+            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if not (0 <= ny < h and 0 <= nx < w):
+                    continue
+                a[k, k] += 1.0
+                if (ny, nx) in index:
+                    a[k, index[(ny, nx)]] -= 1.0
+                else:
+                    rhs[k] += (f.u[ny, nx], f.v[ny, nx])
+        solved = np.linalg.solve(a, rhs)
+        got = np.array([(out.u[c], out.v[c]) for c in cells])
+        assert np.max(np.abs(got - solved)) < 1e-6
+
     def test_no_known_cells(self):
         f = FlowField(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="known"):
             complete_flow_laplacian(f, BinaryMask(np.zeros((3, 3))))
 
     def test_nonconvergence_reports_residual(self):
-        # opposing boundary values need many sweeps; one is never enough
+        # opposing boundary values need many iterations; one is never enough
         valid = np.zeros((8, 8))
         valid[:, 0] = 1.0
         valid[:, 7] = 1.0

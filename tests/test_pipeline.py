@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outpaint.grids import CanvasSpec, read_grid, write_grid
+from outpaint.grids import CanvasSpec, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
     ConfigError,
@@ -64,6 +64,7 @@ class TestConfig:
             ("fuser", "baseline"),
             ("noise_condition", True),
             ("completer", "laplacian"),
+            ("completion_max_iters", 100),
         ):
             with pytest.raises(ConfigError, match=key):
                 PipelineConfig.from_dict({**raw, key: value})
@@ -196,17 +197,42 @@ class TestRunPipeline:
         for i in range(3):
             write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
             write_grid(tmp_path / "gt" / f"gt_{i:04d}.s2sg", scene.gt_flow(i, i))
+            # original-frame size, not the expanded canvas
+            write_grid(tmp_path / "gt_small" / f"gt_{i:04d}.s2sg", scene.frame(i))
         # complete flows, so that only the ground truth is wrong
         for a, b in required_flow_pairs(build_reference_chain(scene.frames(), 4), 3):
             write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
+        for gt_dir, message in (
+            ("gt", "is not a channel grid"),
+            ("gt_small", "gt_0000.s2sg is 48x48, expected 48x64"),
+        ):
+            cfg = PipelineConfig(
+                seed=3,
+                canvas=spec,
+                inputs=InputPaths(
+                    frames_dir=str(tmp_path / "frames"),
+                    flows_dir=str(tmp_path / "flows"),
+                    gt_dir=str(tmp_path / gt_dir),
+                ),
+                out_dir=str(tmp_path / "run"),
+            )
+            with pytest.raises(StageError) as err:
+                run_pipeline(cfg)
+            assert err.value.stage == "inputs"
+            summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+            assert summary["failed_stage"] == "inputs"
+            assert message in summary["error"]
+
+    def test_frame_index_gap_fails_at_inputs(self, tmp_path):
+        spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
+        traj = SceneConfig(n_frames=6, kind="static", start_y=24.0, start_x=24.0).trajectory()
+        scene = generate_scene(3, 96, 96, 48, 48, 6, traj, spec)
+        for i in (0, 1, 3, 4, 5):
+            write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
         cfg = PipelineConfig(
             seed=3,
             canvas=spec,
-            inputs=InputPaths(
-                frames_dir=str(tmp_path / "frames"),
-                flows_dir=str(tmp_path / "flows"),
-                gt_dir=str(tmp_path / "gt"),
-            ),
+            inputs=InputPaths(frames_dir=str(tmp_path / "frames"), flows_dir=str(tmp_path)),
             out_dir=str(tmp_path / "run"),
         )
         with pytest.raises(StageError) as err:
@@ -214,7 +240,32 @@ class TestRunPipeline:
         assert err.value.stage == "inputs"
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["failed_stage"] == "inputs"
-        assert "is not a channel grid" in summary["error"]
+        assert "frame_0002.s2sg" in summary["error"]
+
+    def test_wrong_size_flow_error_names_the_file(self, tmp_path):
+        spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
+        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
+        scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
+        for i in range(3):
+            write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
+        pairs = required_flow_pairs(build_reference_chain(scene.frames(), 4), 3)
+        assert (1, 0) in pairs
+        for a, b in pairs:
+            flow = FlowField.zero(40, 48) if (a, b) == (1, 0) else scene.gt_flow(a, b)
+            write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", flow)
+        cfg = PipelineConfig(
+            seed=3,
+            canvas=spec,
+            inputs=InputPaths(
+                frames_dir=str(tmp_path / "frames"), flows_dir=str(tmp_path / "flows")
+            ),
+            out_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "flows"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert "flow_0001_to_0000.s2sg" in summary["error"]
 
     def test_file_driven_flows(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from outpaint.flow import LaplacianCompleter
+from outpaint.flow import complete_flow_laplacian
 from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.propagation import (
     FlowBank,
@@ -158,9 +158,7 @@ class TestPropagateSequence:
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        out = propagate_sequence(
-            [latent], [mask], spec, chain, FlowBank(), LaplacianCompleter()
-        )
+        out = propagate_sequence([latent], [mask], spec, chain, FlowBank())
         assert out.warp_count == 0
         assert out.sequential_warp_count == 0
         assert np.array_equal(out.results[0].latent.data[0, 0, 2:4], [5.0, 7.0])
@@ -177,9 +175,10 @@ class TestPropagateSequence:
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         bank = FlowBank()
         src_valid = masks[0].complement().data
-        bank.add(0, 1, FlowField(-1.0 * src_valid, 0.0 * src_valid, src_valid))
-        bank.add(1, 0, FlowField(+1.0 * src_valid, 0.0 * src_valid, src_valid))
-        out = propagate_sequence(latents, masks, spec, chain, bank, LaplacianCompleter(tol=1e-10))
+        for a, b in ((0, 1), (1, 0)):
+            raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
+            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
+        out = propagate_sequence(latents, masks, spec, chain, bank)
         f0, f1 = out.results
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
@@ -200,8 +199,9 @@ class TestPropagateSequence:
         bank = FlowBank()
         src_valid = mask.complement().data
         for a, b in required_flow_pairs(chain, n):
-            bank.add(a, b, FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid))
-        out = propagate_sequence(latents, masks, spec, chain, bank, LaplacianCompleter(tol=1e-10))
+            raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
+            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
+        out = propagate_sequence(latents, masks, spec, chain, bank)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
         placed_source = out.results[0].latent.data[:, :, 2:6]
@@ -224,9 +224,10 @@ class TestPropagateSequence:
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         bank = FlowBank()
         src_valid = masks[0].complement().data
-        bank.add(0, 1, FlowField(-1.0 * src_valid, 0.0 * src_valid, src_valid))
-        bank.add(1, 0, FlowField(+1.0 * src_valid, 0.0 * src_valid, src_valid))
-        out = propagate_sequence(latents, masks, spec, chain, bank, LaplacianCompleter(tol=1e-10))
+        for a, b in ((0, 1), (1, 0)):
+            raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
+            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
+        out = propagate_sequence(latents, masks, spec, chain, bank)
         for i, res in enumerate(out.results):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
@@ -241,19 +242,14 @@ class TestPropagateSequence:
         def bank_for(chain):
             bank = FlowBank()
             for a, b in required_flow_pairs(chain, 3):
-                bank.add(
-                    a, b, FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-                )
+                raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
+                bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
             return bank
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
-        out_sparse = propagate_sequence(
-            latents, masks, spec, sparse, bank_for(sparse), LaplacianCompleter(tol=1e-10)
-        )
-        out_dense = propagate_sequence(
-            latents, masks, spec, dense, bank_for(dense), LaplacianCompleter(tol=1e-10)
-        )
+        out_sparse = propagate_sequence(latents, masks, spec, sparse, bank_for(sparse))
+        out_dense = propagate_sequence(latents, masks, spec, dense, bank_for(dense))
         for rs, rd in zip(out_sparse.results, out_dense.results):
             assert np.all(rd.coverage.data >= rs.coverage.data)
 
@@ -283,10 +279,11 @@ class TestPluggableComponents:
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         bank = FlowBank()
         src_valid = masks[0].complement().data
-        bank.add(0, 1, FlowField(-1.0 * src_valid, 0.0 * src_valid, src_valid))
-        bank.add(1, 0, FlowField(+1.0 * src_valid, 0.0 * src_valid, src_valid))
+        for a, b in ((0, 1), (1, 0)):
+            raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
+            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
         out = propagate_sequence(
-            latents, masks, spec, chain, bank, LaplacianCompleter(tol=1e-10),
+            latents, masks, spec, chain, bank,
             aligner=self.ScalingAligner(), fuser=self.MaxFuser(),
         )
         # frame 0 col 4 was pulled from frame 1, doubled by the aligner,
