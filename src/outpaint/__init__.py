@@ -31,7 +31,6 @@ from .refselect import (
 from .flow import (
     AccumulatedFlow,
     FlowCompletionError,
-    LaplacianCompleter,
     backward_warp,
     complete_flow_laplacian,
     compose_accumulated,
@@ -41,7 +40,6 @@ from .flow import (
 from .propagation import (
     FlowBank,
     PropagationResult,
-    align_baseline,
     fuse_baseline,
     propagate_direction,
     propagate_sequence,

@@ -205,6 +205,8 @@ def complete_flow_laplacian(
     """
     if (flow.height, flow.width) != (missing.height, missing.width):
         raise ValueError("missing mask dims must match the flow")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     known = (missing.data == 0.0) & (flow.valid == 1.0)
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
@@ -219,17 +221,3 @@ def complete_flow_laplacian(
         filled[known] = plane[known]
         planes.append(filled)
     return FlowField(planes[0], planes[1], np.ones_like(flow.valid))
-
-
-@dataclass(frozen=True)
-class LaplacianCompleter:
-    """complete_flow_laplacian at a fixed tolerance.
-
-    The function is looked up on this module at call time, so wrapping
-    ``outpaint.flow.complete_flow_laplacian`` also wraps this method.
-    """
-
-    tol: float = 1e-6
-
-    def complete(self, flow: FlowField, missing: BinaryMask) -> FlowField:
-        return complete_flow_laplacian(flow, missing, self.tol)

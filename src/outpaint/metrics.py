@@ -18,7 +18,9 @@ from .refselect import STRUCTURE_WINDOW, _window_moments
 def _planes(grid: ChannelGrid | ScalarGrid) -> np.ndarray:
     if isinstance(grid, ScalarGrid):
         return grid.data[None]
-    return grid.data
+    if isinstance(grid, ChannelGrid):
+        return grid.data
+    raise ValueError(f"metrics need a channel or scalar grid, got {type(grid).__name__}")
 
 
 def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid, peak: float = 1.0) -> float:

@@ -20,12 +20,12 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .diffusion import make_schedule, plan_windows, resolve_denoiser, reverse_sample
-from .flow import FlowField, LaplacianCompleter, map_flow_to_canvas
+from . import flow as _flow
+from .flow import FlowField, map_flow_to_canvas
 from .grids import (
     CanvasSpec,
     ChannelGrid,
     downscale_flow,
-    downscale_mask,
     make_outpaint_mask,
     read_grid,
     write_grid,
@@ -88,8 +88,6 @@ class PipelineConfig:
     mode: str = "propagate"
     window: int = 4
     completion_tol: float = 1e-6
-    complete_at_pixel: bool = False
-    fill: float = 0.0
     denoiser: str = "zero"
     timesteps: int = 25
     beta_start: float = 1e-4
@@ -106,6 +104,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
+        if not self.completion_tol > 0.0:
+            raise ConfigError("completion_tol must be > 0")
         if (self.scene is None) == (self.inputs is None):
             raise ConfigError("exactly one of scene/inputs must be given")
         if self.denoiser == "oracle":
@@ -342,31 +342,26 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     completed on the latent canvas, encode, propagate."""
     spec = config.canvas
     s = spec.downsample
-    pixel_mask = make_outpaint_mask(spec)
-    latent_mask = downscale_mask(pixel_mask, s)
+    latent_mask = make_outpaint_mask(spec.latent())
     frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
     n = len(frames)
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
-    completer = LaplacianCompleter(config.completion_tol)
 
     def build_flows():
         bank = FlowBank()
         for a, b in sorted(required_flow_pairs(chain, n)):
-            on_canvas = map_flow_to_canvas(pixel_flow(a, b), spec)
-            if config.complete_at_pixel:
-                flow = downscale_flow(completer.complete(on_canvas, pixel_mask), s)
-            else:
-                flow = completer.complete(downscale_flow(on_canvas, s), latent_mask)
+            try:
+                on_latent = downscale_flow(map_flow_to_canvas(pixel_flow(a, b), spec), s)
+                # looked up on the module at call time, so wrapping it there takes effect
+                flow = _flow.complete_flow_laplacian(on_latent, latent_mask, config.completion_tol)
+            except Exception as exc:
+                raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
             bank.add(a, b, flow)
         return bank
 
     bank = clock.run("flows", build_flows)
     latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
-    masks = [latent_mask] * n
-    prop = clock.run(
-        "propagate",
-        lambda: propagate_sequence(latents, masks, spec, chain, bank, fill=config.fill),
-    )
+    prop = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, bank))
     return _Propagated(frames, gt_expanded, chain, bank, latents, prop)
 
 

@@ -1,13 +1,15 @@
 """Bidirectional reference-guided latent propagation with one-shot pulling.
 
-Each frame pulls content from chain references, nearest first: a reference's
-latent and its source mask are warped to the target in a single stacked
-grid-warp, and only cells that are still uncovered and whose warped source
-mask is (near) saturated get filled.  Farther references therefore only fill
-holes the nearer ones could not reach.  Pulling runs independently toward
-the past and the future; the two directional results are aligned and fused.
-Flows arrive completed, valid on the whole latent canvas; this module never
-fills them in.
+Every frame shares one outpaint mask, that of the latent canvas.  Each frame
+pulls content from chain references, nearest first: a reference's latent and
+its source mask are warped to the target in a single stacked grid-warp, and
+only cells that are still uncovered and whose warped source mask is (near)
+saturated get filled.  Farther references therefore only fill holes the
+nearer ones could not reach, and the frame's own source region is never
+overwritten.  Pulling runs independently toward the past and the future;
+the two directional results are fused by inverse temporal distance.  Flows
+arrive completed, valid on the whole latent canvas; this module never fills
+them in.
 
 Warp accounting: ``warp_count`` is the number of reference pulls (one
 stacked grid-warp per (frame, reference) pair).  Flow-composition resampling
@@ -18,12 +20,12 @@ against dense schemes counts content pulls on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Protocol, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .flow import AccumulatedFlow, backward_warp, compose_accumulated
-from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, place_on_canvas
+from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask, place_on_canvas
 from .refselect import ReferenceChain, nearest_refs
 
 # A bilinearly warped source mask counts as covering a cell only when it is
@@ -104,44 +106,6 @@ class PropagationResult:
             raise ValueError("covered cells must have provenance >= 0")
 
 
-class Aligner(Protocol):
-    def align(
-        self,
-        z_orig: ChannelGrid,
-        z_prop: ChannelGrid,
-        m_outpaint: BinaryMask,
-        m_prop: BinaryMask,
-    ) -> ChannelGrid: ...
-
-
-class Fuser(Protocol):
-    def fuse(
-        self,
-        forward: ChannelGrid,
-        backward: ChannelGrid,
-        cov_f: BinaryMask,
-        cov_b: BinaryMask,
-        dist_f: int,
-        dist_b: int,
-    ) -> ChannelGrid: ...
-
-
-def align_baseline(
-    z_orig: ChannelGrid,
-    z_prop: ChannelGrid,
-    m_outpaint: BinaryMask,
-    m_prop: BinaryMask,
-) -> ChannelGrid:
-    """Masked merge: original values on the source region, propagated values
-    on covered outpaint cells, original (fill) values elsewhere."""
-    if z_orig.data.shape != z_prop.data.shape:
-        raise ValueError("latent shapes must match")
-    if m_outpaint.data.shape != m_prop.data.shape or m_outpaint.data.shape != z_orig.data.shape[1:]:
-        raise ValueError("mask shapes must match the latent canvas")
-    take_prop = (m_outpaint.data == 1.0) & (m_prop.data == 1.0)
-    return ChannelGrid(np.where(take_prop, z_prop.data, z_orig.data))
-
-
 def fuse_baseline(
     forward: ChannelGrid,
     backward: ChannelGrid,
@@ -178,26 +142,27 @@ def propagate_direction(
     i: int,
     chain: ReferenceChain,
     latents: Sequence[ChannelGrid],
-    masks: Sequence[BinaryMask],
+    mask: BinaryMask,
     flows: FlowBank,
     direction: Direction,
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
-    ``latents`` are canvas-placed latent grids, ``masks`` the per-frame
-    outpaint masks, both at latent resolution; ``flows`` must hold completed
-    (everywhere-valid) hop and nearest-ref flows.
+    ``latents`` are canvas-placed latent grids and ``mask`` the outpaint
+    mask all frames share, both at latent resolution; ``flows`` must hold
+    completed (everywhere-valid) hop and nearest-ref flows.
     """
     n = chain.num_frames
     if not 0 <= i < n:
         raise ValueError(f"frame index {i} out of range")
-    if len(latents) != n or len(masks) != n:
-        raise ValueError("need one latent and one mask per frame")
+    if len(latents) != n:
+        raise ValueError("need one latent per frame")
     if direction not in ("past", "future"):
         raise ValueError(f"unknown direction {direction!r}")
 
     out = latents[i].data.copy()
-    covered = masks[i].data == 0.0
+    source_mask = 1.0 - mask.data
+    covered = mask.data == 0.0
     prov = np.full(covered.shape, -1, dtype=np.int32)
     prov[covered] = i
     warp_count = 0
@@ -217,7 +182,6 @@ def propagate_direction(
                 raise ValueError(f"flow {refs[k - 1]}->{r} must be completed before propagation")
             acc = compose_accumulated(acc, hop, r)
             compose_count += 1
-        source_mask = 1.0 - masks[r].data
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
         warped, wmask = backward_warp(stacked, acc.flow)
         warp_count += 1
@@ -261,34 +225,29 @@ def _merge_provenance(
 
 def propagate_sequence(
     latents: Sequence[ChannelGrid],
-    masks: Sequence[BinaryMask],
     spec: CanvasSpec,
     chain: ReferenceChain,
     flows: FlowBank,
-    aligner: Aligner | None = None,
-    fuser: Fuser | None = None,
-    fill: float = 0.0,
 ) -> SequencePropagation:
-    """Full propagation driver: place latents, pull in both directions per
-    frame, align, and fuse.
+    """Full propagation driver: place latents on the latent canvas, pull in
+    both directions per frame, and fuse.
 
-    ``latents`` are original-resolution latent grids (orig dims / s);
-    ``masks`` are latent-canvas outpaint masks; ``flows`` hold completed
-    (everywhere-valid) latent-canvas flows; without an ``aligner`` or
-    ``fuser``, align_baseline and fuse_baseline are used.  Returns the per-frame
-    results, the measured pull count, and the analytic count a dense
-    per-frame accumulation scheme would need (N * (N-1) pulls).
+    ``latents`` are original-resolution latent grids (orig dims / s); every
+    frame shares the outpaint mask of ``spec.latent()``; ``flows`` hold
+    completed (everywhere-valid) latent-canvas flows.  Pulls write only
+    uncovered outpaint cells, so each result keeps the frame's own values on
+    its source region and 0 on cells no reference reached.  Returns the per-frame results, the measured pull count, and
+    the analytic count a dense per-frame accumulation scheme would need
+    (N * (N-1) pulls).
     """
     n = len(latents)
     if n < 1:
         raise ValueError("need at least one frame")
-    if chain.num_frames != n or len(masks) != n:
-        raise ValueError("chain, latents, and masks must agree on frame count")
-    align = align_baseline if aligner is None else aligner.align
-    fuse = fuse_baseline if fuser is None else fuser.fuse
+    if chain.num_frames != n:
+        raise ValueError("chain and latents must agree on frame count")
     lat_spec = spec.latent()
-
-    placed = [place_on_canvas(z, lat_spec, fill) for z in latents]
+    mask = make_outpaint_mask(lat_spec)
+    placed = [place_on_canvas(z, lat_spec) for z in latents]
 
     results: list[PropagationResult] = []
     total_warps = 0
@@ -296,11 +255,9 @@ def propagate_sequence(
         past_ref, future_ref = nearest_refs(chain, i)
         dist_f = i - past_ref
         dist_b = future_ref - i
-        rf = propagate_direction(i, chain, placed, masks, flows, "past")
-        rb = propagate_direction(i, chain, placed, masks, flows, "future")
-        aligned_f = align(placed[i], rf.latent, masks[i], rf.coverage)
-        aligned_b = align(placed[i], rb.latent, masks[i], rb.coverage)
-        fused = fuse(aligned_f, aligned_b, rf.coverage, rb.coverage, dist_f, dist_b)
+        rf = propagate_direction(i, chain, placed, mask, flows, "past")
+        rb = propagate_direction(i, chain, placed, mask, flows, "future")
+        fused = fuse_baseline(rf.latent, rb.latent, rf.coverage, rb.coverage, dist_f, dist_b)
         coverage = BinaryMask(
             np.maximum(rf.coverage.data, rb.coverage.data)
         )

@@ -197,7 +197,7 @@ def test_criterion_05_complexity_claim():
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2)
         bank.add(a, b, complete_flow_laplacian(flow, mask, tol=1e-8))
     latents = [stand_in_encode(f, 2) for f in frames]
-    prop = propagate_sequence(latents, [mask] * n, spec, chain, bank)
+    prop = propagate_sequence(latents, spec, chain, bank)
     chain_len = len(chain)
     assert prop.warp_count <= 2 * n * (chain_len - 1)
     assert prop.warp_count <= 0.55 * prop.sequential_warp_count

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outpaint.cli import main
-from outpaint.grids import ChannelGrid, FlowField, write_grid
+from outpaint.grids import BinaryMask, ChannelGrid, FlowField, write_grid
 
 
 def synth_args(out, seed=13, frames=6):
@@ -171,3 +171,8 @@ class TestMetricsCommand:
         grid = ChannelGrid(np.zeros((1, 8, 8)))
         write_grid(tmp_path / "a.s2sg", grid)
         assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / "junk.s2sg")]) == 2
+        # a well-formed grid of a kind the metrics do not take
+        write_grid(tmp_path / "flow.s2sg", FlowField.zero(8, 8))
+        write_grid(tmp_path / "mask.s2sg", BinaryMask(np.zeros((8, 8))))
+        for other in ("flow.s2sg", "mask.s2sg"):
+            assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / other)]) == 2

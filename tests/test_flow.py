@@ -7,7 +7,6 @@ from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_
 from outpaint.flow import (
     AccumulatedFlow,
     FlowCompletionError,
-    LaplacianCompleter,
     backward_warp,
     complete_flow_laplacian,
     compose_accumulated,
@@ -273,10 +272,19 @@ class TestLaplacianCompletion:
         assert info.value.residual > 0
 
     def test_completer_interface(self):
-        completer = LaplacianCompleter(tol=1e-9)
         valid = np.zeros((4, 6))
         valid[:, 2:4] = 1.0
         f = FlowField(valid * 1.5, valid * 0.5, valid)
-        out = completer.complete(f, BinaryMask(1.0 - valid))
+        out = complete_flow_laplacian(f, BinaryMask(1.0 - valid), tol=1e-9)
         assert np.all(out.valid == 1.0)
         assert np.allclose(out.u, 1.5, atol=1e-8)
+
+    def test_tolerance_must_be_positive(self):
+        # tol <= 0 or NaN could never be met: the solve would spend every
+        # iteration and fail on a nan residual instead of refusing up front
+        valid = np.zeros((4, 6))
+        valid[:, 2:4] = 1.0
+        f = FlowField(valid * 1.5, valid * 0.5, valid)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                complete_flow_laplacian(f, BinaryMask(1.0 - valid), tol=tol)

@@ -128,6 +128,22 @@ class TestOutpaintMask:
         spec = CanvasSpec(h, w, H, W, min(oy, dy), min(ox, dx))
         assert make_outpaint_mask(spec).data.sum() == H * W - h * w
 
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_latent_mask_is_downscaled_pixel_mask(self, s, h, w, dy, dx, oy, ox):
+        # every field is a multiple of s, as CanvasSpec requires
+        spec = CanvasSpec(
+            h * s, w * s, (h + dy) * s, (w + dx) * s, min(oy, dy) * s, min(ox, dx) * s,
+            downsample=s,
+        )
+        assert np.array_equal(
+            make_outpaint_mask(spec.latent()).data,
+            downscale_mask(make_outpaint_mask(spec), s).data,
+        )
+
 
 class TestDownscaleFlow:
     def test_constant_flow(self):

@@ -44,6 +44,32 @@ def tree_digest(root: Path, exclude=()) -> dict[str, str]:
     return out
 
 
+def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
+    """Run a 3-frame file-driven static scene whose flow 1->0 file holds
+    ``bad_flow``; return the StageError and the summary it left."""
+    spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
+    traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
+    scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
+    for i in range(3):
+        write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
+    pairs = required_flow_pairs(build_reference_chain(scene.frames(), 4), 3)
+    assert (1, 0) in pairs
+    for a, b in pairs:
+        flow = bad_flow if (a, b) == (1, 0) else scene.gt_flow(a, b)
+        write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", flow)
+    cfg = PipelineConfig(
+        seed=3,
+        canvas=spec,
+        inputs=InputPaths(
+            frames_dir=str(tmp_path / "frames"), flows_dir=str(tmp_path / "flows")
+        ),
+        out_dir=str(tmp_path / "run"),
+    )
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    return err.value, json.loads((tmp_path / "run" / "summary.json").read_text())
+
+
 class TestConfig:
     def test_requires_seed(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -65,9 +91,17 @@ class TestConfig:
             ("noise_condition", True),
             ("completer", "laplacian"),
             ("completion_max_iters", 100),
+            ("complete_at_pixel", True),
+            ("fill", 0.0),
         ):
             with pytest.raises(ConfigError, match=key):
                 PipelineConfig.from_dict({**raw, key: value})
+
+    def test_completion_tol_must_be_positive(self):
+        base = dict(seed=1, canvas=CanvasSpec(4, 4, 4, 8, 0, 0), scene=SceneConfig())
+        for tol in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ConfigError, match="completion_tol"):
+                PipelineConfig(completion_tol=tol, **base)
 
     def test_dict_round_trip(self):
         cfg = pan_config("/tmp/nowhere")
@@ -243,28 +277,8 @@ class TestRunPipeline:
         assert "frame_0002.s2sg" in summary["error"]
 
     def test_wrong_size_flow_error_names_the_file(self, tmp_path):
-        spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
-        scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
-        for i in range(3):
-            write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
-        pairs = required_flow_pairs(build_reference_chain(scene.frames(), 4), 3)
-        assert (1, 0) in pairs
-        for a, b in pairs:
-            flow = FlowField.zero(40, 48) if (a, b) == (1, 0) else scene.gt_flow(a, b)
-            write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", flow)
-        cfg = PipelineConfig(
-            seed=3,
-            canvas=spec,
-            inputs=InputPaths(
-                frames_dir=str(tmp_path / "frames"), flows_dir=str(tmp_path / "flows")
-            ),
-            out_dir=str(tmp_path / "run"),
-        )
-        with pytest.raises(StageError) as err:
-            run_pipeline(cfg)
-        assert err.value.stage == "flows"
-        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.zero(40, 48))
+        assert err.stage == "flows"
         assert "flow_0001_to_0000.s2sg" in summary["error"]
 
     def test_file_driven_flows(self, tmp_path):
@@ -290,13 +304,14 @@ class TestRunPipeline:
         assert summary["status"] == "complete"
         assert summary["chain"] == list(chain.indices)
 
-    def test_pixel_space_completion_flag(self, tmp_path):
-        cfg = pan_config(tmp_path / "run", n_frames=6, complete_at_pixel=True)
-        summary = run_pipeline(cfg)
-        assert summary["status"] == "complete"
-        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
-        for entry in metrics["per_frame"]:
-            assert entry["covered_psnr"] == "inf"
+    def test_flow_failure_names_the_pair(self, tmp_path):
+        # no valid cell: nothing to complete the band from
+        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField(*np.zeros((3, 48, 48))))
+        assert err.stage == "flows"
+        assert "flow 1->0: " in str(err)
+        assert isinstance(err.cause.__cause__, ValueError)
+        assert summary["failed_stage"] == "flows"
+        assert summary["error"] == "flow 1->0: flow completion needs at least one known cell"
 
 
 class TestBenchmark:

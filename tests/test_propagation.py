@@ -6,7 +6,6 @@ from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_
 from outpaint.propagation import (
     FlowBank,
     PropagationResult,
-    align_baseline,
     fuse_baseline,
     propagate_direction,
     propagate_sequence,
@@ -17,40 +16,6 @@ from outpaint.refselect import ReferenceChain
 
 def const_grid(value, c=1, h=1, w=8):
     return ChannelGrid(np.full((c, h, w), float(value)))
-
-
-class TestAlignBaseline:
-    def setup_method(self):
-        rng = np.random.default_rng(0)
-        self.z_orig = ChannelGrid(rng.random((2, 4, 4)))
-        self.z_prop = ChannelGrid(rng.random((2, 4, 4)))
-
-    def test_no_outpaint_returns_original(self):
-        out = align_baseline(
-            self.z_orig, self.z_prop, BinaryMask(np.zeros((4, 4))), BinaryMask(np.ones((4, 4)))
-        )
-        assert np.array_equal(out.data, self.z_orig.data)
-
-    def test_full_masks_return_propagated(self):
-        out = align_baseline(
-            self.z_orig, self.z_prop, BinaryMask(np.ones((4, 4))), BinaryMask(np.ones((4, 4)))
-        )
-        assert np.array_equal(out.data, self.z_prop.data)
-
-    def test_disjoint_half_masks_concatenate(self):
-        half = np.zeros((4, 4))
-        half[:, 2:] = 1.0
-        out = align_baseline(
-            self.z_orig, self.z_prop, BinaryMask(half), BinaryMask(half)
-        )
-        assert np.array_equal(out.data[:, :, :2], self.z_orig.data[:, :, :2])
-        assert np.array_equal(out.data[:, :, 2:], self.z_prop.data[:, :, 2:])
-
-    def test_uncovered_outpaint_keeps_original_fill(self):
-        out = align_baseline(
-            self.z_orig, self.z_prop, BinaryMask(np.ones((4, 4))), BinaryMask(np.zeros((4, 4)))
-        )
-        assert np.array_equal(out.data, self.z_orig.data)
 
 
 class TestFuseBaseline:
@@ -88,13 +53,12 @@ def strip_world(num_frames=5, width=8, src=(3, 6)):
     """1-row canvases with the source region at columns [src0, src1)."""
     mask = np.ones((1, width))
     mask[:, src[0] : src[1]] = 0.0
-    masks = [BinaryMask(mask) for _ in range(num_frames)]
     latents = []
     for r in range(num_frames):
         data = np.zeros((1, 1, width))
         data[:, :, src[0] : src[1]] = 10.0 + r
         latents.append(ChannelGrid(data))
-    return latents, masks
+    return latents, BinaryMask(mask)
 
 
 def const_flow_bank(pairs, width=8, u=0.0):
@@ -109,23 +73,23 @@ class TestPropagateDirection:
         return ReferenceChain((0, 2, 4), window=2, num_frames=5)
 
     def test_zero_hop_at_chain_end(self):
-        latents, masks = strip_world()
+        latents, mask = strip_world()
         chain = self.make_chain()
-        res = propagate_direction(4, chain, latents, masks, FlowBank(), "future")
+        res = propagate_direction(4, chain, latents, mask, FlowBank(), "future")
         assert res.warp_count == 0
-        assert np.array_equal(res.coverage.data, 1.0 - masks[4].data)
+        assert np.array_equal(res.coverage.data, 1.0 - mask.data)
         assert np.array_equal(res.latent.data, latents[4].data)
         assert np.all(res.provenance[res.coverage.data == 1.0] == 4)
 
     def test_one_shot_disjoint_coverage(self):
         # refs 2 and 4 sit +2 and +4 columns away; the near ref covers the
         # near strip, the far ref only the single cell the near one missed
-        latents, masks = strip_world()
+        latents, mask = strip_world()
         chain = self.make_chain()
         bank = FlowBank()
         bank.add(0, 2, FlowField.constant(1, 8, 2.0, 0.0))
         bank.add(2, 4, FlowField.constant(1, 8, 2.0, 0.0))
-        res = propagate_direction(0, chain, latents, masks, bank, "future")
+        res = propagate_direction(0, chain, latents, mask, bank, "future")
         assert res.warp_count == 2
         assert res.compose_count == 1
         expect_prov = np.array([[4, 2, 2, 0, 0, 0, -1, -1]], dtype=np.int32)
@@ -134,14 +98,14 @@ class TestPropagateDirection:
         assert np.array_equal(res.latent.data[0], expect_vals)
 
     def test_requires_completed_flows(self):
-        latents, masks = strip_world()
+        latents, mask = strip_world()
         chain = self.make_chain()
         bank = FlowBank()
         bank.add(
-            0, 2, FlowField(np.zeros((1, 8)), np.zeros((1, 8)), masks[0].complement().data)
+            0, 2, FlowField(np.zeros((1, 8)), np.zeros((1, 8)), mask.complement().data)
         )
         with pytest.raises(ValueError, match="completed"):
-            propagate_direction(0, chain, latents, masks, bank, "future")
+            propagate_direction(0, chain, latents, mask, bank, "future")
 
 
 class TestPropagationResult:
@@ -156,9 +120,8 @@ class TestPropagateSequence:
     def test_single_frame(self):
         spec = CanvasSpec(1, 2, 1, 6, 0, 2)
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
-        mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        out = propagate_sequence([latent], [mask], spec, chain, FlowBank())
+        out = propagate_sequence([latent], spec, chain, FlowBank())
         assert out.warp_count == 0
         assert out.sequential_warp_count == 0
         assert np.array_equal(out.results[0].latent.data[0, 0, 2:4], [5.0, 7.0])
@@ -171,14 +134,14 @@ class TestPropagateSequence:
             ChannelGrid(np.array([[[w0, w1]]])),
             ChannelGrid(np.array([[[w1, w2]]])),
         ]
-        masks = [make_outpaint_mask(spec.latent())] * 2
+        mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         bank = FlowBank()
-        src_valid = masks[0].complement().data
+        src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
-        out = propagate_sequence(latents, masks, spec, chain, bank)
+            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
+        out = propagate_sequence(latents, spec, chain, bank)
         f0, f1 = out.results
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
@@ -194,14 +157,13 @@ class TestPropagateSequence:
         base = rng.random((2, 4, 4))
         latents = [ChannelGrid(base) for _ in range(n)]
         mask = make_outpaint_mask(spec.latent())
-        masks = [mask] * n
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=n)
         bank = FlowBank()
         src_valid = mask.complement().data
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
             bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
-        out = propagate_sequence(latents, masks, spec, chain, bank)
+        out = propagate_sequence(latents, spec, chain, bank)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
         placed_source = out.results[0].latent.data[:, :, 2:6]
@@ -220,14 +182,14 @@ class TestPropagateSequence:
             ChannelGrid(np.array([[[w0, w1]]])),
             ChannelGrid(np.array([[[w1, w2]]])),
         ]
-        masks = [make_outpaint_mask(spec.latent())] * 2
+        mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         bank = FlowBank()
-        src_valid = masks[0].complement().data
+        src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
-        out = propagate_sequence(latents, masks, spec, chain, bank)
+            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
+        out = propagate_sequence(latents, spec, chain, bank)
         for i, res in enumerate(out.results):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
@@ -236,59 +198,22 @@ class TestPropagateSequence:
         w = [0.1, 0.4, 0.7, 0.95]
         spec = CanvasSpec(1, 2, 1, 8, 0, 3)
         latents = [ChannelGrid(np.array([[[w[i], w[i + 1]]]])) for i in range(3)]
-        masks = [make_outpaint_mask(spec.latent())] * 3
-        src_valid = masks[0].complement().data
+        mask = make_outpaint_mask(spec.latent())
+        src_valid = mask.complement().data
 
         def bank_for(chain):
             bank = FlowBank()
             for a, b in required_flow_pairs(chain, 3):
                 raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-                bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
+                bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
             return bank
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
-        out_sparse = propagate_sequence(latents, masks, spec, sparse, bank_for(sparse))
-        out_dense = propagate_sequence(latents, masks, spec, dense, bank_for(dense))
+        out_sparse = propagate_sequence(latents, spec, sparse, bank_for(sparse))
+        out_dense = propagate_sequence(latents, spec, dense, bank_for(dense))
         for rs, rd in zip(out_sparse.results, out_dense.results):
             assert np.all(rd.coverage.data >= rs.coverage.data)
-
-
-class TestPluggableComponents:
-    """Custom aligner/fuser implementations slot into the driver."""
-
-    class ScalingAligner:
-        def align(self, z_orig, z_prop, m_outpaint, m_prop):
-            take = (m_outpaint.data == 1.0) & (m_prop.data == 1.0)
-            out = z_orig.data.copy()
-            out[:, take] = 2.0 * z_prop.data[:, take]
-            return ChannelGrid(out)
-
-    class MaxFuser:
-        def fuse(self, forward, backward, cov_f, cov_b, dist_f, dist_b):
-            return ChannelGrid(np.maximum(forward.data, backward.data))
-
-    def test_custom_aligner_and_fuser_are_used(self):
-        w0, w1, w2 = 0.2, 0.5, 0.8
-        spec = CanvasSpec(1, 2, 1, 6, 0, 2)
-        latents = [
-            ChannelGrid(np.array([[[w0, w1]]])),
-            ChannelGrid(np.array([[[w1, w2]]])),
-        ]
-        masks = [make_outpaint_mask(spec.latent())] * 2
-        chain = ReferenceChain((0, 1), window=1, num_frames=2)
-        bank = FlowBank()
-        src_valid = masks[0].complement().data
-        for a, b in ((0, 1), (1, 0)):
-            raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, masks[a], tol=1e-10))
-        out = propagate_sequence(
-            latents, masks, spec, chain, bank,
-            aligner=self.ScalingAligner(), fuser=self.MaxFuser(),
-        )
-        # frame 0 col 4 was pulled from frame 1, doubled by the aligner,
-        # and survives the max-fuse against the uncovered forward value
-        assert out.results[0].latent.data[0, 0, 4] == pytest.approx(2.0 * w2, abs=1e-9)
 
 
 class TestRequiredFlowPairs:
