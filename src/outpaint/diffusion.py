@@ -12,6 +12,7 @@ concatenation and keeps the noising of target and condition independent.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -106,15 +107,20 @@ def forward_noise(
 
 
 class Denoiser(Protocol):
-    """Predicts the injected noise for a noisy target sequence."""
+    """Predicts the injected noise for a noisy target sequence.
+
+    ``start`` is the sequence position of the first frame passed in.  A
+    denoiser that sees only its window, as a video model does, may leave it
+    out of its signature; windowed_epsilon then does not pass it.
+    """
 
     def predict(
-        self, noisy: LatentSeq, condition: LatentSeq, timestep: int
+        self, noisy: LatentSeq, condition: LatentSeq, timestep: int, start: int = 0
     ) -> list[ChannelGrid]: ...
 
 
 class ZeroDenoiser:
-    def predict(self, noisy, condition, timestep):
+    def predict(self, noisy, condition, timestep, start=0):
         return [ChannelGrid(np.zeros_like(z.data)) for z in noisy]
 
 
@@ -122,7 +128,7 @@ class ZeroDenoiser:
 class ConstantDenoiser:
     value: float
 
-    def predict(self, noisy, condition, timestep):
+    def predict(self, noisy, condition, timestep, start=0):
         return [ChannelGrid(np.full_like(z.data, self.value)) for z in noisy]
 
 
@@ -133,13 +139,14 @@ class OracleDenoiser:
         self.clean = list(clean)
         self.schedule = schedule
 
-    def predict(self, noisy, condition, timestep):
-        if len(noisy) != len(self.clean):
+    def predict(self, noisy, condition, timestep, start=0):
+        clean = self.clean[start : start + len(noisy)]
+        if start < 0 or len(clean) != len(noisy):
             raise ValueError("oracle clean sequence does not match")
         ab = self.schedule.alpha_bar_at(timestep)
         return [
             ChannelGrid((z.data - np.sqrt(ab) * z0.data) / np.sqrt(1.0 - ab))
-            for z, z0 in zip(noisy, self.clean)
+            for z, z0 in zip(noisy, clean)
         ]
 
 
@@ -256,7 +263,8 @@ def windowed_epsilon(
 ) -> list[ChannelGrid]:
     """Per-frame average of the denoiser's predictions over every window
     containing the frame.  Windows are evaluated in plan order so the
-    floating-point sum is deterministic."""
+    floating-point sum is deterministic.  A denoiser whose ``predict`` takes
+    ``start`` gets the position of each window's first frame."""
     _check_seq_shapes(noisy, condition, "windowed_epsilon")
     n = len(noisy)
     if plan.frame_count != n:
@@ -266,8 +274,12 @@ def windowed_epsilon(
         holes = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"plan leaves frames uncovered: {holes}")
     sums = [np.zeros_like(z.data) for z in noisy]
+    positioned = "start" in inspect.signature(denoiser.predict).parameters
     for start, end in plan.windows:
-        preds = denoiser.predict(list(noisy[start:end]), list(condition[start:end]), timestep)
+        at = {"start": start} if positioned else {}
+        preds = denoiser.predict(
+            list(noisy[start:end]), list(condition[start:end]), timestep, **at
+        )
         if len(preds) != end - start:
             raise ValueError("denoiser returned wrong number of frames")
         for offset, pred in enumerate(preds):

@@ -149,7 +149,8 @@ class PipelineConfig:
 class BenchmarkReport:
     """Operation counts and working-set estimate for one run.
 
-    ``wall_time_s`` is populated for humans; it never enters deterministic
+    ``useful_pull_count`` counts the guided pulls that filled at least one
+    cell.  ``wall_time_s`` is populated for humans; it never enters deterministic
     artifacts.  The ordering invariant guided <= sequential <= all-pairs is
     checked by ``verify``.
     """
@@ -162,6 +163,7 @@ class BenchmarkReport:
     warp_count_all_pairs: int
     compose_count: int
     peak_live_bytes: int
+    useful_pull_count: int = 0
     wall_time_s: dict[str, float] = field(default_factory=dict)
 
     def verify(self) -> None:
@@ -185,6 +187,7 @@ class BenchmarkReport:
             "warp_count_all_pairs": self.warp_count_all_pairs,
             "compose_count": self.compose_count,
             "peak_live_bytes": self.peak_live_bytes,
+            "useful_pull_count": self.useful_pull_count,
         }
         if include_timings:
             data["wall_time_s"] = dict(self.wall_time_s)
@@ -331,6 +334,7 @@ class _Propagated(NamedTuple):
             warp_count_all_pairs=n * (n - 1),
             compose_count=sum(r.compose_count for r in self.prop.results),
             peak_live_bytes=peak_live_bytes,
+            useful_pull_count=sum(r.useful_pull_count for r in self.prop.results),
             wall_time_s=dict(wall_time_s),
         )
         report.verify()

@@ -11,8 +11,14 @@ the two directional results are fused by inverse temporal distance.  Flows
 arrive completed, valid on the whole latent canvas; this module never fills
 them in.
 
-Warp accounting: ``warp_count`` is the number of reference pulls (one
-stacked grid-warp per (frame, reference) pair).  Flow-composition resampling
+Pulling toward one direction stops early, and exactly, once the
+accumulated flow is invalid on every uncovered cell: composition only
+intersects validity and a pull fills only cells where that flow is valid,
+so no farther reference could fill anything.
+
+Warp accounting: ``warp_count`` is the number of reference pulls made (one
+stacked grid-warp per (frame, reference) pair) and ``useful_pull_count`` the
+number of those that filled at least one cell.  Flow-composition resampling
 is tracked separately as ``compose_count``; the complexity comparison
 against dense schemes counts content pulls on both sides.
 """
@@ -87,6 +93,7 @@ class PropagationResult:
 
     ``provenance`` holds the frame index that supplied each covered cell
     (the frame's own index on its source region, -1 where unfilled).
+    ``useful_pull_count`` counts the pulls that filled at least one cell.
     """
 
     latent: ChannelGrid
@@ -94,6 +101,7 @@ class PropagationResult:
     provenance: np.ndarray
     warp_count: int
     compose_count: int = 0
+    useful_pull_count: int = 0
 
     def __post_init__(self):
         prov = np.array(self.provenance, dtype=np.int32, copy=True)
@@ -150,7 +158,8 @@ def propagate_direction(
 
     ``latents`` are canvas-placed latent grids and ``mask`` the outpaint
     mask all frames share, both at latent resolution; ``flows`` must hold
-    completed (everywhere-valid) hop and nearest-ref flows.
+    completed (everywhere-valid) hop and nearest-ref flows.  Pulling stops
+    once the accumulated flow is invalid on every uncovered cell.
     """
     n = chain.num_frames
     if not 0 <= i < n:
@@ -167,6 +176,7 @@ def propagate_direction(
     prov[covered] = i
     warp_count = 0
     compose_count = 0
+    useful_pull_count = 0
 
     refs = _refs_outward(chain, i, direction)
     acc: AccumulatedFlow | None = None
@@ -182,6 +192,9 @@ def propagate_direction(
                 raise ValueError(f"flow {refs[k - 1]}->{r} must be completed before propagation")
             acc = compose_accumulated(acc, hop, r)
             compose_count += 1
+            # validity only shrinks under composition: no farther pull can fill a cell
+            if not (acc.flow.valid[~covered] == 1.0).any():
+                break
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
         warped, wmask = backward_warp(stacked, acc.flow)
         warp_count += 1
@@ -195,6 +208,7 @@ def propagate_direction(
             out[:, covering] = warped.data[:-1][:, covering]
             prov[covering] = r
             covered |= covering
+            useful_pull_count += 1
 
     return PropagationResult(
         latent=ChannelGrid(out),
@@ -202,6 +216,7 @@ def propagate_direction(
         provenance=prov,
         warp_count=warp_count,
         compose_count=compose_count,
+        useful_pull_count=useful_pull_count,
     )
 
 
@@ -268,6 +283,7 @@ def propagate_sequence(
                 provenance=_merge_provenance(rf, rb, dist_f, dist_b),
                 warp_count=rf.warp_count + rb.warp_count,
                 compose_count=rf.compose_count + rb.compose_count,
+                useful_pull_count=rf.useful_pull_count + rb.useful_pull_count,
             )
         )
         total_warps += rf.warp_count + rb.warp_count

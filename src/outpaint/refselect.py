@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import ChannelGrid, ScalarGrid
 
@@ -70,21 +69,52 @@ def to_grayscale(frame: ChannelGrid) -> ScalarGrid:
     return ScalarGrid(_LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b)
 
 
+def _window_sums(p: np.ndarray, win: int, axis: int) -> np.ndarray:
+    """Sums of ``win`` consecutive entries along ``axis``, which shrinks by
+    ``win - 1``.  Runs of length 2^k are built by adding two runs of length
+    2^(k-1), and ``win`` is assembled from its binary digits, so every sum
+    adds only nearby values: its rounding error is local, and for a
+    power-of-two ``win`` equal entries sum exactly."""
+
+    def take(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return a[(slice(None),) * (axis % a.ndim) + (slice(start, stop),)]
+
+    m = p.shape[axis] - win + 1
+    total, start = None, 0
+    run, length = p, 1  # run[j] sums p[j : j + length]
+    while True:
+        if win & length:
+            part = take(run, start, start + m)
+            total = part if total is None else total + part
+            start += length
+        if 2 * length > win:
+            return total
+        k = run.shape[axis]
+        run = take(run, 0, k - length) + take(run, length, k)
+        length *= 2
+
+
 def _window_moments(a: np.ndarray, b: np.ndarray, win: int):
-    """Per-window std deviations and covariance (unbiased, N-1)."""
-    wa = sliding_window_view(a, (win, win))
-    wb = sliding_window_view(b, (win, win))
+    """Per-window means, std deviations and covariance (unbiased, N-1).
+
+    Each plane's mean is subtracted first, so the one-pass forms
+    var = (sum x^2 - (sum x)^2 / n) / (n - 1) and
+    cov = (sum xy - sum x sum y / n) / (n - 1) cancel only window-sized
+    terms; with the power-of-two window the SSIM uses, a constant window
+    gets zero variance exactly.
+    """
     n = win * win
-    mu_a = wa.mean(axis=(2, 3))
-    mu_b = wb.mean(axis=(2, 3))
-    da = wa - mu_a[..., None, None]
-    db = wb - mu_b[..., None, None]
-    var_a = (da * da).sum(axis=(2, 3)) / (n - 1)
-    var_b = (db * db).sum(axis=(2, 3)) / (n - 1)
-    cov = (da * db).sum(axis=(2, 3)) / (n - 1)
+    mean_a, mean_b = a.mean(), b.mean()
+    x = a - mean_a
+    y = b - mean_b
+    sums = _window_sums(_window_sums(np.stack([x, y, x * x, y * y, x * y]), win, 2), win, 1)
+    s_x, s_y, s_xx, s_yy, s_xy = sums
+    var_a = (s_xx - s_x * s_x / n) / (n - 1)
+    var_b = (s_yy - s_y * s_y / n) / (n - 1)
+    cov = (s_xy - s_x * s_y / n) / (n - 1)
     sd_a = np.sqrt(np.maximum(var_a, 0.0))
     sd_b = np.sqrt(np.maximum(var_b, 0.0))
-    return mu_a, mu_b, sd_a, sd_b, cov
+    return mean_a + s_x / n, mean_b + s_y / n, sd_a, sd_b, cov
 
 
 def ssim_structure_score(a: ScalarGrid, b: ScalarGrid, window: int = STRUCTURE_WINDOW) -> float:

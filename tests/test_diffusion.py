@@ -184,6 +184,19 @@ class TestReverseSample:
         for got, want in zip(out, z0):
             assert np.allclose(got.data, want.data, atol=1e-4)
 
+    def test_oracle_predicts_a_window_at_its_start(self):
+        sched = make_schedule(8, 0.01, 0.2)
+        rng = seeded_generator(13, "oracle-window")
+        z0 = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(4)])
+        noise = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(2)])
+        noisy = forward_noise(z0[2:], 5, noise, sched)
+        oracle = OracleDenoiser(z0, sched)
+        for got, want in zip(oracle.predict(noisy, noisy, 5, start=2), noise):
+            assert np.allclose(got.data, want.data, atol=1e-12)
+        for start in (-1, 3):
+            with pytest.raises(ValueError, match="does not match"):
+                oracle.predict(noisy, noisy, 5, start=start)
+
     def test_zero_denoiser_matches_recurrence_script(self):
         # independent step-by-step replay of the update rule
         sched = make_schedule(6, 0.05, 0.3)

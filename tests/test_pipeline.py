@@ -110,6 +110,23 @@ class TestConfig:
 
 
 class TestRunPipeline:
+    def test_paper_pan_pulls_only_what_fills(self, tmp_path):
+        # 96x96 crop on 96x128, s=4, 4 px per frame: pulling stops as soon as
+        # no farther reference can fill a cell, so every pull fills some
+        n = 12
+        cfg = PipelineConfig(
+            seed=5,
+            canvas=CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4),
+            scene=SceneConfig(
+                world_h=96, world_w=128 + 4 * (n - 1), n_frames=n, kind="pan",
+                start_y=0.0, start_x=16.0, delta_x=4.0,
+            ),
+            out_dir=str(tmp_path / "run"),
+        )
+        run_pipeline(cfg)
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["useful_pull_count"] == report["warp_count_guided"] > 0
+
     def test_pan_scene_translation_oracle(self, tmp_path):
         cfg = pan_config(tmp_path / "run")
         summary = run_pipeline(cfg)
@@ -165,14 +182,21 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert tree_digest(tmp_path / "a") == first
 
-    def test_sample_mode_oracle_recovers_gt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n_frames, windows",
+        [(6, {}), (8, {"sampler_window": 4, "sampler_stride": 2})],
+        ids=["one_window", "sliding_windows"],
+    )
+    def test_sample_mode_oracle_recovers_gt(self, tmp_path, n_frames, windows):
         cfg = pan_config(
-            tmp_path / "run", n_frames=6, mode="sample",
-            denoiser="oracle", timesteps=20,
+            tmp_path / "run", n_frames=n_frames, mode="sample",
+            denoiser="oracle", timesteps=20, **windows,
         )
         run_pipeline(cfg)
-        scene = generate_scene(cfg.seed, 96, 96, 48, 48, 6, cfg.scene.trajectory(), cfg.canvas)
-        for i in range(6):
+        scene = generate_scene(
+            cfg.seed, 96, 96, 48, 48, n_frames, cfg.scene.trajectory(), cfg.canvas
+        )
+        for i in range(n_frames):
             sampled = read_grid(tmp_path / "run" / "sampled" / f"latent_{i:04d}.s2sg")
             want = stand_in_encode(scene.gt_expanded(i), 2)
             # exact inversion at the last step, then float32 narrowing on disk

@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from outpaint.flow import complete_flow_laplacian
-from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
+from outpaint.flow import (
+    AccumulatedFlow,
+    backward_warp,
+    complete_flow_laplacian,
+    compose_accumulated,
+    map_flow_to_canvas,
+)
+from outpaint.grids import (
+    BinaryMask,
+    CanvasSpec,
+    ChannelGrid,
+    FlowField,
+    downscale_flow,
+    make_outpaint_mask,
+    place_on_canvas,
+)
 from outpaint.propagation import (
+    COVERAGE_THRESHOLD,
     FlowBank,
     PropagationResult,
     fuse_baseline,
@@ -12,6 +27,7 @@ from outpaint.propagation import (
     required_flow_pairs,
 )
 from outpaint.refselect import ReferenceChain
+from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
 
 
 def const_grid(value, c=1, h=1, w=8):
@@ -225,3 +241,61 @@ class TestRequiredFlowPairs:
         assert (1, 0) in pairs and (1, 2) in pairs
         assert (3, 2) in pairs and (3, 4) in pairs
         assert (0, 4) not in pairs
+
+
+def paper_pan_inputs(n=12):
+    """The paper's operating point: a 96x96 crop on a 96x128 canvas, s=4,
+    panning 4 px (one latent cell) per frame, with exact completed flows
+    and a reference on every other frame."""
+    spec = CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4)
+    traj = TrajectorySpec(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)
+    scene = generate_scene(5, 96, 128 + 4 * (n - 1), 96, 96, n, traj, spec)
+    lat = spec.latent()
+    mask = make_outpaint_mask(lat)
+    latents = [place_on_canvas(stand_in_encode(f, 4), lat) for f in scene.frames()]
+    chain = ReferenceChain(tuple(range(0, n - 1, 2)) + (n - 1,), window=2, num_frames=n)
+    bank = FlowBank()
+    for a, b in required_flow_pairs(chain, n):
+        flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 4)
+        bank.add(a, b, complete_flow_laplacian(flow, mask, tol=1e-8))
+    return chain, latents, mask, bank
+
+
+def pull_every_reference(i, chain, latents, mask, flows, direction):
+    """One-shot pulling without the early exit: every reference is pulled."""
+    refs = [r for r in chain.indices if (r < i if direction == "past" else r > i)]
+    if direction == "past":
+        refs.reverse()
+    out = latents[i].data.copy()
+    covered = mask.data == 0.0
+    prov = np.where(covered, i, -1)
+    acc = None
+    for k, r in enumerate(refs):
+        if k == 0:
+            acc = AccumulatedFlow(i, r, flows.get(i, r), hops=1)
+        else:
+            acc = compose_accumulated(acc, flows.get(refs[k - 1], r), r)
+        stacked = ChannelGrid(np.concatenate([latents[r].data, (1.0 - mask.data)[None]]))
+        warped, wmask = backward_warp(stacked, acc.flow)
+        covering = ~covered & (wmask.data == 1.0) & (warped.data[-1] >= COVERAGE_THRESHOLD)
+        out[:, covering] = warped.data[:-1][:, covering]
+        prov[covering] = r
+        covered |= covering
+    return out, covered, prov, len(refs)
+
+
+def test_early_exit_matches_pulling_every_reference():
+    chain, latents, mask, bank = paper_pan_inputs()
+    made = every = 0
+    for i in range(chain.num_frames):
+        for direction in ("past", "future"):
+            got = propagate_direction(i, chain, latents, mask, bank, direction)
+            out, covered, prov, pulls = pull_every_reference(i, chain, latents, mask, bank, direction)
+            assert np.array_equal(got.latent.data, out)
+            assert np.array_equal(got.coverage.data == 1.0, covered)
+            assert np.array_equal(got.provenance, prov)
+            filled = len(set(np.unique(prov).tolist()) - {-1, i})
+            assert got.warp_count == got.useful_pull_count == filled
+            made += got.warp_count
+            every += pulls
+    assert made < every

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
-from outpaint.grids import ChannelGrid, ScalarGrid
+from outpaint import refselect
+from outpaint.grids import CanvasSpec, ChannelGrid, ScalarGrid
 from outpaint.refselect import (
     ReferenceChain,
     build_reference_chain,
@@ -13,6 +15,8 @@ from outpaint.refselect import (
     ssim_structure_score,
     to_grayscale,
 )
+from outpaint.seeding import seeded_generator
+from outpaint.synthetic import TrajectorySpec, generate_scene
 
 C2 = 0.03**2
 C3 = C2 / 2.0
@@ -37,6 +41,24 @@ def structure_score_oracle(a, b, win=8):
             total += (cov + C3) / (var_a**0.5 * var_b**0.5 + C3)
             count += 1
     return total / count
+
+
+def reference_window_moments(a, b, win):
+    """Per-window means, std deviations and covariance (unbiased, N-1),
+    two-pass over every window's own values."""
+    wa = sliding_window_view(a, (win, win))
+    wb = sliding_window_view(b, (win, win))
+    n = win * win
+    mu_a = wa.mean(axis=(2, 3))
+    mu_b = wb.mean(axis=(2, 3))
+    da = wa - mu_a[..., None, None]
+    db = wb - mu_b[..., None, None]
+    var_a = (da * da).sum(axis=(2, 3)) / (n - 1)
+    var_b = (db * db).sum(axis=(2, 3)) / (n - 1)
+    cov = (da * db).sum(axis=(2, 3)) / (n - 1)
+    sd_a = np.sqrt(np.maximum(var_a, 0.0))
+    sd_b = np.sqrt(np.maximum(var_b, 0.0))
+    return mu_a, mu_b, sd_a, sd_b, cov
 
 
 def rgb(r, g, b, shape=(4, 4)):
@@ -142,6 +164,68 @@ def identical_frames(n, h=12, w=12, value=0.5):
     rng = np.random.default_rng(99)
     base = rng.random((3, h, w))
     return [ChannelGrid(base) for _ in range(n)]
+
+
+class TestWindowMoments:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(8, 40),
+        w=st.integers(8, 56),
+        offset=st.floats(0.0, 1e3),
+        band=st.integers(0, 56),
+        fill=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, seed, h, w, offset, band, fill):
+        # a constant band, like an unfilled outpaint strip, puts windows of
+        # zero variance next to textured ones
+        rng = np.random.default_rng(seed)
+        a = rng.random((h, w))
+        b = rng.random((h, w))
+        b[:, : min(band, w)] = fill
+        a, b = a + offset, b + offset
+        got = refselect._window_moments(a, b, 8)
+        want = reference_window_moments(a, b, 8)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-9
+
+    def test_constant_window_has_zero_deviation(self):
+        a = np.random.default_rng(8).random((16, 24))
+        a[:, :12] = 0.3
+        _, _, sd_a, _, _ = refselect._window_moments(a, a, 8)
+        assert np.all(sd_a[:, :5] == 0.0)
+
+
+def criterion_04_scenes(count):
+    """The first ``count`` pan scenes of the acceptance suite's chain
+    criterion, drawn from the same stream."""
+    stream = seeded_generator(424242, "acceptance-scenes")
+    for _ in range(count):
+        n = int(stream.integers(6, 20))
+        delta = float(stream.integers(1, 4))
+        sign = 1.0 if stream.random() < 0.5 else -1.0
+        vertical = stream.random() < 0.3
+        dy, dx = (sign * delta, 0.0) if vertical else (0.0, sign * delta)
+        span = delta * (n - 1)
+        start_y = 24.0 + (span if dy < 0 else 0)
+        start_x = 24.0 + (span if dx < 0 else 0)
+        world = int(48 + 24 + span + 8)
+        spec = CanvasSpec(24, 24, 24, 32, 0, 8)
+        traj = TrajectorySpec(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
+        scene = generate_scene(int(stream.integers(0, 2**31)), world, world, 24, 24, n, traj, spec)
+        yield scene.frames()
+
+
+def test_chain_matches_reference_scored_chain(monkeypatch):
+    rng = np.random.default_rng(99)
+    base = ChannelGrid(rng.random((3, 12, 12)))
+    sequences = [[base] * 10] + list(criterion_04_scenes(20))
+    got = [[build_reference_chain(f, m).indices for m in range(2, 8)] for f in sequences]
+    monkeypatch.setattr(refselect, "_window_moments", reference_window_moments)
+    want = [[build_reference_chain(f, m).indices for m in range(2, 8)] for f in sequences]
+    assert got == want
+    assert got[0][2] == (0, 4, 8, 9)
 
 
 class TestBuildChain:
