@@ -53,7 +53,6 @@ from .diffusion import (
     plan_windows,
     resolve_denoiser,
     reverse_sample,
-    training_loss,
     windowed_epsilon,
 )
 from .synthetic import SyntheticScene, TrajectorySpec, generate_scene, stand_in_decode, stand_in_encode

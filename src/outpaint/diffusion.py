@@ -2,23 +2,24 @@
 sliding-window averaged-noise sampler.
 
 Two different "t"s appear in this module and are kept apart by name:
-``timestep`` is the diffusion step (1-based, 1..T) and ``frame_index``
-addresses a position in the video sequence.
+``timestep`` is the diffusion step (1-based, 1..T) and ``start`` is a
+position in the video sequence.
 
-Denoisers receive the noisy target sequence and a condition sequence (the
-propagated latents) as separate arguments; that stands in for channel
-concatenation and keeps the noising of target and condition independent.
+A latent sequence is one float64 array of shape (N, C, h, w), frame-major;
+the denoisers, windowed_epsilon and reverse_sample take and return such
+arrays.  Denoisers receive the noisy target sequence and a condition
+sequence (the propagated latents) as separate arguments; that stands in for
+channel concatenation and keeps the noising of target and condition
+independent.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
-from .grids import ChannelGrid
 from .seeding import seeded_generator
 
 
@@ -84,75 +85,61 @@ def make_schedule(timesteps: int, beta_start: float = 1e-4, beta_end: float = 0.
     return NoiseSchedule(np.linspace(beta_start, beta_end, timesteps))
 
 
-LatentSeq = Sequence[ChannelGrid]
-
-
-def _check_seq_shapes(a: LatentSeq, b: LatentSeq, what: str) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"{what}: sequence lengths differ ({len(a)} vs {len(b)})")
-    for x, y in zip(a, b):
-        if x.data.shape != y.data.shape:
-            raise ValueError(f"{what}: grid shapes differ ({x.data.shape} vs {y.data.shape})")
-
-
 def forward_noise(
-    z0: LatentSeq, timestep: int, noise: LatentSeq, schedule: NoiseSchedule
-) -> list[ChannelGrid]:
+    z0: np.ndarray, timestep: int, noise: np.ndarray, schedule: NoiseSchedule
+) -> np.ndarray:
     """Z_t = sqrt(abar_t) * Z_0 + sqrt(1 - abar_t) * eps, elementwise."""
-    _check_seq_shapes(z0, noise, "forward_noise")
+    if z0.shape != noise.shape:
+        raise ValueError(f"forward_noise: shapes differ ({z0.shape} vs {noise.shape})")
     ab = schedule.alpha_bar_at(timestep)
-    signal = np.sqrt(ab)
-    spread = np.sqrt(1.0 - ab)
-    return [ChannelGrid(signal * z.data + spread * e.data) for z, e in zip(z0, noise)]
+    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * noise
 
 
 class Denoiser(Protocol):
     """Predicts the injected noise for a noisy target sequence.
 
-    ``start`` is the sequence position of the first frame passed in.  A
-    denoiser that sees only its window, as a video model does, may leave it
-    out of its signature; windowed_epsilon then does not pass it.
+    ``noisy`` and ``condition`` are float64 arrays of shape (n, C, h, w) for
+    the n frames of one window; the result has the same shape.  ``start`` is
+    the sequence position of the window's first frame and is always passed;
+    a denoiser that sees only its window, as a video model does, ignores it.
     """
 
     def predict(
-        self, noisy: LatentSeq, condition: LatentSeq, timestep: int, start: int = 0
-    ) -> list[ChannelGrid]: ...
+        self, noisy: np.ndarray, condition: np.ndarray, timestep: int, start: int
+    ) -> np.ndarray: ...
 
 
 class ZeroDenoiser:
-    def predict(self, noisy, condition, timestep, start=0):
-        return [ChannelGrid(np.zeros_like(z.data)) for z in noisy]
+    def predict(self, noisy, condition, timestep, start):
+        return np.zeros_like(noisy)
 
 
 @dataclass(frozen=True)
 class ConstantDenoiser:
     value: float
 
-    def predict(self, noisy, condition, timestep, start=0):
-        return [ChannelGrid(np.full_like(z.data, self.value)) for z in noisy]
+    def predict(self, noisy, condition, timestep, start):
+        return np.full_like(noisy, self.value)
 
 
 class OracleDenoiser:
-    """Knows the clean sequence and inverts the forward process exactly."""
+    """Knows the clean (N, C, h, w) sequence; inverts the forward process exactly."""
 
-    def __init__(self, clean: LatentSeq, schedule: NoiseSchedule):
-        self.clean = list(clean)
+    def __init__(self, clean: np.ndarray, schedule: NoiseSchedule):
+        self.clean = clean
         self.schedule = schedule
 
-    def predict(self, noisy, condition, timestep, start=0):
+    def predict(self, noisy, condition, timestep, start):
         clean = self.clean[start : start + len(noisy)]
-        if start < 0 or len(clean) != len(noisy):
+        if start < 0 or clean.shape != noisy.shape:
             raise ValueError("oracle clean sequence does not match")
         ab = self.schedule.alpha_bar_at(timestep)
-        return [
-            ChannelGrid((z.data - np.sqrt(ab) * z0.data) / np.sqrt(1.0 - ab))
-            for z, z0 in zip(noisy, clean)
-        ]
+        return (noisy - np.sqrt(ab) * clean) / np.sqrt(1.0 - ab)
 
 
 def resolve_denoiser(
     name: str,
-    clean: LatentSeq | None = None,
+    clean: np.ndarray | None = None,
     schedule: NoiseSchedule | None = None,
 ) -> Denoiser:
     """Look up a denoiser by registry name: "zero", "constant:<c>", "oracle"."""
@@ -168,39 +155,6 @@ def resolve_denoiser(
             raise ValueError("oracle denoiser needs ground-truth latents and a schedule")
         return OracleDenoiser(clean, schedule)
     raise ValueError(f"unknown denoiser {name!r}")
-
-
-def training_loss(
-    denoiser: Denoiser,
-    z0: LatentSeq,
-    condition: LatentSeq,
-    timestep: int,
-    noise: LatentSeq,
-    schedule: NoiseSchedule,
-    noise_condition: bool = False,
-    condition_noise: LatentSeq | None = None,
-) -> float:
-    """Mean squared error between injected and predicted noise.
-
-    With ``noise_condition`` the condition sequence is noised at the same
-    timestep before prediction (the literal concatenated-noising reading);
-    the default leaves the condition clean.
-    """
-    noisy = forward_noise(z0, timestep, noise, schedule)
-    cond_in: LatentSeq = condition
-    if noise_condition:
-        if condition_noise is None:
-            raise ValueError("noise_condition=True needs condition_noise")
-        cond_in = forward_noise(list(condition), timestep, condition_noise, schedule)
-    predicted = denoiser.predict(noisy, cond_in, timestep)
-    _check_seq_shapes(noise, predicted, "training_loss")
-    total = 0.0
-    count = 0
-    for e, p in zip(noise, predicted):
-        diff = e.data - p.data
-        total += float((diff * diff).sum())
-        count += diff.size
-    return total / count
 
 
 @dataclass(frozen=True)
@@ -256,16 +210,17 @@ def plan_windows(frame_count: int, length: int, stride: int) -> WindowPlan:
 
 def windowed_epsilon(
     denoiser: Denoiser,
-    noisy: LatentSeq,
-    condition: LatentSeq,
+    noisy: np.ndarray,
+    condition: np.ndarray,
     timestep: int,
     plan: WindowPlan,
-) -> list[ChannelGrid]:
+) -> np.ndarray:
     """Per-frame average of the denoiser's predictions over every window
     containing the frame.  Windows are evaluated in plan order so the
-    floating-point sum is deterministic.  A denoiser whose ``predict`` takes
-    ``start`` gets the position of each window's first frame."""
-    _check_seq_shapes(noisy, condition, "windowed_epsilon")
+    floating-point sum is deterministic; each ``predict`` gets the position
+    of its window's first frame as ``start``."""
+    if noisy.shape != condition.shape:
+        raise ValueError(f"noisy {noisy.shape} and condition {condition.shape} differ")
     n = len(noisy)
     if plan.frame_count != n:
         raise ValueError(f"plan covers {plan.frame_count} frames, sequence has {n}")
@@ -273,58 +228,48 @@ def windowed_epsilon(
     if (counts == 0).any():
         holes = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"plan leaves frames uncovered: {holes}")
-    sums = [np.zeros_like(z.data) for z in noisy]
-    positioned = "start" in inspect.signature(denoiser.predict).parameters
+    sums = np.zeros_like(noisy)
     for start, end in plan.windows:
-        at = {"start": start} if positioned else {}
-        preds = denoiser.predict(
-            list(noisy[start:end]), list(condition[start:end]), timestep, **at
-        )
-        if len(preds) != end - start:
-            raise ValueError("denoiser returned wrong number of frames")
-        for offset, pred in enumerate(preds):
-            sums[start + offset] += pred.data
-    return [ChannelGrid(s / c) for s, c in zip(sums, counts)]
+        pred = denoiser.predict(noisy[start:end], condition[start:end], timestep, start)
+        if pred.shape != sums[start:end].shape:
+            raise ValueError(f"denoiser returned {pred.shape} for window [{start}, {end})")
+        sums[start:end] += pred
+    return sums / counts[:, None, None, None]
 
 
 def reverse_sample(
     denoiser: Denoiser,
-    condition: LatentSeq,
+    condition: np.ndarray,
     schedule: NoiseSchedule,
     seed: int,
     plan: WindowPlan | None = None,
-) -> list[ChannelGrid]:
+) -> np.ndarray:
     """Ancestral reverse sampling from seeded Gaussian noise.
 
     Z_{t-1} = (Z_t - beta_t / sqrt(1-abar_t) * eps) / sqrt(alpha_t) + sigma_t * n,
-    with no noise injected at the final step.  Draw order is fixed: the
-    initial latent per frame in frame order, then one draw per frame per
-    step, so identical (seed, schedule, denoiser, condition) reproduce the
-    output bit for bit.  With ``plan`` the noise estimate is the
-    sliding-window average from windowed_epsilon.
+    with no noise injected at the final step.  ``condition`` and the result
+    are (N, C, h, w) arrays.  The noise estimate is windowed_epsilon over
+    ``plan``; without one, a single window covers the whole sequence.
+
+    Draw order is fixed: the initial state, then one draw per step, each a
+    single ``standard_normal`` of shape (N, C, h, w).  Such a draw equals N
+    per-frame draws in frame order, so the output is the same as drawing
+    frame by frame, and identical (seed, schedule, denoiser, condition, plan)
+    reproduce it bit for bit.
     """
-    if len(condition) < 1:
-        raise ValueError("need at least one condition frame")
+    if condition.ndim != 4 or len(condition) < 1:
+        raise ValueError(f"condition must be a non-empty (N, C, h, w) array: {condition.shape}")
+    if plan is None:
+        plan = plan_windows(len(condition), len(condition), len(condition))
     rng = seeded_generator(seed, "reverse-sample")
-    shapes = [c.data.shape for c in condition]
-    state = [rng.standard_normal(shape) for shape in shapes]
+    z = rng.standard_normal(condition.shape)
     for timestep in range(schedule.timesteps, 0, -1):
-        noisy = [ChannelGrid(z) for z in state]
-        if plan is None:
-            eps = denoiser.predict(noisy, list(condition), timestep)
-        else:
-            eps = windowed_epsilon(denoiser, noisy, list(condition), timestep, plan)
-        _check_seq_shapes(noisy, eps, "reverse_sample")
+        eps = windowed_epsilon(denoiser, z, condition, timestep, plan)
         beta = schedule.beta_at(timestep)
         alpha = schedule.alpha_at(timestep)
         ab = schedule.alpha_bar_at(timestep)
         coef = beta / np.sqrt(1.0 - ab)
-        sigma = schedule.sigma_at(timestep) if timestep > 1 else 0.0
-        new_state = []
-        for z, e in zip(state, eps):
-            mean = (z - coef * e.data) / np.sqrt(alpha)
-            if timestep > 1:
-                mean = mean + sigma * rng.standard_normal(z.shape)
-            new_state.append(mean)
-        state = new_state
-    return [ChannelGrid(z) for z in state]
+        z = (z - coef * eps) / np.sqrt(alpha)
+        if timestep > 1:
+            z = z + schedule.sigma_at(timestep) * rng.standard_normal(z.shape)
+    return z

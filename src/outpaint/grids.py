@@ -233,14 +233,6 @@ def place_on_canvas(frame: ChannelGrid, spec: CanvasSpec, fill: float = 0.0) -> 
     return ChannelGrid(out)
 
 
-def crop_from_canvas(grid: ChannelGrid, spec: CanvasSpec) -> ChannelGrid:
-    """Inverse of place_on_canvas: recover the original rectangle."""
-    if (grid.height, grid.width) != (spec.canvas_h, spec.canvas_w):
-        raise ValueError("grid does not match canvas dimensions")
-    ys, xs = spec.source_slices
-    return ChannelGrid(grid.data[:, ys, xs])
-
-
 def make_outpaint_mask(spec: CanvasSpec) -> BinaryMask:
     """Mask that is 1 outside the placed original rectangle, 0 inside."""
     mask = np.ones((spec.canvas_h, spec.canvas_w))

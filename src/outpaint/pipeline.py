@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -369,15 +370,32 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     return _Propagated(frames, gt_expanded, chain, bank, latents, prop)
 
 
+# what a run writes under out_dir besides config.json, which every run rewrites
+_RUN_DIRS = ("propagated", "sampled", "decoded")
+_RUN_FILES = ("chain.json", "metrics.json", "report.json", "timings.json", "summary.json")
+
+
+def _clear_run_artifacts(out: Path) -> None:
+    """Remove what an earlier run left in ``out``, so that no stale file
+    outlives this run or enters its summary; other files stay."""
+    for name in _RUN_DIRS:
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     """Execute the configured pipeline and write artifacts under out_dir.
 
-    Returns the summary dict (also written to summary.json).  On stage
-    failure a summary with status "incomplete" is written before the
-    StageError propagates.
+    Artifacts of an earlier run in out_dir are removed first; files the
+    pipeline does not write are left alone.  Returns the summary dict (also
+    written to summary.json).  On stage failure a summary with status
+    "incomplete" is written before the StageError propagates.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_run_artifacts(out)
     clock = _StageClock()
     s = config.canvas.downsample
 
@@ -412,13 +430,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             def sample():
                 schedule = make_schedule(config.timesteps, config.beta_start, config.beta_end)
                 plan = plan_windows(n, config.sampler_window, config.sampler_stride)
-                condition = [r.latent for r in results]
+                condition = np.stack([r.latent.data for r in results])
                 if config.denoiser == "oracle":
-                    clean = [stand_in_encode(g, s) for g in gt_expanded]
+                    clean = np.stack([stand_in_encode(g, s).data for g in gt_expanded])
                     denoiser = resolve_denoiser("oracle", clean=clean, schedule=schedule)
                 else:
                     denoiser = resolve_denoiser(config.denoiser)
-                return reverse_sample(denoiser, condition, schedule, config.seed, plan=plan)
+                z = reverse_sample(denoiser, condition, schedule, config.seed, plan=plan)
+                # as grids inside the stage, so non-finite output fails at `sample`
+                return [ChannelGrid(frame) for frame in z]
 
             sampled = clock.run("sample", sample)
             for i, grid in enumerate(sampled):

@@ -251,9 +251,9 @@ def propagate_sequence(
     frame shares the outpaint mask of ``spec.latent()``; ``flows`` hold
     completed (everywhere-valid) latent-canvas flows.  Pulls write only
     uncovered outpaint cells, so each result keeps the frame's own values on
-    its source region and 0 on cells no reference reached.  Returns the per-frame results, the measured pull count, and
-    the analytic count a dense per-frame accumulation scheme would need
-    (N * (N-1) pulls).
+    its source region and 0 on cells no reference reached.  Returns the
+    per-frame results, the measured pull count, and the analytic count a
+    dense per-frame accumulation scheme would need (N * (N-1) pulls).
     """
     n = len(latents)
     if n < 1:

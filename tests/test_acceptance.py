@@ -256,13 +256,13 @@ def test_criterion_07_diffusion_harness():
     stats_sched = make_schedule(10, 0.02, 0.1)
     t = 6
     ab = stats_sched.alpha_bar_at(t)
-    z0 = [ChannelGrid(np.full((1, 4, 4), 0.8))]
+    z0 = np.full((1, 1, 4, 4), 0.8)
     rng = seeded_generator(7, "acc7")
     draws = 10_000
     samples = np.empty((draws, 4, 4))
     for k in range(draws):
-        eps = [ChannelGrid(rng.standard_normal((1, 4, 4)))]
-        samples[k] = forward_noise(z0, t, eps, stats_sched)[0].data[0]
+        eps = rng.standard_normal((1, 4, 4))[None]
+        samples[k] = forward_noise(z0, t, eps, stats_sched)[0, 0]
     sigma = math.sqrt(1.0 - ab)
     assert np.all(
         np.abs(samples.mean(axis=0) - math.sqrt(ab) * 0.8) < 4.0 * sigma / math.sqrt(draws)
@@ -271,11 +271,11 @@ def test_criterion_07_diffusion_harness():
 
     # oracle reverse sampling over 50 steps
     sched50 = make_schedule(50, 1e-4, 0.05)
-    clean = [ChannelGrid(rng.standard_normal((2, 4, 4))) for _ in range(3)]
-    cond = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(3)]
+    clean = np.stack([rng.standard_normal((2, 4, 4)) for _ in range(3)])
+    cond = np.zeros((3, 2, 4, 4))
     out = reverse_sample(OracleDenoiser(clean, sched50), cond, sched50, seed=17)
     for got, want in zip(out, clean):
-        assert np.max(np.abs(got.data - want.data)) < 1e-4
+        assert np.max(np.abs(got - want)) < 1e-4
 
     report(7, "alpha-bar identity 1e-12; forward stats within 5%; oracle T=50 within 1e-4", budget.check())
 
@@ -285,27 +285,26 @@ def test_criterion_08_sliding_window_sampler():
     plan = plan_windows(40, 25, 12)
     assert plan.windows == ((0, 25), (12, 37), (24, 40))
 
-    noisy = [ChannelGrid(np.zeros((1, 2, 2))) for _ in range(5)]
-    cond = [ChannelGrid(np.full((1, 2, 2), float(i))) for i in range(5)]
+    noisy = np.zeros((5, 1, 2, 2))
+    cond = np.stack([np.full((1, 2, 2), float(i)) for i in range(5)])
 
     class StartIndex:
-        def predict(self, noisy_slice, cond_slice, timestep):
-            marker = float(cond_slice[0].data.flat[0])
-            return [ChannelGrid(np.full_like(z.data, marker)) for z in noisy_slice]
+        def predict(self, noisy_slice, cond_slice, timestep, start):
+            return np.full_like(noisy_slice, float(cond_slice[0].flat[0]))
 
     single = plan_windows(5, 25, 12)
-    direct = StartIndex().predict(noisy, cond, 1)
+    direct = StartIndex().predict(noisy, cond, 1, 0)
     averaged = windowed_epsilon(StartIndex(), noisy, cond, 1, single)
     for a, b in zip(direct, averaged):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
-    noisy40 = [ChannelGrid(np.zeros((1, 2, 2))) for _ in range(40)]
-    cond40 = [ChannelGrid(np.full((1, 2, 2), float(i))) for i in range(40)]
+    noisy40 = np.zeros((40, 1, 2, 2))
+    cond40 = np.stack([np.full((1, 2, 2), float(i)) for i in range(40)])
     const = windowed_epsilon(ConstantDenoiser(0.75), noisy40, cond40, 1, plan)
-    assert all(np.all(g.data == 0.75) for g in const)
+    assert all(np.all(g == 0.75) for g in const)
 
     overlap = windowed_epsilon(StartIndex(), noisy40, cond40, 1, plan)
-    values = np.array([g.data.flat[0] for g in overlap])
+    values = np.array([g.flat[0] for g in overlap])
     assert np.max(np.abs(values[12:24] - 6.0)) < 1e-12
     assert np.max(np.abs(values[25:37] - 18.0)) < 1e-12
     assert np.max(np.abs(values[24:25] - 12.0)) < 1e-12

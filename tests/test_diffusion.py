@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outpaint.grids import ChannelGrid
 from outpaint.diffusion import (
     ConstantDenoiser,
     OracleDenoiser,
@@ -14,14 +13,37 @@ from outpaint.diffusion import (
     plan_windows,
     resolve_denoiser,
     reverse_sample,
-    training_loss,
     windowed_epsilon,
 )
 from outpaint.seeding import seeded_generator
 
 
-def grids(*arrays):
-    return [ChannelGrid(a) for a in arrays]
+def frames(*arrays):
+    return np.stack(arrays)
+
+
+def reference_reverse_sample(predict_frame, n, shape, schedule, seed, windows):
+    """The sampler frame by frame: the state is a list of (C, h, w) arrays,
+    every draw is one frame's in frame order, and each window's predictions
+    are summed per frame in window order.  ``predict_frame(z, i, timestep)``
+    is the denoiser's prediction for frame ``i``."""
+    rng = seeded_generator(seed, "reverse-sample")
+    state = [rng.standard_normal(shape) for _ in range(n)]
+    counts = [sum(s <= i < e for s, e in windows) for i in range(n)]
+    for t in range(schedule.timesteps, 0, -1):
+        sums = [np.zeros(shape) for _ in range(n)]
+        for s, e in windows:
+            for i in range(s, e):
+                sums[i] += predict_frame(state[i], i, t)
+        coef = schedule.beta_at(t) / np.sqrt(1.0 - schedule.alpha_bar_at(t))
+        new_state = []
+        for z, total, count in zip(state, sums, counts):
+            mean = (z - coef * (total / count)) / np.sqrt(schedule.alpha_at(t))
+            if t > 1:
+                mean = mean + schedule.sigma_at(t) * rng.standard_normal(shape)
+            new_state.append(mean)
+        state = new_state
+    return state
 
 
 class TestSchedule:
@@ -72,30 +94,30 @@ class TestSchedule:
 class TestForwardNoise:
     def test_tiny_beta_keeps_signal(self):
         sched = make_schedule(1, 1e-10, 1e-10)
-        z0 = grids(np.full((1, 2, 2), 3.0))
-        eps = grids(np.ones((1, 2, 2)))
+        z0 = frames(np.full((1, 2, 2), 3.0))
+        eps = frames(np.ones((1, 2, 2)))
         out = forward_noise(z0, 1, eps, sched)
-        assert np.allclose(out[0].data, 3.0, atol=1e-4)
+        assert np.allclose(out[0], 3.0, atol=1e-4)
 
     def test_zero_signal(self):
         sched = make_schedule(1, 0.36, 0.36)
-        z0 = grids(np.zeros((1, 2, 2)))
-        eps = grids(np.full((1, 2, 2), 2.0))
+        z0 = frames(np.zeros((1, 2, 2)))
+        eps = frames(np.full((1, 2, 2), 2.0))
         out = forward_noise(z0, 1, eps, sched)
-        assert np.allclose(out[0].data, np.sqrt(0.36) * 2.0, atol=1e-15)
+        assert np.allclose(out[0], np.sqrt(0.36) * 2.0, atol=1e-15)
 
     def test_direct_substitution(self):
         # abar = 0.25 -> Z = sqrt(.25)*2 + sqrt(.75)*1 = 1 + sqrt(0.75)
         sched = make_schedule(1, 0.75, 0.75)
         out = forward_noise(
-            grids(np.full((1, 1, 1), 2.0)), 1, grids(np.ones((1, 1, 1))), sched
+            frames(np.full((1, 1, 1), 2.0)), 1, frames(np.ones((1, 1, 1))), sched
         )
-        assert out[0].data[0, 0, 0] == pytest.approx(1.0 + np.sqrt(0.75), abs=1e-12)
+        assert out[0, 0, 0, 0] == pytest.approx(1.0 + np.sqrt(0.75), abs=1e-12)
 
     def test_shape_mismatch(self):
         sched = make_schedule(2)
         with pytest.raises(ValueError):
-            forward_noise(grids(np.zeros((1, 2, 2))), 1, grids(np.zeros((1, 2, 3))), sched)
+            forward_noise(frames(np.zeros((1, 2, 2))), 1, frames(np.zeros((1, 2, 3))), sched)
 
     def test_statistics_match_theory(self):
         # sample mean ~ sqrt(abar) z0, sample var ~ 1 - abar
@@ -103,96 +125,47 @@ class TestForwardNoise:
         t = 7
         ab = sched.alpha_bar_at(t)
         z0_val = 1.5
-        z0 = grids(np.full((1, 4, 4), z0_val))
+        z0 = frames(np.full((1, 4, 4), z0_val))
         rng = seeded_generator(123, "stats-test")
         draws = 10_000
         samples = np.empty((draws, 4, 4))
         for k in range(draws):
-            eps = grids(rng.standard_normal((1, 4, 4)))
-            samples[k] = forward_noise(z0, t, eps, sched)[0].data[0]
+            eps = frames(rng.standard_normal((1, 4, 4)))
+            samples[k] = forward_noise(z0, t, eps, sched)[0, 0]
         sigma = np.sqrt(1.0 - ab)
         mean_tol = 4.0 * sigma / np.sqrt(draws)
         assert np.all(np.abs(samples.mean(axis=0) - np.sqrt(ab) * z0_val) < mean_tol)
         assert samples.var() == pytest.approx(1.0 - ab, rel=0.05)
 
 
-class TestTrainingLoss:
-    def setup_method(self):
-        self.sched = make_schedule(8, 0.01, 0.2)
-        rng = seeded_generator(7, "loss-test")
-        self.z0 = grids(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3)))
-        self.cond = grids(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3)))
-        self.noise = grids(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3)))
-
-    def test_oracle_gives_zero(self):
-        oracle = OracleDenoiser(self.z0, self.sched)
-        loss = training_loss(oracle, self.z0, self.cond, 5, self.noise, self.sched)
-        assert loss == pytest.approx(0.0, abs=1e-20)
-
-    def test_zero_denoiser_unit_noise(self):
-        ones = grids(np.ones((2, 3, 3)), np.ones((2, 3, 3)))
-        loss = training_loss(ZeroDenoiser(), self.z0, self.cond, 3, ones, self.sched)
-        assert loss == pytest.approx(1.0, abs=1e-15)
-
-    def test_constant_denoiser_closed_form(self):
-        c = 0.4
-        loss = training_loss(ConstantDenoiser(c), self.z0, self.cond, 2, self.noise, self.sched)
-        brute = np.mean(
-            [np.mean((e.data - c) ** 2) for e in self.noise]
-        )
-        assert loss == pytest.approx(float(brute), abs=1e-12)
-
-    def test_noise_condition_needs_noise(self):
-        with pytest.raises(ValueError, match="condition_noise"):
-            training_loss(
-                ZeroDenoiser(), self.z0, self.cond, 2, self.noise, self.sched,
-                noise_condition=True,
-            )
-
-    def test_noise_condition_changes_condition_input(self):
-        seen = {}
-
-        class Spy:
-            def predict(self, noisy, condition, timestep):
-                seen["cond"] = [c.data.copy() for c in condition]
-                return [ChannelGrid(np.zeros_like(z.data)) for z in noisy]
-
-        cond_noise = grids(np.ones((2, 3, 3)), np.ones((2, 3, 3)))
-        training_loss(
-            Spy(), self.z0, self.cond, 2, self.noise, self.sched,
-            noise_condition=True, condition_noise=cond_noise,
-        )
-        assert not np.allclose(seen["cond"][0], self.cond[0].data)
-
-
 class TestReverseSample:
     def test_single_step_oracle_recovers_exactly(self):
         sched = make_schedule(1, 0.3, 0.3)
         rng = seeded_generator(11, "t1-test")
-        z0 = grids(rng.standard_normal((1, 3, 3)))
+        z0 = frames(rng.standard_normal((1, 3, 3)))
         oracle = OracleDenoiser(z0, sched)
-        out = reverse_sample(oracle, grids(np.zeros((1, 3, 3))), sched, seed=42)
-        assert np.allclose(out[0].data, z0[0].data, atol=1e-12)
+        out = reverse_sample(oracle, frames(np.zeros((1, 3, 3))), sched, seed=42)
+        assert np.allclose(out[0], z0[0], atol=1e-12)
 
     def test_oracle_recovers_after_50_steps(self):
         sched = make_schedule(50, 1e-4, 0.05)
         rng = seeded_generator(12, "t50-test")
-        z0 = grids(rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 4, 4)))
+        z0 = frames(rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 4, 4)))
         oracle = OracleDenoiser(z0, sched)
-        cond = grids(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
+        cond = frames(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
         out = reverse_sample(oracle, cond, sched, seed=9)
         for got, want in zip(out, z0):
-            assert np.allclose(got.data, want.data, atol=1e-4)
+            assert np.allclose(got, want, atol=1e-4)
 
     def test_oracle_predicts_a_window_at_its_start(self):
         sched = make_schedule(8, 0.01, 0.2)
         rng = seeded_generator(13, "oracle-window")
-        z0 = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(4)])
-        noise = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(2)])
+        z0 = frames(*[rng.standard_normal((1, 2, 2)) for _ in range(4)])
+        noise = frames(*[rng.standard_normal((1, 2, 2)) for _ in range(2)])
         noisy = forward_noise(z0[2:], 5, noise, sched)
         oracle = OracleDenoiser(z0, sched)
         for got, want in zip(oracle.predict(noisy, noisy, 5, start=2), noise):
-            assert np.allclose(got.data, want.data, atol=1e-12)
+            assert np.allclose(got, want, atol=1e-12)
         for start in (-1, 3):
             with pytest.raises(ValueError, match="does not match"):
                 oracle.predict(noisy, noisy, 5, start=start)
@@ -200,7 +173,7 @@ class TestReverseSample:
     def test_zero_denoiser_matches_recurrence_script(self):
         # independent step-by-step replay of the update rule
         sched = make_schedule(6, 0.05, 0.3)
-        cond = grids(np.zeros((1, 2, 2)))
+        cond = frames(np.zeros((1, 2, 2)))
         seed = 77
         out = reverse_sample(ZeroDenoiser(), cond, sched, seed=seed)
 
@@ -213,21 +186,47 @@ class TestReverseSample:
                 ab, ab_prev = sched.alpha_bar_at(t), sched.alpha_bar_before(t)
                 sigma = np.sqrt(sched.beta_at(t) * (1 - ab_prev) / (1 - ab))
                 z = z + sigma * rng.standard_normal((1, 2, 2))
-        assert np.allclose(out[0].data, z, atol=1e-12)
+        assert np.allclose(out[0], z, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["zero", "constant:0.3", "oracle"])
+    @pytest.mark.parametrize("window", [4, None], ids=["sliding", "one_window"])
+    def test_matches_per_frame_reference(self, name, window):
+        n, shape = 9, (2, 3, 5)
+        sched = make_schedule(6, 0.05, 0.3)
+        rng = seeded_generator(19, "reference-sampler")
+        clean = rng.standard_normal((n,) + shape)
+        cond = rng.standard_normal((n,) + shape)
+        plan = plan_windows(n, window, 2) if window else None
+
+        def oracle(z, i, t):
+            ab = sched.alpha_bar_at(t)
+            return (z - np.sqrt(ab) * clean[i]) / np.sqrt(1.0 - ab)
+
+        predict_frame = {
+            "zero": lambda z, i, t: np.zeros_like(z),
+            "constant:0.3": lambda z, i, t: np.full_like(z, 0.3),
+            "oracle": oracle,
+        }[name]
+        got = reverse_sample(
+            resolve_denoiser(name, clean=clean, schedule=sched), cond, sched, seed=23, plan=plan
+        )
+        windows = plan.windows if plan else ((0, n),)
+        want = reference_reverse_sample(predict_frame, n, shape, sched, 23, windows)
+        assert np.array_equal(got, np.stack(want))
 
     def test_same_seed_bit_identical(self):
         sched = make_schedule(5, 0.01, 0.1)
-        cond = grids(np.ones((1, 3, 3)))
+        cond = frames(np.ones((1, 3, 3)))
         a = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5)
         b = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5)
-        assert np.array_equal(a[0].data, b[0].data)
+        assert np.array_equal(a[0], b[0])
 
     def test_different_seed_differs(self):
         sched = make_schedule(5, 0.01, 0.1)
-        cond = grids(np.ones((1, 3, 3)))
+        cond = frames(np.ones((1, 3, 3)))
         a = reverse_sample(ZeroDenoiser(), cond, sched, seed=5)
         b = reverse_sample(ZeroDenoiser(), cond, sched, seed=6)
-        assert not np.array_equal(a[0].data, b[0].data)
+        assert not np.array_equal(a[0], b[0])
 
 
 class TestWindowPlan:
@@ -264,25 +263,24 @@ class _StartIndexDenoiser:
     """Returns the first condition value of the slice it sees; with the
     condition set to the frame index this exposes the window start."""
 
-    def predict(self, noisy, condition, timestep):
-        marker = float(condition[0].data.flat[0])
-        return [ChannelGrid(np.full_like(z.data, marker)) for z in noisy]
+    def predict(self, noisy, condition, timestep, start):
+        return np.full_like(noisy, float(condition[0].flat[0]))
 
 
 class TestWindowedEpsilon:
     def seq(self, n, shape=(1, 2, 2)):
-        noisy = grids(*[np.zeros(shape) for _ in range(n)])
-        cond = grids(*[np.full(shape, float(i)) for i in range(n)])
+        noisy = frames(*[np.zeros(shape) for _ in range(n)])
+        cond = frames(*[np.full(shape, float(i)) for i in range(n)])
         return noisy, cond
 
     def test_single_window_equals_direct_call(self):
         noisy, cond = self.seq(5)
         plan = plan_windows(5, 25, 12)
         den = _StartIndexDenoiser()
-        direct = den.predict(noisy, cond, 3)
+        direct = den.predict(noisy, cond, 3, 0)
         windowed = windowed_epsilon(den, noisy, cond, 3, plan)
         for a, b in zip(direct, windowed):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
     def test_constant_denoiser_stays_constant(self):
         noisy, cond = self.seq(40)
@@ -290,17 +288,17 @@ class TestWindowedEpsilon:
         # dyadic constant: sum/count round-trips exactly
         out = windowed_epsilon(ConstantDenoiser(0.75), noisy, cond, 1, plan)
         for g in out:
-            assert np.all(g.data == 0.75)
+            assert np.all(g == 0.75)
         # non-dyadic constants agree to the last ulp
         out = windowed_epsilon(ConstantDenoiser(0.7), noisy, cond, 1, plan)
         for g in out:
-            assert np.allclose(g.data, 0.7, atol=1e-15)
+            assert np.allclose(g, 0.7, atol=1e-15)
 
     def test_two_window_overlap_means(self):
         noisy, cond = self.seq(40)
         plan = plan_windows(40, 25, 12)
         out = windowed_epsilon(_StartIndexDenoiser(), noisy, cond, 1, plan)
-        values = np.array([g.data.flat[0] for g in out])
+        values = np.array([g.flat[0] for g in out])
         # window membership per frame: [0,25), [12,37), [24,40)
         assert np.allclose(values[:12], 0.0, atol=1e-12)
         assert np.allclose(values[12:24], (0 + 12) / 2, atol=1e-12)
@@ -311,22 +309,22 @@ class TestWindowedEpsilon:
     def test_convex_combination_bounds(self):
         rng = seeded_generator(3, "windowed-bounds")
         n = 30
-        noisy = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(n)])
-        cond = grids(*[rng.standard_normal((1, 2, 2)) for _ in range(n)])
+        noisy = frames(*[rng.standard_normal((1, 2, 2)) for _ in range(n)])
+        cond = frames(*[rng.standard_normal((1, 2, 2)) for _ in range(n)])
 
         class NoisyEcho:
-            def predict(self, noisy_slice, cond_slice, timestep):
-                return [ChannelGrid(z.data + c.data) for z, c in zip(noisy_slice, cond_slice)]
+            def predict(self, noisy_slice, cond_slice, timestep, start):
+                return noisy_slice + cond_slice
 
         plan = plan_windows(n, 10, 4)
         out = windowed_epsilon(NoisyEcho(), noisy, cond, 1, plan)
         for i, g in enumerate(out):
             per_window = [
-                noisy[i].data + cond[i].data for (s, e) in plan.windows if s <= i < e
+                noisy[i] + cond[i] for (s, e) in plan.windows if s <= i < e
             ]
             lo = np.minimum.reduce(per_window)
             hi = np.maximum.reduce(per_window)
-            assert np.all(g.data >= lo - 1e-12) and np.all(g.data <= hi + 1e-12)
+            assert np.all(g >= lo - 1e-12) and np.all(g <= hi + 1e-12)
 
     def test_uncovered_frame_rejected(self):
         noisy, cond = self.seq(6)
@@ -336,12 +334,12 @@ class TestWindowedEpsilon:
 
     def test_windowed_reverse_sample_matches_single_window(self):
         sched = make_schedule(4, 0.02, 0.2)
-        cond = grids(*[np.full((1, 2, 2), float(i)) for i in range(5)])
+        cond = frames(*[np.full((1, 2, 2), float(i)) for i in range(5)])
         plan = plan_windows(5, 10, 5)
         direct = reverse_sample(ConstantDenoiser(0.1), cond, sched, seed=3)
         windowed = reverse_sample(ConstantDenoiser(0.1), cond, sched, seed=3, plan=plan)
         for a, b in zip(direct, windowed):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
 
 class TestDenoiserRegistry:

@@ -182,6 +182,16 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert tree_digest(tmp_path / "a") == first
 
+    def test_rerun_replaces_an_earlier_run(self, tmp_path):
+        out = tmp_path / "a"
+        run_pipeline(pan_config(out, n_frames=8, mode="sample", timesteps=3, write_timings=True))
+        (out / "notes.txt").write_text("not a run artifact")
+        summary = run_pipeline(pan_config(out, n_frames=4))
+        fresh = run_pipeline(pan_config(tmp_path / "fresh", n_frames=4))
+        assert set(tree_digest(out)) == set(tree_digest(tmp_path / "fresh")) | {"notes.txt"}
+        assert set(summary["artifacts"]) - {"notes.txt"} == set(fresh["artifacts"])
+        assert (out / "notes.txt").read_text() == "not a run artifact"
+
     @pytest.mark.parametrize(
         "n_frames, windows",
         [(6, {}), (8, {"sampler_window": 4, "sampler_stride": 2})],
