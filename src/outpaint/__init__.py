@@ -29,7 +29,6 @@ from .refselect import (
     to_grayscale,
 )
 from .flow import (
-    AccumulatedFlow,
     FlowCompletionError,
     backward_warp,
     complete_flow_laplacian,
@@ -38,9 +37,8 @@ from .flow import (
     warp_flow,
 )
 from .propagation import (
-    FlowBank,
     PropagationResult,
-    fuse_baseline,
+    fuse_directions,
     propagate_direction,
     propagate_sequence,
     required_flow_pairs,

@@ -20,13 +20,8 @@ from typing import Protocol
 
 import numpy as np
 
+from .grids import _frozen
 from .seeding import seeded_generator
-
-
-def _frozen64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -36,14 +31,14 @@ class NoiseSchedule:
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = _frozen64(self.beta)
+        beta = _frozen(self.beta)
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a non-empty 1-D array")
         if (beta <= 0.0).any() or (beta >= 1.0).any():
             raise ValueError("every beta must lie in (0, 1)")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", _frozen64(1.0 - beta))
-        object.__setattr__(self, "alpha_bar", _frozen64(np.cumprod(1.0 - beta)))
+        object.__setattr__(self, "alpha", _frozen(1.0 - beta))
+        object.__setattr__(self, "alpha_bar", _frozen(np.cumprod(1.0 - beta)))
 
     @property
     def timesteps(self) -> int:
@@ -76,13 +71,14 @@ class NoiseSchedule:
         )
 
 
-def make_schedule(timesteps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    """Linear beta schedule over ``timesteps`` steps."""
+def make_schedule(timesteps: int, beta_first: float = 1e-4, beta_last: float = 0.02) -> NoiseSchedule:
+    """Linear beta schedule over ``timesteps`` steps, from ``beta_first`` at
+    timestep 1 to ``beta_last`` at timestep T."""
     if timesteps < 1:
         raise ValueError("need at least one timestep")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
-    return NoiseSchedule(np.linspace(beta_start, beta_end, timesteps))
+    if not 0.0 < beta_first <= beta_last < 1.0:
+        raise ValueError("need 0 < beta_first <= beta_last < 1")
+    return NoiseSchedule(np.linspace(beta_first, beta_last, timesteps))
 
 
 def forward_noise(

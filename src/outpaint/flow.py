@@ -11,8 +11,6 @@ content is ever fabricated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField
@@ -31,26 +29,9 @@ class FlowCompletionError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class AccumulatedFlow:
-    """A target-to-reference flow built by composing chain hops."""
-
-    target: int
-    source: int
-    flow: FlowField
-    hops: int
-
-    def __post_init__(self):
-        if self.hops < 1:
-            raise ValueError("accumulated flow needs at least one hop")
-
-
-def _sample_setup(flow: FlowField, height: int, width: int):
-    """Shared bilinear machinery: sample coordinates, corner indices,
-    weights, and the in-bounds predicate."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(float)
-    sx = xs + flow.u
-    sy = ys + flow.v
+def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
+    """Bilinear machinery for sampling an (height, width) plane at (sy, sx):
+    corner indices, weights, and the in-bounds predicate."""
     inb = (sx >= 0.0) & (sx <= width - 1.0) & (sy >= 0.0) & (sy <= height - 1.0)
     # boundary-exact samples keep frac 0 (the far corner collapses onto the
     # near one), so integer positions always read grid values verbatim
@@ -63,6 +44,12 @@ def _sample_setup(flow: FlowField, height: int, width: int):
     fx = np.where(inb, sx - x0, 0.0)
     fy = np.where(inb, sy - y0, 0.0)
     return (y0, x0, y1, x1, fx, fy, inb)
+
+
+def _sample_setup(flow: FlowField, height: int, width: int):
+    """``_corners`` at x + flow(x) for every cell x."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(float)
+    return _corners(ys + flow.v, xs + flow.u, height, width)
 
 
 def _bilinear(plane: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
@@ -113,22 +100,21 @@ def warp_flow(f: FlowField, through: FlowField) -> FlowField:
     return FlowField(u, v, ok.astype(float))
 
 
-def compose_accumulated(base: AccumulatedFlow, hop: FlowField, hop_target: int) -> AccumulatedFlow:
+def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
     """Extend an accumulated flow i->r by a hop r->r' into i->r'.
 
     The hop is resampled through the accumulated flow and added; validity
     is the intersection.
     """
-    if (base.flow.height, base.flow.width) != (hop.height, hop.width):
+    if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("hop dims must match accumulated flow")
-    warped = warp_flow(hop, base.flow)
-    valid = base.flow.valid * warped.valid
-    combined = FlowField(
-        np.where(valid == 1.0, base.flow.u + warped.u, 0.0),
-        np.where(valid == 1.0, base.flow.v + warped.v, 0.0),
+    warped = warp_flow(hop, acc)
+    valid = acc.valid * warped.valid
+    return FlowField(
+        np.where(valid == 1.0, acc.u + warped.u, 0.0),
+        np.where(valid == 1.0, acc.v + warped.v, 0.0),
         valid,
     )
-    return AccumulatedFlow(base.target, hop_target, combined, base.hops + 1)
 
 
 def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:

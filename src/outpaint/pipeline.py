@@ -32,7 +32,7 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import FlowBank, SequencePropagation, propagate_sequence, required_flow_pairs
+from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
 from .refselect import ReferenceChain, build_reference_chain
 from .synthetic import TrajectorySpec, generate_scene, stand_in_decode, stand_in_encode
 
@@ -91,8 +91,6 @@ class PipelineConfig:
     completion_tol: float = 1e-6
     denoiser: str = "zero"
     timesteps: int = 25
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
     sampler_window: int = 25
     sampler_stride: int = 12
     scene: SceneConfig | None = None
@@ -319,23 +317,25 @@ class _Propagated(NamedTuple):
     frames: list[ChannelGrid]
     gt_expanded: list[ChannelGrid] | None
     chain: ReferenceChain
-    bank: FlowBank
+    flows: dict[tuple[int, int], FlowField]
     latents: list[ChannelGrid]
-    prop: SequencePropagation
+    results: list[PropagationResult]
 
     def report(self, peak_live_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
         """Operation counts of the run, checked for the warp-count ordering."""
         n = len(self.frames)
+        # dense per-frame accumulation pulls every other frame, as all pairs do
+        dense = n * (n - 1)
         report = BenchmarkReport(
             n_frames=n,
             window=self.chain.window,
             chain_len=len(self.chain),
-            warp_count_guided=self.prop.warp_count,
-            warp_count_sequential=self.prop.sequential_warp_count,
-            warp_count_all_pairs=n * (n - 1),
-            compose_count=sum(r.compose_count for r in self.prop.results),
+            warp_count_guided=sum(r.warp_count for r in self.results),
+            warp_count_sequential=dense,
+            warp_count_all_pairs=dense,
+            compose_count=sum(r.compose_count for r in self.results),
             peak_live_bytes=peak_live_bytes,
-            useful_pull_count=sum(r.useful_pull_count for r in self.prop.results),
+            useful_pull_count=sum(r.useful_pull_count for r in self.results),
             wall_time_s=dict(wall_time_s),
         )
         report.verify()
@@ -353,7 +353,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
 
     def build_flows():
-        bank = FlowBank()
+        flows = {}
         for a, b in sorted(required_flow_pairs(chain, n)):
             try:
                 on_latent = downscale_flow(map_flow_to_canvas(pixel_flow(a, b), spec), s)
@@ -361,13 +361,13 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
                 flow = _flow.complete_flow_laplacian(on_latent, latent_mask, config.completion_tol)
             except Exception as exc:
                 raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
-            bank.add(a, b, flow)
-        return bank
+            flows[(a, b)] = flow
+        return flows
 
-    bank = clock.run("flows", build_flows)
+    flows = clock.run("flows", build_flows)
     latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
-    prop = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, bank))
-    return _Propagated(frames, gt_expanded, chain, bank, latents, prop)
+    results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
+    return _Propagated(frames, gt_expanded, chain, flows, latents, results)
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -383,6 +383,18 @@ def _clear_run_artifacts(out: Path) -> None:
             shutil.rmtree(out / name)
     for name in _RUN_FILES:
         (out / name).unlink(missing_ok=True)
+
+
+def _run_artifacts(out: Path) -> list[str]:
+    """Sorted relative paths of the files this run wrote in ``out``, other
+    than summary.json and the volatile timings.json."""
+    names = ["config.json"] + [
+        name for name in _RUN_FILES
+        if name not in ("summary.json", "timings.json") and (out / name).is_file()
+    ]
+    for name in _RUN_DIRS:
+        names += [str(p.relative_to(out)) for p in (out / name).rglob("*") if p.is_file()]
+    return sorted(names)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
@@ -402,9 +414,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     write_json(out / "config.json", config.to_dict())
     try:
         staged = _propagate_stages(config, clock)
-        frames, gt_expanded, chain, bank, latents, prop = staged
+        frames, gt_expanded, chain, flows, latents, results = staged
         n = len(frames)
-        results = prop.results
         write_json(
             out / "chain.json",
             {"indices": list(chain.indices), "window": chain.window, "num_frames": n},
@@ -428,7 +439,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
         sampled = None
         if config.mode == "sample":
             def sample():
-                schedule = make_schedule(config.timesteps, config.beta_start, config.beta_end)
+                schedule = make_schedule(config.timesteps)
                 plan = plan_windows(n, config.sampler_window, config.sampler_stride)
                 condition = np.stack([r.latent.data for r in results])
                 if config.denoiser == "oracle":
@@ -480,7 +491,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
         # frames, ground truth, flows and latents stay live for the whole run;
         # on top of them the coverage masks, or later the sampled and decoded grids
         peak_bytes = _live_bytes(
-            frames, gt_expanded, dict(bank.items()), latents, [r.latent for r in results]
+            frames, gt_expanded, flows, latents, [r.latent for r in results]
         ) + max(_live_bytes([r.coverage for r in results]), _live_bytes(sampled, decoded))
         report = staged.report(peak_bytes, clock.times)
         write_json(out / "report.json", report.to_dict(include_timings=False))
@@ -492,11 +503,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             "mode": config.mode,
             "n_frames": n,
             "chain": list(chain.indices),
-            "warp_count": prop.warp_count,
-            "artifacts": sorted(
-                str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()
-                and p.name not in ("summary.json", "timings.json")
-            ),
+            "warp_count": report.warp_count_guided,
+            "artifacts": _run_artifacts(out),
         }
         write_json(out / "summary.json", summary)
         return summary
@@ -546,8 +554,8 @@ def run_benchmark(
             clock = _StageClock()
             staged = _propagate_stages(config, clock)
             peak_bytes = _live_bytes(
-                staged.frames, staged.latents, dict(staged.bank.items()),
-                [r.latent for r in staged.prop.results],
+                staged.frames, staged.latents, staged.flows,
+                [r.latent for r in staged.results],
             )
             reports.append(staged.report(peak_bytes, clock.times))
     if out_csv is not None:

@@ -6,10 +6,15 @@ its source mask are warped to the target in a single stacked grid-warp, and
 only cells that are still uncovered and whose warped source mask is (near)
 saturated get filled.  Farther references therefore only fill holes the
 nearer ones could not reach, and the frame's own source region is never
-overwritten.  Pulling runs independently toward the past and the future;
-the two directional results are fused by inverse temporal distance.  Flows
-arrive completed, valid on the whole latent canvas; this module never fills
-them in.
+overwritten.  Pulling runs independently toward the past and the future,
+and ``fuse_directions`` merges the two results: doubly covered cells blend
+by inverse temporal distance and credit the nearer direction, the past one
+on a tie.
+
+Flows are a plain dict keyed by (src, dst) and arrive completed, valid on
+the whole latent canvas; this module never fills them in.  The flow from a
+frame to a farther reference is a ``FlowField`` grown hop by hop with
+``compose_accumulated``.
 
 Pulling toward one direction stops early, and exactly, once the
 accumulated flow is invalid on every uncovered cell: composition only
@@ -26,11 +31,11 @@ against dense schemes counts content pulls on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .flow import AccumulatedFlow, backward_warp, compose_accumulated
+from .flow import backward_warp, compose_accumulated
 from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask, place_on_canvas
 from .refselect import ReferenceChain, nearest_refs
 
@@ -39,35 +44,6 @@ from .refselect import ReferenceChain, nearest_refs
 COVERAGE_THRESHOLD = 0.999
 
 Direction = Literal["past", "future"]
-
-
-class FlowBank:
-    """Flows keyed by (source frame, destination frame).
-
-    An entry (a, b) is the field on frame a's latent canvas whose
-    displacements sample frame b.
-    """
-
-    def __init__(self, flows: dict[tuple[int, int], FlowField] | None = None):
-        self._flows: dict[tuple[int, int], FlowField] = dict(flows or {})
-
-    def add(self, src: int, dst: int, flow: FlowField) -> None:
-        self._flows[(src, dst)] = flow
-
-    def get(self, src: int, dst: int) -> FlowField:
-        try:
-            return self._flows[(src, dst)]
-        except KeyError:
-            raise KeyError(f"missing flow {src}->{dst}") from None
-
-    def items(self):
-        return self._flows.items()
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._flows
 
 
 def required_flow_pairs(chain: ReferenceChain, num_frames: int) -> set[tuple[int, int]]:
@@ -114,36 +90,17 @@ class PropagationResult:
             raise ValueError("covered cells must have provenance >= 0")
 
 
-def fuse_baseline(
-    forward: ChannelGrid,
-    backward: ChannelGrid,
-    cov_f: BinaryMask,
-    cov_b: BinaryMask,
-    dist_f: int,
-    dist_b: int,
-) -> ChannelGrid:
-    """Merge directional results: single-covered cells take that direction,
-    doubly-covered cells blend by inverse temporal distance."""
-    if forward.data.shape != backward.data.shape:
-        raise ValueError("latent shapes must match")
-    if dist_f < 0 or dist_b < 0:
-        raise ValueError("distances must be >= 0")
-    b_only = (cov_b.data == 1.0) & (cov_f.data == 0.0)
-    both = (cov_f.data == 1.0) & (cov_b.data == 1.0)
-    w_f = 0.5 if dist_f + dist_b == 0 else dist_b / (dist_f + dist_b)
-    out = forward.data.copy()
-    out[:, b_only] = backward.data[:, b_only]
-    # blend written as b + w*(f-b): exact when both directions agree
-    out[:, both] = backward.data[:, both] + w_f * (
-        forward.data[:, both] - backward.data[:, both]
-    )
-    return ChannelGrid(out)
-
-
 def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[int]:
     if direction == "past":
         return [r for r in reversed(chain.indices) if r < i]
     return [r for r in chain.indices if r > i]
+
+
+def _completed(flows: dict[tuple[int, int], FlowField], src: int, dst: int) -> FlowField:
+    flow = flows[(src, dst)]
+    if not np.all(flow.valid == 1.0):
+        raise ValueError(f"flow {src}->{dst} must be completed before propagation")
+    return flow
 
 
 def propagate_direction(
@@ -151,15 +108,16 @@ def propagate_direction(
     chain: ReferenceChain,
     latents: Sequence[ChannelGrid],
     mask: BinaryMask,
-    flows: FlowBank,
+    flows: dict[tuple[int, int], FlowField],
     direction: Direction,
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
     ``latents`` are canvas-placed latent grids and ``mask`` the outpaint
-    mask all frames share, both at latent resolution; ``flows`` must hold
-    completed (everywhere-valid) hop and nearest-ref flows.  Pulling stops
-    once the accumulated flow is invalid on every uncovered cell.
+    mask all frames share, both at latent resolution; ``flows`` maps
+    (src, dst) to completed (everywhere-valid) hop and nearest-ref flows,
+    and a missing pair raises KeyError.  Pulling stops once the accumulated
+    flow is invalid on every uncovered cell.
     """
     n = chain.num_frames
     if not 0 <= i < n:
@@ -179,24 +137,17 @@ def propagate_direction(
     useful_pull_count = 0
 
     refs = _refs_outward(chain, i, direction)
-    acc: AccumulatedFlow | None = None
     for k, r in enumerate(refs):
         if k == 0:
-            first = flows.get(i, r)
-            if not np.all(first.valid == 1.0):
-                raise ValueError(f"flow {i}->{r} must be completed before propagation")
-            acc = AccumulatedFlow(i, r, first, hops=1)
+            acc = _completed(flows, i, r)
         else:
-            hop = flows.get(refs[k - 1], r)
-            if not np.all(hop.valid == 1.0):
-                raise ValueError(f"flow {refs[k - 1]}->{r} must be completed before propagation")
-            acc = compose_accumulated(acc, hop, r)
+            acc = compose_accumulated(acc, _completed(flows, refs[k - 1], r))
             compose_count += 1
             # validity only shrinks under composition: no farther pull can fill a cell
-            if not (acc.flow.valid[~covered] == 1.0).any():
+            if not (acc.valid[~covered] == 1.0).any():
                 break
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
-        warped, wmask = backward_warp(stacked, acc.flow)
+        warped, wmask = backward_warp(stacked, acc)
         warp_count += 1
         warped_source = warped.data[-1]
         covering = (
@@ -220,40 +171,60 @@ def propagate_direction(
     )
 
 
-class SequencePropagation(NamedTuple):
-    results: list[PropagationResult]
-    warp_count: int
-    sequential_warp_count: int
+def fuse_directions(
+    past: PropagationResult,
+    future: PropagationResult,
+    dist_past: int,
+    dist_future: int,
+) -> PropagationResult:
+    """Merge one frame's two directional results.
 
-
-def _merge_provenance(
-    rf: PropagationResult, rb: PropagationResult, dist_f: int, dist_b: int
-) -> np.ndarray:
-    prov = rf.provenance.copy()
-    b_only = (rb.coverage.data == 1.0) & (rf.coverage.data == 0.0)
-    prov[b_only] = rb.provenance[b_only]
-    both = (rf.coverage.data == 1.0) & (rb.coverage.data == 1.0)
-    if dist_b < dist_f:
-        prov[both] = rb.provenance[both]
-    return prov
+    Cells one direction alone covers take its values and provenance; doubly
+    covered cells blend by inverse temporal distance and take the nearer
+    direction's provenance, the past one's on a tie.  Counts add up.
+    """
+    if past.latent.data.shape != future.latent.data.shape:
+        raise ValueError("latent shapes must match")
+    if dist_past < 0 or dist_future < 0:
+        raise ValueError("distances must be >= 0")
+    cov_p = past.coverage.data == 1.0
+    cov_f = future.coverage.data == 1.0
+    f_only = cov_f & ~cov_p
+    both = cov_p & cov_f
+    w_p = 0.5 if dist_past + dist_future == 0 else dist_future / (dist_past + dist_future)
+    p, f = past.latent.data, future.latent.data
+    out = p.copy()
+    out[:, f_only] = f[:, f_only]
+    # blend written as f + w*(p-f): exact when both directions agree
+    out[:, both] = f[:, both] + w_p * (p[:, both] - f[:, both])
+    prov = past.provenance.copy()
+    prov[f_only] = future.provenance[f_only]
+    if dist_future < dist_past:
+        prov[both] = future.provenance[both]
+    return PropagationResult(
+        latent=ChannelGrid(out),
+        coverage=BinaryMask((cov_p | cov_f).astype(float)),
+        provenance=prov,
+        warp_count=past.warp_count + future.warp_count,
+        compose_count=past.compose_count + future.compose_count,
+        useful_pull_count=past.useful_pull_count + future.useful_pull_count,
+    )
 
 
 def propagate_sequence(
     latents: Sequence[ChannelGrid],
     spec: CanvasSpec,
     chain: ReferenceChain,
-    flows: FlowBank,
-) -> SequencePropagation:
+    flows: dict[tuple[int, int], FlowField],
+) -> list[PropagationResult]:
     """Full propagation driver: place latents on the latent canvas, pull in
     both directions per frame, and fuse.
 
     ``latents`` are original-resolution latent grids (orig dims / s); every
-    frame shares the outpaint mask of ``spec.latent()``; ``flows`` hold
-    completed (everywhere-valid) latent-canvas flows.  Pulls write only
-    uncovered outpaint cells, so each result keeps the frame's own values on
-    its source region and 0 on cells no reference reached.  Returns the
-    per-frame results, the measured pull count, and the analytic count a
-    dense per-frame accumulation scheme would need (N * (N-1) pulls).
+    frame shares the outpaint mask of ``spec.latent()``; ``flows`` maps
+    (src, dst) to completed (everywhere-valid) latent-canvas flows.  Pulls
+    write only uncovered outpaint cells, so each result keeps the frame's
+    own values on its source region and 0 on cells no reference reached.
     """
     n = len(latents)
     if n < 1:
@@ -264,28 +235,10 @@ def propagate_sequence(
     mask = make_outpaint_mask(lat_spec)
     placed = [place_on_canvas(z, lat_spec) for z in latents]
 
-    results: list[PropagationResult] = []
-    total_warps = 0
+    results = []
     for i in range(n):
         past_ref, future_ref = nearest_refs(chain, i)
-        dist_f = i - past_ref
-        dist_b = future_ref - i
-        rf = propagate_direction(i, chain, placed, mask, flows, "past")
-        rb = propagate_direction(i, chain, placed, mask, flows, "future")
-        fused = fuse_baseline(rf.latent, rb.latent, rf.coverage, rb.coverage, dist_f, dist_b)
-        coverage = BinaryMask(
-            np.maximum(rf.coverage.data, rb.coverage.data)
-        )
-        results.append(
-            PropagationResult(
-                latent=fused,
-                coverage=coverage,
-                provenance=_merge_provenance(rf, rb, dist_f, dist_b),
-                warp_count=rf.warp_count + rb.warp_count,
-                compose_count=rf.compose_count + rb.compose_count,
-                useful_pull_count=rf.useful_pull_count + rb.useful_pull_count,
-            )
-        )
-        total_warps += rf.warp_count + rb.warp_count
-
-    return SequencePropagation(results, total_warps, n * (n - 1))
+        past = propagate_direction(i, chain, placed, mask, flows, "past")
+        future = propagate_direction(i, chain, placed, mask, flows, "future")
+        results.append(fuse_directions(past, future, i - past_ref, future_ref - i))
+    return results

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _bilinear
+from .flow import _bilinear, _corners
 from .grids import CanvasSpec, ChannelGrid, FlowField
 from .seeding import seeded_generator
 
@@ -56,12 +56,9 @@ class TrajectorySpec:
 
 
 def _bilinear_sample(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    y0 = np.clip(np.floor(ys), 0, h - 1).astype(int)
-    x0 = np.clip(np.floor(xs), 0, w - 1).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    return _bilinear(plane, y0, x0, y1, x1, xs - x0, ys - y0)
+    # callers sample inside the plane only, so every cell is in bounds
+    y0, x0, y1, x1, fx, fy, _ = _corners(ys, xs, *plane.shape)
+    return _bilinear(plane, y0, x0, y1, x1, fx, fy)
 
 
 def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:

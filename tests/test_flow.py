@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.flow import (
-    AccumulatedFlow,
     FlowCompletionError,
     backward_warp,
     complete_flow_laplacian,
@@ -119,39 +118,37 @@ class TestWarpFlow:
 
 class TestComposeAccumulated:
     def base(self, du=3.0, dv=0.0, h=6, w=8):
-        return AccumulatedFlow(0, 1, FlowField.constant(h, w, du, dv), hops=1)
+        return FlowField.constant(h, w, du, dv)
 
     def test_zero_hop_keeps_flow(self):
         base = self.base()
-        out = compose_accumulated(base, FlowField.zero(6, 8), hop_target=2)
-        ok = out.flow.valid == 1.0
-        assert np.array_equal(out.flow.u[ok], base.flow.u[ok])
-        assert out.hops == 2 and out.source == 2 and out.target == 0
+        out = compose_accumulated(base, FlowField.zero(6, 8))
+        ok = out.valid == 1.0
+        assert np.array_equal(out.u[ok], base.u[ok])
 
     def test_constant_hops_add(self):
-        out = compose_accumulated(self.base(3.0, 0.0), FlowField.constant(6, 8, 2.0, 1.0), 2)
-        ok = out.flow.valid == 1.0
+        out = compose_accumulated(self.base(3.0, 0.0), FlowField.constant(6, 8, 2.0, 1.0))
+        ok = out.valid == 1.0
         assert ok.any()
-        assert np.allclose(out.flow.u[ok], 5.0, atol=1e-12)
-        assert np.allclose(out.flow.v[ok], 1.0, atol=1e-12)
+        assert np.allclose(out.u[ok], 5.0, atol=1e-12)
+        assert np.allclose(out.v[ok], 1.0, atol=1e-12)
 
     def test_five_constant_hops_accumulate(self):
         hops = [(0.5, -0.25), (1.0, 0.5), (-0.75, 0.25), (0.25, 0.5), (0.5, -0.5)]
-        acc = AccumulatedFlow(0, 1, FlowField.constant(12, 12, *hops[0]), hops=1)
-        for k, (du, dv) in enumerate(hops[1:], start=2):
-            acc = compose_accumulated(acc, FlowField.constant(12, 12, du, dv), k)
-        ok = acc.flow.valid == 1.0
+        acc = FlowField.constant(12, 12, *hops[0])
+        for du, dv in hops[1:]:
+            acc = compose_accumulated(acc, FlowField.constant(12, 12, du, dv))
+        ok = acc.valid == 1.0
         assert ok.any()
-        assert np.allclose(acc.flow.u[ok], sum(h[0] for h in hops), atol=1e-5)
-        assert np.allclose(acc.flow.v[ok], sum(h[1] for h in hops), atol=1e-5)
-        assert acc.hops == 5
+        assert np.allclose(acc.u[ok], sum(h[0] for h in hops), atol=1e-5)
+        assert np.allclose(acc.v[ok], sum(h[1] for h in hops), atol=1e-5)
 
     def test_validity_shrinks_with_motion(self):
-        out = compose_accumulated(self.base(6.0, 0.0), FlowField.constant(6, 8, 6.0, 0.0), 2)
+        out = compose_accumulated(self.base(6.0, 0.0), FlowField.constant(6, 8, 6.0, 0.0))
         # only columns whose sample x+6 stays inside an 8-wide grid survive
-        assert np.all(out.flow.valid[:, :2] == 1.0)
-        assert np.all(out.flow.valid[:, 2:] == 0.0)
-        assert np.allclose(out.flow.u[:, :2], 12.0, atol=1e-12)
+        assert np.all(out.valid[:, :2] == 1.0)
+        assert np.all(out.valid[:, 2:] == 0.0)
+        assert np.allclose(out.u[:, :2], 12.0, atol=1e-12)
 
 
 class TestMapFlowToCanvas:

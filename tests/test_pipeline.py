@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from outpaint import propagation
 from outpaint.grids import CanvasSpec, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
@@ -93,6 +94,8 @@ class TestConfig:
             ("completion_max_iters", 100),
             ("complete_at_pixel", True),
             ("fill", 0.0),
+            ("beta_start", 1e-4),
+            ("beta_end", 0.02),
         ):
             with pytest.raises(ConfigError, match=key):
                 PipelineConfig.from_dict({**raw, key: value})
@@ -126,6 +129,22 @@ class TestRunPipeline:
         run_pipeline(cfg)
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["useful_pull_count"] == report["warp_count_guided"] > 0
+
+    def test_report_counts_every_warp_and_composition(self, tmp_path, monkeypatch):
+        # the counts report.json states are the calls propagation makes
+        calls = {"backward_warp": 0, "compose_accumulated": 0}
+        for name in calls:
+            inner = getattr(propagation, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(propagation, name, counted)
+        run_pipeline(pan_config(tmp_path / "run", n_frames=10))
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert calls["backward_warp"] == report["warp_count_guided"] > 0
+        assert calls["compose_accumulated"] == report["compose_count"] > 0
 
     def test_pan_scene_translation_oracle(self, tmp_path):
         cfg = pan_config(tmp_path / "run")
@@ -189,7 +208,7 @@ class TestRunPipeline:
         summary = run_pipeline(pan_config(out, n_frames=4))
         fresh = run_pipeline(pan_config(tmp_path / "fresh", n_frames=4))
         assert set(tree_digest(out)) == set(tree_digest(tmp_path / "fresh")) | {"notes.txt"}
-        assert set(summary["artifacts"]) - {"notes.txt"} == set(fresh["artifacts"])
+        assert set(summary["artifacts"]) == set(fresh["artifacts"])
         assert (out / "notes.txt").read_text() == "not a run artifact"
 
     @pytest.mark.parametrize(

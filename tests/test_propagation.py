@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from outpaint.flow import (
-    AccumulatedFlow,
     backward_warp,
     complete_flow_laplacian,
     compose_accumulated,
@@ -19,9 +18,8 @@ from outpaint.grids import (
 )
 from outpaint.propagation import (
     COVERAGE_THRESHOLD,
-    FlowBank,
     PropagationResult,
-    fuse_baseline,
+    fuse_directions,
     propagate_direction,
     propagate_sequence,
     required_flow_pairs,
@@ -34,35 +32,54 @@ def const_grid(value, c=1, h=1, w=8):
     return ChannelGrid(np.full((c, h, w), float(value)))
 
 
+def directional(value, coverage, ref):
+    """A 2x2 one-direction result holding ``value``, filled from frame
+    ``ref`` wherever ``coverage`` is 1."""
+    cov = np.asarray(coverage, dtype=float)
+    return PropagationResult(
+        const_grid(value, h=2, w=2), BinaryMask(cov), np.where(cov == 1.0, ref, -1), warp_count=1
+    )
+
+
 class TestFuseBaseline:
+    PAST, FUTURE = 3, 7
+
     def setup_method(self):
-        self.fwd = const_grid(2.0, h=2, w=2)
-        self.bwd = const_grid(6.0, h=2, w=2)
-        self.ones = BinaryMask(np.ones((2, 2)))
-        self.zeros = BinaryMask(np.zeros((2, 2)))
+        self.past = directional(2.0, np.ones((2, 2)), self.PAST)
+        self.future = directional(6.0, np.ones((2, 2)), self.FUTURE)
 
     def test_backward_uncovered_takes_forward(self):
-        out = fuse_baseline(self.fwd, self.bwd, self.ones, self.zeros, 1, 1)
-        assert np.array_equal(out.data, self.fwd.data)
+        future = directional(6.0, np.zeros((2, 2)), self.FUTURE)
+        out = fuse_directions(self.past, future, 1, 1)
+        assert np.array_equal(out.latent.data, self.past.latent.data)
 
     def test_equal_distance_means_mean(self):
-        out = fuse_baseline(self.fwd, self.bwd, self.ones, self.ones, 2, 2)
-        assert np.allclose(out.data, 4.0)
+        out = fuse_directions(self.past, self.future, 2, 2)
+        assert np.allclose(out.latent.data, 4.0)
+        # a tie goes to the past direction
+        assert np.all(out.provenance == self.PAST)
 
     def test_weighted_blend(self):
-        out = fuse_baseline(self.fwd, self.bwd, self.ones, self.ones, 1, 3)
-        assert np.allclose(out.data, 0.75 * 2.0 + 0.25 * 6.0)
+        out = fuse_directions(self.past, self.future, 1, 3)
+        assert np.allclose(out.latent.data, 0.75 * 2.0 + 0.25 * 6.0)
+        assert np.all(out.provenance == self.PAST)
+        out = fuse_directions(self.past, self.future, 3, 1)
+        assert np.allclose(out.latent.data, 0.25 * 2.0 + 0.75 * 6.0)
+        assert np.all(out.provenance == self.FUTURE)
 
     def test_zero_distances_split_equally(self):
-        out = fuse_baseline(self.fwd, self.bwd, self.ones, self.ones, 0, 0)
-        assert np.allclose(out.data, 4.0)
+        out = fuse_directions(self.past, self.future, 0, 0)
+        assert np.allclose(out.latent.data, 4.0)
 
     def test_single_covered_cells_exact(self):
-        cov_f = BinaryMask(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        cov_b = BinaryMask(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        out = fuse_baseline(self.fwd, self.bwd, cov_f, cov_b, 1, 2)
-        assert out.data[0, 0, 0] == 2.0
-        assert out.data[0, 0, 1] == 6.0
+        past = directional(2.0, [[1.0, 0.0], [0.0, 0.0]], self.PAST)
+        future = directional(6.0, [[0.0, 1.0], [0.0, 0.0]], self.FUTURE)
+        out = fuse_directions(past, future, 1, 2)
+        assert out.latent.data[0, 0, 0] == 2.0
+        assert out.latent.data[0, 0, 1] == 6.0
+        assert np.array_equal(out.provenance, [[self.PAST, self.FUTURE], [-1, -1]])
+        assert np.array_equal(out.coverage.data, [[1.0, 1.0], [0.0, 0.0]])
+        assert out.warp_count == 2
 
 
 def strip_world(num_frames=5, width=8, src=(3, 6)):
@@ -77,13 +94,6 @@ def strip_world(num_frames=5, width=8, src=(3, 6)):
     return latents, BinaryMask(mask)
 
 
-def const_flow_bank(pairs, width=8, u=0.0):
-    bank = FlowBank()
-    for a, b in pairs:
-        bank.add(a, b, FlowField.constant(1, width, u * (1 if True else 1), 0.0))
-    return bank
-
-
 class TestPropagateDirection:
     def make_chain(self):
         return ReferenceChain((0, 2, 4), window=2, num_frames=5)
@@ -91,7 +101,7 @@ class TestPropagateDirection:
     def test_zero_hop_at_chain_end(self):
         latents, mask = strip_world()
         chain = self.make_chain()
-        res = propagate_direction(4, chain, latents, mask, FlowBank(), "future")
+        res = propagate_direction(4, chain, latents, mask, {}, "future")
         assert res.warp_count == 0
         assert np.array_equal(res.coverage.data, 1.0 - mask.data)
         assert np.array_equal(res.latent.data, latents[4].data)
@@ -102,10 +112,11 @@ class TestPropagateDirection:
         # near strip, the far ref only the single cell the near one missed
         latents, mask = strip_world()
         chain = self.make_chain()
-        bank = FlowBank()
-        bank.add(0, 2, FlowField.constant(1, 8, 2.0, 0.0))
-        bank.add(2, 4, FlowField.constant(1, 8, 2.0, 0.0))
-        res = propagate_direction(0, chain, latents, mask, bank, "future")
+        flows = {
+            (0, 2): FlowField.constant(1, 8, 2.0, 0.0),
+            (2, 4): FlowField.constant(1, 8, 2.0, 0.0),
+        }
+        res = propagate_direction(0, chain, latents, mask, flows, "future")
         assert res.warp_count == 2
         assert res.compose_count == 1
         expect_prov = np.array([[4, 2, 2, 0, 0, 0, -1, -1]], dtype=np.int32)
@@ -113,15 +124,18 @@ class TestPropagateDirection:
         expect_vals = np.array([[14.0, 12.0, 12.0, 10.0, 10.0, 10.0, 0.0, 0.0]])
         assert np.array_equal(res.latent.data[0], expect_vals)
 
+    def test_missing_flow_raises_with_the_pair(self):
+        latents, mask = strip_world()
+        with pytest.raises(KeyError) as err:
+            propagate_direction(0, self.make_chain(), latents, mask, {}, "future")
+        assert err.value.args == ((0, 2),)
+
     def test_requires_completed_flows(self):
         latents, mask = strip_world()
         chain = self.make_chain()
-        bank = FlowBank()
-        bank.add(
-            0, 2, FlowField(np.zeros((1, 8)), np.zeros((1, 8)), mask.complement().data)
-        )
+        flows = {(0, 2): FlowField(np.zeros((1, 8)), np.zeros((1, 8)), mask.complement().data)}
         with pytest.raises(ValueError, match="completed"):
-            propagate_direction(0, chain, latents, mask, bank, "future")
+            propagate_direction(0, chain, latents, mask, flows, "future")
 
 
 class TestPropagationResult:
@@ -137,10 +151,9 @@ class TestPropagateSequence:
         spec = CanvasSpec(1, 2, 1, 6, 0, 2)
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        out = propagate_sequence([latent], spec, chain, FlowBank())
-        assert out.warp_count == 0
-        assert out.sequential_warp_count == 0
-        assert np.array_equal(out.results[0].latent.data[0, 0, 2:4], [5.0, 7.0])
+        out = propagate_sequence([latent], spec, chain, {})
+        assert sum(r.warp_count for r in out) == 0
+        assert np.array_equal(out[0].latent.data[0, 0, 2:4], [5.0, 7.0])
 
     def test_two_frame_pan_oracle(self):
         # world row [w0 w1 w2]; camera pans +1/frame with a 2-wide crop
@@ -152,19 +165,18 @@ class TestPropagateSequence:
         ]
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
-        bank = FlowBank()
+        flows = {}
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
-        out = propagate_sequence(latents, spec, chain, bank)
-        f0, f1 = out.results
+            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+        out = propagate_sequence(latents, spec, chain, flows)
+        f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
         assert np.array_equal(f0.provenance[0], [-1, -1, 0, 0, 1, -1])
         assert np.array_equal(f1.provenance[0], [-1, 0, 1, 1, -1, -1])
-        assert out.warp_count == 2
-        assert out.sequential_warp_count == 2
+        assert sum(r.warp_count for r in out) == 2
 
     def test_static_identical_frames(self):
         n = 10
@@ -174,22 +186,21 @@ class TestPropagateSequence:
         latents = [ChannelGrid(base) for _ in range(n)]
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=n)
-        bank = FlowBank()
+        flows = {}
         src_valid = mask.complement().data
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
-        out = propagate_sequence(latents, spec, chain, bank)
+            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+        out = propagate_sequence(latents, spec, chain, flows)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
-        placed_source = out.results[0].latent.data[:, :, 2:6]
-        for res in out.results:
+        placed_source = out[0].latent.data[:, :, 2:6]
+        for res in out:
             assert np.array_equal(res.coverage.data, src_valid)
-            assert np.array_equal(res.latent.data, out.results[0].latent.data)
+            assert np.array_equal(res.latent.data, out[0].latent.data)
             assert np.array_equal(res.latent.data[:, :, 2:6], placed_source)
         assert np.array_equal(placed_source, base)
-        assert out.warp_count == n * 4 - 4
-        assert out.sequential_warp_count == n * (n - 1)
+        assert sum(r.warp_count for r in out) == n * 4 - 4
 
     def test_source_preservation_with_motion(self):
         w0, w1, w2 = 0.2, 0.5, 0.8
@@ -200,13 +211,13 @@ class TestPropagateSequence:
         ]
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
-        bank = FlowBank()
+        flows = {}
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
-        out = propagate_sequence(latents, spec, chain, bank)
-        for i, res in enumerate(out.results):
+            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+        out = propagate_sequence(latents, spec, chain, flows)
+        for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
     def test_coverage_monotone_in_references(self):
@@ -217,18 +228,18 @@ class TestPropagateSequence:
         mask = make_outpaint_mask(spec.latent())
         src_valid = mask.complement().data
 
-        def bank_for(chain):
-            bank = FlowBank()
+        def flows_for(chain):
+            flows = {}
             for a, b in required_flow_pairs(chain, 3):
                 raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-                bank.add(a, b, complete_flow_laplacian(raw, mask, tol=1e-10))
-            return bank
+                flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+            return flows
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
-        out_sparse = propagate_sequence(latents, spec, sparse, bank_for(sparse))
-        out_dense = propagate_sequence(latents, spec, dense, bank_for(dense))
-        for rs, rd in zip(out_sparse.results, out_dense.results):
+        out_sparse = propagate_sequence(latents, spec, sparse, flows_for(sparse))
+        out_dense = propagate_sequence(latents, spec, dense, flows_for(dense))
+        for rs, rd in zip(out_sparse, out_dense):
             assert np.all(rd.coverage.data >= rs.coverage.data)
 
 
@@ -254,11 +265,11 @@ def paper_pan_inputs(n=12):
     mask = make_outpaint_mask(lat)
     latents = [place_on_canvas(stand_in_encode(f, 4), lat) for f in scene.frames()]
     chain = ReferenceChain(tuple(range(0, n - 1, 2)) + (n - 1,), window=2, num_frames=n)
-    bank = FlowBank()
+    flows = {}
     for a, b in required_flow_pairs(chain, n):
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 4)
-        bank.add(a, b, complete_flow_laplacian(flow, mask, tol=1e-8))
-    return chain, latents, mask, bank
+        flows[(a, b)] = complete_flow_laplacian(flow, mask, tol=1e-8)
+    return chain, latents, mask, flows
 
 
 def pull_every_reference(i, chain, latents, mask, flows, direction):
@@ -272,11 +283,11 @@ def pull_every_reference(i, chain, latents, mask, flows, direction):
     acc = None
     for k, r in enumerate(refs):
         if k == 0:
-            acc = AccumulatedFlow(i, r, flows.get(i, r), hops=1)
+            acc = flows[(i, r)]
         else:
-            acc = compose_accumulated(acc, flows.get(refs[k - 1], r), r)
+            acc = compose_accumulated(acc, flows[(refs[k - 1], r)])
         stacked = ChannelGrid(np.concatenate([latents[r].data, (1.0 - mask.data)[None]]))
-        warped, wmask = backward_warp(stacked, acc.flow)
+        warped, wmask = backward_warp(stacked, acc)
         covering = ~covered & (wmask.data == 1.0) & (warped.data[-1] >= COVERAGE_THRESHOLD)
         out[:, covering] = warped.data[:-1][:, covering]
         prov[covering] = r
@@ -285,12 +296,12 @@ def pull_every_reference(i, chain, latents, mask, flows, direction):
 
 
 def test_early_exit_matches_pulling_every_reference():
-    chain, latents, mask, bank = paper_pan_inputs()
+    chain, latents, mask, flows = paper_pan_inputs()
     made = every = 0
     for i in range(chain.num_frames):
         for direction in ("past", "future"):
-            got = propagate_direction(i, chain, latents, mask, bank, direction)
-            out, covered, prov, pulls = pull_every_reference(i, chain, latents, mask, bank, direction)
+            got = propagate_direction(i, chain, latents, mask, flows, direction)
+            out, covered, prov, pulls = pull_every_reference(i, chain, latents, mask, flows, direction)
             assert np.array_equal(got.latent.data, out)
             assert np.array_equal(got.coverage.data == 1.0, covered)
             assert np.array_equal(got.provenance, prov)
