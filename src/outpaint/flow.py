@@ -64,17 +64,17 @@ def _bilinear(plane: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
 def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
     """Warp ``src`` by sampling it at x + flow(x).
 
-    Returns the warped grid and a mask that is 1 only where the flow is
+    Returns the warped grid and a mask that is True only where the flow is
     valid and the sample lies inside ``src``; invalid cells are zeroed.
     """
     if (src.height, src.width) != (flow.height, flow.width):
         raise ValueError("flow dims must match source spatial dims")
     y0, x0, y1, x1, fx, fy, inb = _sample_setup(flow, src.height, src.width)
-    ok = inb & (flow.valid == 1.0)
+    ok = inb & flow.valid
     out = np.empty_like(src.data)
     for c in range(src.channels):
         out[c] = np.where(ok, _bilinear(src.data[c], y0, x0, y1, x1, fx, fy), 0.0)
-    return ChannelGrid(out), BinaryMask(ok.astype(float))
+    return ChannelGrid(out), BinaryMask(ok)
 
 
 def warp_flow(f: FlowField, through: FlowField) -> FlowField:
@@ -86,18 +86,13 @@ def warp_flow(f: FlowField, through: FlowField) -> FlowField:
     if (f.height, f.width) != (through.height, through.width):
         raise ValueError("flow dims must match")
     y0, x0, y1, x1, fx, fy, inb = _sample_setup(through, f.height, f.width)
-    corners_ok = (
-        (f.valid[y0, x0] == 1.0)
-        & (f.valid[y0, x1] == 1.0)
-        & (f.valid[y1, x0] == 1.0)
-        & (f.valid[y1, x1] == 1.0)
-    )
-    ok = inb & (through.valid == 1.0) & corners_ok
-    u_src = np.where(f.valid == 1.0, f.u, 0.0)
-    v_src = np.where(f.valid == 1.0, f.v, 0.0)
+    corners_ok = f.valid[y0, x0] & f.valid[y0, x1] & f.valid[y1, x0] & f.valid[y1, x1]
+    ok = inb & through.valid & corners_ok
+    u_src = np.where(f.valid, f.u, 0.0)
+    v_src = np.where(f.valid, f.v, 0.0)
     u = np.where(ok, _bilinear(u_src, y0, x0, y1, x1, fx, fy), 0.0)
     v = np.where(ok, _bilinear(v_src, y0, x0, y1, x1, fx, fy), 0.0)
-    return FlowField(u, v, ok.astype(float))
+    return FlowField(u, v, ok)
 
 
 def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
@@ -109,10 +104,10 @@ def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
     if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("hop dims must match accumulated flow")
     warped = warp_flow(hop, acc)
-    valid = acc.valid * warped.valid
+    valid = acc.valid & warped.valid
     return FlowField(
-        np.where(valid == 1.0, acc.u + warped.u, 0.0),
-        np.where(valid == 1.0, acc.v + warped.v, 0.0),
+        np.where(valid, acc.u + warped.u, 0.0),
+        np.where(valid, acc.v + warped.v, 0.0),
         valid,
     )
 
@@ -124,7 +119,7 @@ def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:
         raise ValueError("flow dims must match the original frame")
     u = np.zeros((spec.canvas_h, spec.canvas_w))
     v = np.zeros((spec.canvas_h, spec.canvas_w))
-    valid = np.zeros((spec.canvas_h, spec.canvas_w))
+    valid = np.zeros((spec.canvas_h, spec.canvas_w), dtype=bool)
     ys, xs = spec.source_slices
     u[ys, xs] = flow.u
     v[ys, xs] = flow.v
@@ -184,7 +179,7 @@ def complete_flow_laplacian(
 ) -> FlowField:
     """Harmonic extension of a flow over its missing region.
 
-    Known cells (missing=0 and valid=1) act as Dirichlet boundary values
+    Known cells (not missing and valid) act as Dirichlet boundary values
     and are returned bit-identical; u and v are solved independently.
     The output is valid everywhere.  ``max_iters`` defaults to the number of
     unknown cells, the conjugate-gradient bound in exact arithmetic.
@@ -193,7 +188,7 @@ def complete_flow_laplacian(
         raise ValueError("missing mask dims must match the flow")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    known = (missing.data == 0.0) & (flow.valid == 1.0)
+    known = ~missing.data & flow.valid
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
     if known.all():

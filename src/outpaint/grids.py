@@ -2,8 +2,9 @@
 
 All grid types are immutable after construction: the wrapped numpy arrays are
 copied and marked read-only, so instances are safe to share across threads.
-Grid data lives in float64 in memory; the on-disk format stores 32-bit floats
-(see read_grid/write_grid).
+Grid values live in float64 in memory, masks and flow validity planes in
+bool; the on-disk format stores every plane as 32-bit floats, masks as
+0.0/1.0 (see read_grid/write_grid).
 """
 
 from __future__ import annotations
@@ -36,9 +37,12 @@ def _frozen(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def _check_binary(arr: np.ndarray, what: str) -> None:
-    if not np.all((arr == 0.0) | (arr == 1.0)):
+def _frozen_mask(data, what: str) -> np.ndarray:
+    """``data`` as a read-only bool copy; non-bool input must hold only 0/1."""
+    arr = np.asarray(data)
+    if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{what} must contain only 0/1 values")
+    return _frozen(arr, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,14 @@ class ChannelGrid:
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """Grid of {0, 1} values."""
+    """Read-only bool grid; built from bool or from 0/1 values."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.data)
+        arr = _frozen_mask(self.data, "BinaryMask")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("BinaryMask needs a non-empty 2-D array")
-        _check_binary(arr, "BinaryMask")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -113,7 +116,7 @@ class BinaryMask:
         return self.data.shape[1]
 
     def complement(self) -> "BinaryMask":
-        return BinaryMask(1.0 - self.data)
+        return BinaryMask(~self.data)
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,10 @@ class FlowField:
     """Per-pixel displacement field with a validity plane.
 
     ``u`` is the x-displacement (columns), ``v`` the y-displacement (rows),
-    both in pixels of the grid the field lives on.  ``valid`` is {0, 1};
-    u and v must be finite wherever valid is 1 (invalid cells may hold
-    anything, but such fields cannot be written to disk).
+    both in pixels of the grid the field lives on.  ``valid`` is a read-only
+    bool plane (built from bool or from 0/1 values); u and v must be finite
+    wherever it is True (invalid cells may hold anything, but such fields
+    cannot be written to disk).
     """
 
     u: np.ndarray
@@ -133,14 +137,12 @@ class FlowField:
     def __post_init__(self):
         u = _frozen(self.u)
         v = _frozen(self.v)
-        valid = _frozen(self.valid)
+        valid = _frozen_mask(self.valid, "FlowField.valid")
         if u.ndim != 2 or u.size == 0:
             raise ValueError("FlowField planes must be non-empty 2-D arrays")
         if u.shape != v.shape or u.shape != valid.shape:
             raise ValueError("FlowField planes must share one shape")
-        _check_binary(valid, "FlowField.valid")
-        ok = valid == 1.0
-        if not (np.all(np.isfinite(u[ok])) and np.all(np.isfinite(v[ok]))):
+        if not (np.all(np.isfinite(u[valid])) and np.all(np.isfinite(v[valid]))):
             raise ValueError("FlowField u/v must be finite where valid")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -159,7 +161,7 @@ class FlowField:
         return cls(
             np.full((height, width), du),
             np.full((height, width), dv),
-            np.ones((height, width)),
+            np.ones((height, width), dtype=bool),
         )
 
     @classmethod
@@ -221,23 +223,23 @@ class CanvasSpec:
         )
 
 
-def place_on_canvas(frame: ChannelGrid, spec: CanvasSpec, fill: float = 0.0) -> ChannelGrid:
-    """Place ``frame`` on the expanded canvas; everything else is ``fill``."""
+def place_on_canvas(frame: ChannelGrid, spec: CanvasSpec) -> ChannelGrid:
+    """Place ``frame`` on the expanded canvas; everything else is 0."""
     if (frame.height, frame.width) != (spec.orig_h, spec.orig_w):
         raise ValueError(
             f"frame is {frame.height}x{frame.width}, spec expects {spec.orig_h}x{spec.orig_w}"
         )
-    out = np.full((frame.channels, spec.canvas_h, spec.canvas_w), float(fill))
+    out = np.zeros((frame.channels, spec.canvas_h, spec.canvas_w))
     ys, xs = spec.source_slices
     out[:, ys, xs] = frame.data
     return ChannelGrid(out)
 
 
 def make_outpaint_mask(spec: CanvasSpec) -> BinaryMask:
-    """Mask that is 1 outside the placed original rectangle, 0 inside."""
-    mask = np.ones((spec.canvas_h, spec.canvas_w))
+    """Mask that is True outside the placed original rectangle, False inside."""
+    mask = np.ones((spec.canvas_h, spec.canvas_w), dtype=bool)
     ys, xs = spec.source_slices
-    mask[ys, xs] = 0.0
+    mask[ys, xs] = False
     return BinaryMask(mask)
 
 
@@ -260,25 +262,24 @@ def downscale_flow(flow: FlowField, s: int) -> FlowField:
     count = vb.sum(axis=(1, 3))
     safe = np.maximum(count, 1.0)
     # invalid input cells may hold junk; zero them before summing
-    u_src = np.where(flow.valid == 1.0, flow.u, 0.0)
-    v_src = np.where(flow.valid == 1.0, flow.v, 0.0)
+    u_src = np.where(flow.valid, flow.u, 0.0)
+    v_src = np.where(flow.valid, flow.v, 0.0)
     u = _blocks(u_src, s).sum(axis=(1, 3)) / safe / s
     v = _blocks(v_src, s).sum(axis=(1, 3)) / safe / s
-    valid = (count == s * s).astype(float)
     u = np.where(count > 0, u, 0.0)
     v = np.where(count > 0, v, 0.0)
-    return FlowField(u, v, valid)
+    return FlowField(u, v, count == s * s)
 
 
 def downscale_mask(mask: BinaryMask, s: int) -> BinaryMask:
-    """Max-pool a mask by ``s``: any covered 1 makes the output cell 1."""
+    """Max-pool a mask by ``s``: any covered True makes the output cell True."""
     if s < 1:
         raise ValueError("scale factor must be >= 1")
     if mask.height % s or mask.width % s:
         raise ValueError(f"scale {s} must divide mask dims {mask.height}x{mask.width}")
     if s == 1:
         return mask
-    return BinaryMask(_blocks(mask.data, s).max(axis=(1, 3)))
+    return BinaryMask(_blocks(mask.data, s).any(axis=(1, 3)))
 
 
 Grid = ScalarGrid | ChannelGrid | FlowField | BinaryMask
@@ -298,7 +299,8 @@ def _payload_planes(grid: Grid) -> tuple[int, int, np.ndarray]:
 
 
 def write_grid(path, grid: Grid) -> None:
-    """Write a grid in the binary format (little-endian float32 payload).
+    """Write a grid in the binary format (little-endian float32 payload;
+    mask and validity planes as 0.0/1.0).
 
     Parent directories are created as needed.
     """

@@ -23,17 +23,21 @@ def _planes(grid: ChannelGrid | ScalarGrid) -> np.ndarray:
     raise ValueError(f"metrics need a channel or scalar grid, got {type(grid).__name__}")
 
 
-def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE) in dB; +inf for identical inputs."""
-    pa, pb = _planes(a), _planes(b)
-    if pa.shape != pb.shape:
-        raise ValueError("grids must share dimensions")
-    if peak <= 0.0:
+def _psnr_db(mse: float, peak: float) -> float:
+    """10 log10(peak^2 / MSE) in dB; +inf for a zero MSE."""
+    if not peak > 0.0:
         raise ValueError("peak must be positive")
-    mse = float(np.mean((pa - pb) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
+
+
+def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid, peak: float = 1.0) -> float:
+    """PSNR in dB over every cell and channel; +inf for identical inputs."""
+    pa, pb = _planes(a), _planes(b)
+    if pa.shape != pb.shape:
+        raise ValueError("grids must share dimensions")
+    return _psnr_db(float(np.mean((pa - pb) ** 2)), peak)
 
 
 def psnr_masked(
@@ -42,7 +46,7 @@ def psnr_masked(
     mask: BinaryMask,
     peak: float = 1.0,
 ) -> float:
-    """PSNR restricted to cells where ``mask`` is 1 (every channel counts).
+    """PSNR restricted to cells where ``mask`` is True (every channel counts).
 
     An empty mask, like identical inputs, yields the +inf sentinel.
     """
@@ -51,33 +55,30 @@ def psnr_masked(
         raise ValueError("grids must share dimensions")
     if mask.data.shape != pa.shape[1:]:
         raise ValueError("mask must match grid dimensions")
-    cells = mask.data == 1.0
-    if not cells.any():
-        return math.inf
-    mse = float(np.mean((pa[:, cells] - pb[:, cells]) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    cells = mask.data
+    mse = float(np.mean((pa[:, cells] - pb[:, cells]) ** 2)) if cells.any() else 0.0
+    return _psnr_db(mse, peak)
 
 
 def ssim_full(
     a: ChannelGrid | ScalarGrid,
     b: ChannelGrid | ScalarGrid,
     dynamic_range: float = 1.0,
-    window: int = STRUCTURE_WINDOW,
 ) -> float:
-    """Mean SSIM over all windows, averaged across channels."""
+    """Mean SSIM over all STRUCTURE_WINDOW-sized windows, averaged across
+    channels."""
+    w = STRUCTURE_WINDOW
     pa, pb = _planes(a), _planes(b)
     if pa.shape != pb.shape:
         raise ValueError("grids must share dimensions")
-    if pa.shape[1] < window or pa.shape[2] < window:
-        raise ValueError(f"grid smaller than the {window}x{window} local window")
+    if pa.shape[1] < w or pa.shape[2] < w:
+        raise ValueError(f"grid smaller than the {w}x{w} local window")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
     c3 = c2 / 2.0
     per_channel = []
     for ca, cb in zip(pa, pb):
-        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb, window)
+        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb, w)
         lum = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
         con = (2.0 * sd_a * sd_b + c2) / (sd_a**2 + sd_b**2 + c2)
         stru = (cov + c3) / (sd_a * sd_b + c3)

@@ -137,11 +137,7 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["canvas"] = asdict(self.canvas)
-        data["scene"] = asdict(self.scene) if self.scene else None
-        data["inputs"] = asdict(self.inputs) if self.inputs else None
-        return data
+        return asdict(self)
 
 
 @dataclass
@@ -482,7 +478,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                     "mean_decoded_ssim": float(
                         np.mean([e["decoded_ssim"] for e in per_frame])
                     ),
-                    "mean_decoded_psnr": float(np.mean(finite)) if finite else "inf",
+                    "mean_decoded_psnr": float(np.mean(finite)) if finite else math.inf,
                 }
 
             metrics = clock.run("metrics", compute_metrics)

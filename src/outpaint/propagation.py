@@ -85,8 +85,7 @@ class PropagationResult:
         object.__setattr__(self, "provenance", prov)
         if prov.shape != (self.latent.height, self.latent.width):
             raise ValueError("provenance shape must match the latent canvas")
-        covered = self.coverage.data == 1.0
-        if (prov[covered] < 0).any():
+        if (prov[self.coverage.data] < 0).any():
             raise ValueError("covered cells must have provenance >= 0")
 
 
@@ -98,7 +97,7 @@ def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[i
 
 def _completed(flows: dict[tuple[int, int], FlowField], src: int, dst: int) -> FlowField:
     flow = flows[(src, dst)]
-    if not np.all(flow.valid == 1.0):
+    if not flow.valid.all():
         raise ValueError(f"flow {src}->{dst} must be completed before propagation")
     return flow
 
@@ -128,8 +127,9 @@ def propagate_direction(
         raise ValueError(f"unknown direction {direction!r}")
 
     out = latents[i].data.copy()
+    # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
     source_mask = 1.0 - mask.data
-    covered = mask.data == 0.0
+    covered = ~mask.data
     prov = np.full(covered.shape, -1, dtype=np.int32)
     prov[covered] = i
     warp_count = 0
@@ -144,17 +144,13 @@ def propagate_direction(
             acc = compose_accumulated(acc, _completed(flows, refs[k - 1], r))
             compose_count += 1
             # validity only shrinks under composition: no farther pull can fill a cell
-            if not (acc.valid[~covered] == 1.0).any():
+            if not acc.valid[~covered].any():
                 break
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
         warped, wmask = backward_warp(stacked, acc)
         warp_count += 1
         warped_source = warped.data[-1]
-        covering = (
-            ~covered
-            & (wmask.data == 1.0)
-            & (warped_source >= COVERAGE_THRESHOLD)
-        )
+        covering = ~covered & wmask.data & (warped_source >= COVERAGE_THRESHOLD)
         if covering.any():
             out[:, covering] = warped.data[:-1][:, covering]
             prov[covering] = r
@@ -163,7 +159,7 @@ def propagate_direction(
 
     return PropagationResult(
         latent=ChannelGrid(out),
-        coverage=BinaryMask(covered.astype(float)),
+        coverage=BinaryMask(covered),
         provenance=prov,
         warp_count=warp_count,
         compose_count=compose_count,
@@ -187,8 +183,8 @@ def fuse_directions(
         raise ValueError("latent shapes must match")
     if dist_past < 0 or dist_future < 0:
         raise ValueError("distances must be >= 0")
-    cov_p = past.coverage.data == 1.0
-    cov_f = future.coverage.data == 1.0
+    cov_p = past.coverage.data
+    cov_f = future.coverage.data
     f_only = cov_f & ~cov_p
     both = cov_p & cov_f
     w_p = 0.5 if dist_past + dist_future == 0 else dist_future / (dist_past + dist_future)
@@ -203,7 +199,7 @@ def fuse_directions(
         prov[both] = future.provenance[both]
     return PropagationResult(
         latent=ChannelGrid(out),
-        coverage=BinaryMask((cov_p | cov_f).astype(float)),
+        coverage=BinaryMask(cov_p | cov_f),
         provenance=prov,
         warp_count=past.warp_count + future.warp_count,
         compose_count=past.compose_count + future.compose_count,

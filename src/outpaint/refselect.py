@@ -117,15 +117,16 @@ def _window_moments(a: np.ndarray, b: np.ndarray, win: int):
     return mean_a + s_x / n, mean_b + s_y / n, sd_a, sd_b, cov
 
 
-def ssim_structure_score(a: ScalarGrid, b: ScalarGrid, window: int = STRUCTURE_WINDOW) -> float:
+def ssim_structure_score(a: ScalarGrid, b: ScalarGrid) -> float:
     """Mean structure term (cov + C3) / (sd_a * sd_b + C3) over all stride-1
-    ``window``-sized patches.  Result lies in [-1, 1]; two constant patches
-    score 1 because the C3 regularizer dominates both moments."""
+    STRUCTURE_WINDOW-sized patches.  Result lies in [-1, 1]; two constant
+    patches score 1 because the C3 regularizer dominates both moments."""
+    w = STRUCTURE_WINDOW
     if a.data.shape != b.data.shape:
         raise ValueError("grids must share dimensions")
-    if a.height < window or a.width < window:
-        raise ValueError(f"grid smaller than the {window}x{window} local window")
-    _, _, sd_a, sd_b, cov = _window_moments(a.data, b.data, window)
+    if a.height < w or a.width < w:
+        raise ValueError(f"grid smaller than the {w}x{w} local window")
+    _, _, sd_a, sd_b, cov = _window_moments(a.data, b.data, w)
     return float(np.mean((cov + _C3) / (sd_a * sd_b + _C3)))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outpaint.flow import backward_warp
 from outpaint.grids import (
     BinaryMask,
     CanvasSpec,
@@ -24,9 +25,37 @@ def test_scalar_grid_rejects_nonfinite():
         ScalarGrid(np.array([[1.0, np.nan]]))
 
 
-def test_mask_rejects_fractions():
+@pytest.mark.parametrize("value", [0.5, np.nan, 2.0])
+@pytest.mark.parametrize(
+    "build",
+    [BinaryMask, lambda plane: FlowField(np.zeros((1, 2)), np.zeros((1, 2)), plane)],
+    ids=["BinaryMask", "FlowField.valid"],
+)
+def test_mask_rejects_fractions(build, value):
     with pytest.raises(ValueError):
-        BinaryMask(np.array([[0.5]]))
+        build(np.array([[1.0, value]]))
+
+
+def test_masks_are_readonly_bool(tmp_path):
+    mask = make_outpaint_mask(CanvasSpec(2, 2, 4, 4, 1, 1))
+    flow = FlowField(np.full((4, 4), 0.5), np.full((4, 4), -1.25), ~mask.data)
+    _, warped = backward_warp(ChannelGrid(np.ones((1, 4, 4))), flow)
+    write_grid(tmp_path / "m.s2sg", mask)
+    write_grid(tmp_path / "f.s2sg", flow)
+    read_mask, read_flow = read_grid(tmp_path / "m.s2sg"), read_grid(tmp_path / "f.s2sg")
+    for plane in (mask.data, flow.valid, warped.data, read_mask.data, read_flow.valid):
+        assert plane.dtype == bool
+        assert not plane.flags.writeable
+    assert np.array_equal(read_mask.data, mask.data)
+    assert np.array_equal(read_flow.valid, flow.valid)
+
+    # on disk a bool plane is the float32 0/1 payload of its float twin
+    twin = mask.data.astype(float)
+    write_grid(tmp_path / "m_float.s2sg", BinaryMask(twin))
+    write_grid(tmp_path / "f_float.s2sg", FlowField(flow.u, flow.v, 1.0 - twin))
+    assert (tmp_path / "m.s2sg").read_bytes() == (tmp_path / "m_float.s2sg").read_bytes()
+    assert (tmp_path / "f.s2sg").read_bytes() == (tmp_path / "f_float.s2sg").read_bytes()
+    assert (tmp_path / "m.s2sg").read_bytes().endswith(twin.astype("<f4").tobytes())
 
 
 def test_flow_requires_matching_planes():
@@ -69,7 +98,7 @@ class TestPlaceOnCanvas:
     def test_2x2_on_4x4(self):
         frame = ChannelGrid(np.arange(4.0).reshape(1, 2, 2) + 1)
         spec = CanvasSpec(2, 2, 4, 4, 1, 1)
-        out = place_on_canvas(frame, spec, fill=0.0)
+        out = place_on_canvas(frame, spec)
         assert np.array_equal(out.data[0, 1:3, 1:3], frame.data[0])
         border = out.data.copy()
         border[0, 1:3, 1:3] = 0.0
@@ -78,7 +107,7 @@ class TestPlaceOnCanvas:
     def test_identity_when_canvas_equals_frame(self):
         frame = ChannelGrid(np.random.default_rng(0).random((3, 4, 5)))
         spec = CanvasSpec(4, 5, 4, 5, 0, 0)
-        out = place_on_canvas(frame, spec, fill=9.0)
+        out = place_on_canvas(frame, spec)
         assert np.array_equal(out.data, frame.data)
 
     def test_horizontal_outpaint_layout(self):

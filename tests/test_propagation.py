@@ -24,7 +24,7 @@ from outpaint.propagation import (
     propagate_sequence,
     required_flow_pairs,
 )
-from outpaint.refselect import ReferenceChain
+from outpaint.refselect import ReferenceChain, build_reference_chain
 from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
 
 
@@ -310,3 +310,44 @@ def test_early_exit_matches_pulling_every_reference():
             made += got.warp_count
             every += pulls
     assert made < every
+
+
+# the paper's 96x96 -> 96x128 s=4 regime and the 48 -> 64 s=2 translation oracle
+DENSE_SCENES = [
+    (5, CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4), (96, 128 + 4 * 19), 20,
+     TrajectorySpec(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)),
+    (7, CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2), (96, 96), 16,
+     TrajectorySpec(kind="pan", start_y=24.0, start_x=16.0, delta_x=2.0)),
+]
+
+
+@pytest.mark.parametrize("seed, spec, world, n, traj", DENSE_SCENES)
+def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, world, n, traj):
+    """The dense sequential scheme pulls every other frame through consecutive
+    flows (a chain of all frames, window 1).  On an integer pan the guided
+    chain covers the same cells, every covered cell is the ground truth, and
+    it makes fewer pulls than the dense scheme measurably does."""
+    s = spec.downsample
+    scene = generate_scene(seed, *world, spec.orig_h, spec.orig_w, n, traj, spec)
+    frames = scene.frames()
+    latents = [stand_in_encode(f, s) for f in frames]
+    mask = make_outpaint_mask(spec.latent())
+
+    def propagate(chain):
+        flows = {}
+        for a, b in required_flow_pairs(chain, n):
+            flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
+            flows[(a, b)] = complete_flow_laplacian(flow, mask, tol=1e-8)
+        return propagate_sequence(latents, spec, chain, flows)
+
+    guided = propagate(build_reference_chain(frames, 4))
+    dense = propagate(ReferenceChain(tuple(range(n)), 1, n))
+    for i, (g, d) in enumerate(zip(guided, dense)):
+        assert np.array_equal(g.coverage.data, d.coverage.data)
+        truth = stand_in_encode(scene.gt_expanded(i), s).data
+        for res in (g, d):
+            cov = res.coverage.data
+            assert np.array_equal(res.latent.data[:, cov], truth[:, cov])
+    guided_pulls = sum(r.warp_count for r in guided)
+    dense_pulls = sum(r.warp_count for r in dense)
+    assert guided_pulls < dense_pulls < n * (n - 1)

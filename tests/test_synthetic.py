@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from outpaint.grids import CanvasSpec, ChannelGrid, ScalarGrid
-from outpaint.metrics import psnr, ssim_full
+from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, ScalarGrid
+from outpaint.metrics import psnr, psnr_masked, ssim_full
 from outpaint.synthetic import (
     TrajectorySpec,
     generate_scene,
@@ -150,6 +150,15 @@ class TestMetrics:
         rng = np.random.default_rng(5)
         a, b = ChannelGrid(rng.random((2, 6, 6))), ChannelGrid(rng.random((2, 6, 6)))
         assert psnr(a, b) == pytest.approx(psnr(b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0])
+    def test_psnr_rejects_nonpositive_peak(self, peak):
+        a = ChannelGrid(np.full((1, 4, 4), 0.3))
+        b = ChannelGrid(np.full((1, 4, 4), 0.4))
+        with pytest.raises(ValueError, match="peak must be positive"):
+            psnr(a, b, peak=peak)
+        with pytest.raises(ValueError, match="peak must be positive"):
+            psnr_masked(a, b, BinaryMask(np.ones((4, 4))), peak=peak)
 
     def test_ssim_identical_is_one(self):
         g = ScalarGrid(np.random.default_rng(1).random((10, 10)))
