@@ -29,7 +29,6 @@ from .refselect import (
     to_grayscale,
 )
 from .flow import (
-    FlowCompletionError,
     backward_warp,
     complete_flow_laplacian,
     compose_accumulated,

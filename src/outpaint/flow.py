@@ -7,26 +7,21 @@ out(x) = B(x + F(x)) with bilinear interpolation.  Samples landing exactly
 on the array boundary are in-bounds (the far interpolation corner gets zero
 weight); anything outside invalidates the cell rather than clamping, so no
 content is ever fabricated.
+
+Completion is the harmonic (5-point Laplace) fill of a flow's unknown cells,
+solved exactly: the operator depends only on which cells are known, so it
+is factored once per known-cell mask (block LDL^T over canvas rows), and
+each flow sharing that mask costs one forward and one backward block sweep.
+There is no tolerance or iteration count.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField
-
-
-class FlowCompletionError(RuntimeError):
-    """Flow completion hit its iteration cap; carries the scaled residual
-    max(|r| / neighbour count) over the unknown cells."""
-
-    def __init__(self, residual: float, iterations: int):
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"flow completion did not converge after {iterations} iterations "
-            f"(scaled residual {residual:.3e})"
-        )
 
 
 def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
@@ -136,69 +131,93 @@ def _neighbor_sum(values: np.ndarray) -> np.ndarray:
     return s
 
 
-def _cg_fill(plane: np.ndarray, known: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    """Matrix-free conjugate-gradient solve of the 5-point Laplace equation
-    on the unknown cells, with known cells as Dirichlet data and a Neumann
-    canvas border (each cell averages only its in-canvas neighbours).
+def laplace_residual(flow: FlowField, filled: np.ndarray) -> float:
+    """Largest |sum of in-canvas neighbours - neighbour count * x| of u and v
+    over the ``filled`` cells: 0 for an exact harmonic fill, up to rounding."""
+    counts = _neighbor_sum(np.ones(filled.shape))
+    return max(
+        float(np.max(np.abs(_neighbor_sum(p) - counts * p)[filled], initial=0.0))
+        for p in (flow.u, flow.v)
+    )
 
-    Stops once max(|r| / neighbour count) over the unknown cells, the
-    change one Jacobi update would make, is below ``tol``; raises
-    FlowCompletionError after ``max_iters`` iterations.  Reductions use
-    np.sum, whose order is fixed, so results are bit-reproducible.
+
+@functools.lru_cache(maxsize=8)
+def _laplace_factor(shape: tuple[int, int], known_bytes: bytes):
+    """Block LDL^T factor of the 5-point operator on the unknown cells.
+
+    Unknown cells are ordered row by row, so the operator is block
+    tridiagonal with one block per canvas row (Golub & Van Loan, Matrix
+    Computations, section 4.5).  The diagonal block of row r holds the
+    neighbour counts and -1 between horizontally adjacent unknowns; the
+    coupling E_r to row r+1 is -1 between vertically adjacent unknowns.
+    With S_0 = D_0 and S_{r+1} = D_{r+1} - E_r^T S_r^-1 E_r, returns the flat
+    indices of the unknown cells and, per row, (slice, S_r^-1, S_r^-1 E_r).
     """
-    counts = _neighbor_sum(np.ones(plane.shape))
-    unknown = ~known
-    x = plane.copy()
-    # seed unknowns with the mean of the known data: exact for constant fields
-    x[unknown] = np.mean(plane[known], dtype=np.float64)
-    # r and p vanish on known cells, so x keeps its Dirichlet data there and
-    # the scaled residual can be taken over the whole canvas
-    r = np.where(unknown, _neighbor_sum(x) - counts * x, 0.0)
-    p = r.copy()
-    rr = np.sum(r * r)
-    for it in range(max_iters + 1):
-        residual = float(np.max(np.abs(r) / counts))
-        if residual < tol:
-            return x
-        if it == max_iters:
-            raise FlowCompletionError(residual, max_iters)
-        ap = np.where(unknown, counts * p - _neighbor_sum(p), 0.0)
-        alpha = rr / np.sum(p * ap)
-        x += alpha * p
-        r -= alpha * ap
-        rr_next = np.sum(r * r)
-        p = r + (rr_next / rr) * p
-        rr = rr_next
+    known = np.frombuffer(known_bytes, dtype=bool).reshape(shape)
+    counts = _neighbor_sum(np.ones(shape))
+    cols = [np.flatnonzero(~row) for row in known]
+    bounds = np.cumsum([0] + [len(c) for c in cols])
+    rows = []
+    schur = 0.0
+    for r, c in enumerate(cols):
+        d = np.diag(counts[r, c])
+        i = np.flatnonzero(np.diff(c) == 1)
+        d[i, i + 1] = d[i + 1, i] = -1.0
+        s_inv = np.linalg.inv(d - schur)
+        below = cols[r + 1] if r + 1 < len(cols) else np.zeros(0, dtype=int)
+        link = (c[:, None] == below).astype(float)  # E_r = -link
+        g = -(s_inv @ link)
+        schur = link.T @ s_inv @ link
+        rows.append((slice(bounds[r], bounds[r + 1]), s_inv, g))
+    unknown = np.flatnonzero(~known)
+    return unknown, rows
 
 
-def complete_flow_laplacian(
-    flow: FlowField,
-    missing: BinaryMask,
-    tol: float = 1e-6,
-    max_iters: int | None = None,
-) -> FlowField:
+def _solve_laplace(rows, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs with the factor of ``_laplace_factor``; rhs holds one
+    column per plane."""
+    # forward: z_r = b_r - G_{r-1}^T z_{r-1} with G_r = S_r^-1 E_r, c_r = S_r^-1 z_r
+    c = []
+    carry = 0.0
+    for sl, s_inv, g in rows:
+        z = rhs[sl] - carry
+        c.append(s_inv @ z)
+        carry = g.T @ z
+    # backward: x_r = c_r - G_r x_{r+1}
+    x = np.empty_like(rhs)
+    x_r = np.zeros((0, rhs.shape[1]))
+    for (sl, _, g), c_r in zip(reversed(rows), reversed(c)):
+        x_r = c_r - g @ x_r
+        x[sl] = x_r
+    return x
+
+
+def complete_flow_laplacian(flow: FlowField, missing: BinaryMask) -> FlowField:
     """Harmonic extension of a flow over its missing region.
 
-    Known cells (not missing and valid) act as Dirichlet boundary values
-    and are returned bit-identical; u and v are solved independently.
-    The output is valid everywhere.  ``max_iters`` defaults to the number of
-    unknown cells, the conjugate-gradient bound in exact arithmetic.
+    Solves the 5-point Laplace equation on the unknown cells (missing or
+    invalid), with the known cells as Dirichlet data and a Neumann canvas
+    border (each cell averages only its in-canvas neighbours).  The solve is
+    direct: the operator depends only on the known-cell mask, so its block
+    factor is built once per mask and cached, and u and v are solved
+    together.  A plane whose known data is constant is filled with that
+    constant exactly.  Known cells are returned bit-identical; the output is
+    valid everywhere.
     """
     if (flow.height, flow.width) != (missing.height, missing.width):
         raise ValueError("missing mask dims must match the flow")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     known = ~missing.data & flow.valid
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
     if known.all():
         return FlowField(flow.u, flow.v, np.ones_like(flow.valid))
-    if max_iters is None:
-        max_iters = int(np.count_nonzero(~known))
-    planes = []
-    for plane in (flow.u, flow.v):
-        src = np.where(known, plane, 0.0)
-        filled = _cg_fill(src, known, tol, max_iters)
-        filled[known] = plane[known]
-        planes.append(filled)
+    planes = [np.where(known, p, p[known][0]) for p in (flow.u, flow.v)]
+    varying = [p for p in planes if np.ptp(p[known]) != 0.0]
+    if varying:
+        unknown, rows = _laplace_factor(known.shape, known.tobytes())
+        # Dirichlet data of the known neighbours, one column per plane
+        rhs = np.stack([_neighbor_sum(np.where(known, p, 0.0)).ravel()[unknown] for p in varying], 1)
+        x = _solve_laplace(rows, rhs)
+        for k, p in enumerate(varying):
+            p.flat[unknown] = x[:, k]
     return FlowField(planes[0], planes[1], np.ones_like(flow.valid))

@@ -88,7 +88,6 @@ class PipelineConfig:
     canvas: CanvasSpec
     mode: str = "propagate"
     window: int = 4
-    completion_tol: float = 1e-6
     denoiser: str = "zero"
     timesteps: int = 25
     sampler_window: int = 25
@@ -103,8 +102,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if not self.completion_tol > 0.0:
-            raise ConfigError("completion_tol must be > 0")
         if (self.scene is None) == (self.inputs is None):
             raise ConfigError("exactly one of scene/inputs must be given")
         if self.denoiser == "oracle":
@@ -145,7 +142,9 @@ class BenchmarkReport:
     """Operation counts and working-set estimate for one run.
 
     ``useful_pull_count`` counts the guided pulls that filled at least one
-    cell.  ``wall_time_s`` is populated for humans; it never enters deterministic
+    cell; ``completion_max_residual`` is the largest 5-point residual over
+    the filled cells of every completed flow (``flow.laplace_residual``).
+    ``wall_time_s`` is populated for humans; it never enters deterministic
     artifacts.  The ordering invariant guided <= sequential <= all-pairs is
     checked by ``verify``.
     """
@@ -159,6 +158,7 @@ class BenchmarkReport:
     compose_count: int
     peak_live_bytes: int
     useful_pull_count: int = 0
+    completion_max_residual: float = 0.0
     wall_time_s: dict[str, float] = field(default_factory=dict)
 
     def verify(self) -> None:
@@ -183,6 +183,7 @@ class BenchmarkReport:
             "compose_count": self.compose_count,
             "peak_live_bytes": self.peak_live_bytes,
             "useful_pull_count": self.useful_pull_count,
+            "completion_max_residual": self.completion_max_residual,
         }
         if include_timings:
             data["wall_time_s"] = dict(self.wall_time_s)
@@ -314,6 +315,7 @@ class _Propagated(NamedTuple):
     gt_expanded: list[ChannelGrid] | None
     chain: ReferenceChain
     flows: dict[tuple[int, int], FlowField]
+    completion_max_residual: float
     latents: list[ChannelGrid]
     results: list[PropagationResult]
 
@@ -332,6 +334,7 @@ class _Propagated(NamedTuple):
             compose_count=sum(r.compose_count for r in self.results),
             peak_live_bytes=peak_live_bytes,
             useful_pull_count=sum(r.useful_pull_count for r in self.results),
+            completion_max_residual=self.completion_max_residual,
             wall_time_s=dict(wall_time_s),
         )
         report.verify()
@@ -349,21 +352,23 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
 
     def build_flows():
-        flows = {}
+        flows, residual = {}, 0.0
         for a, b in sorted(required_flow_pairs(chain, n)):
             try:
                 on_latent = downscale_flow(map_flow_to_canvas(pixel_flow(a, b), spec), s)
                 # looked up on the module at call time, so wrapping it there takes effect
-                flow = _flow.complete_flow_laplacian(on_latent, latent_mask, config.completion_tol)
+                flow = _flow.complete_flow_laplacian(on_latent, latent_mask)
             except Exception as exc:
                 raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
+            filled = latent_mask.data | ~on_latent.valid
+            residual = max(residual, _flow.laplace_residual(flow, filled))
             flows[(a, b)] = flow
-        return flows
+        return flows, residual
 
-    flows = clock.run("flows", build_flows)
+    flows, residual = clock.run("flows", build_flows)
     latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
     results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
-    return _Propagated(frames, gt_expanded, chain, flows, latents, results)
+    return _Propagated(frames, gt_expanded, chain, flows, residual, latents, results)
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -410,7 +415,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     write_json(out / "config.json", config.to_dict())
     try:
         staged = _propagate_stages(config, clock)
-        frames, gt_expanded, chain, flows, latents, results = staged
+        frames, gt_expanded, chain, flows, _, latents, results = staged
         n = len(frames)
         write_json(
             out / "chain.json",
@@ -535,7 +540,6 @@ def run_benchmark(
                 seed=seed,
                 canvas=CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2),
                 window=m,
-                completion_tol=1e-8,
                 scene=SceneConfig(
                     world_h=48,
                     # a 1 px/frame pan moves the crop n columns

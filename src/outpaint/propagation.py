@@ -221,6 +221,8 @@ def propagate_sequence(
     (src, dst) to completed (everywhere-valid) latent-canvas flows.  Pulls
     write only uncovered outpaint cells, so each result keeps the frame's
     own values on its source region and 0 on cells no reference reached.
+    A failed pull is re-raised as RuntimeError naming the frame and the
+    direction.
     """
     n = len(latents)
     if n < 1:
@@ -234,7 +236,13 @@ def propagate_sequence(
     results = []
     for i in range(n):
         past_ref, future_ref = nearest_refs(chain, i)
-        past = propagate_direction(i, chain, placed, mask, flows, "past")
-        future = propagate_direction(i, chain, placed, mask, flows, "future")
-        results.append(fuse_directions(past, future, i - past_ref, future_ref - i))
+        pulled = {}
+        for direction in ("past", "future"):
+            try:
+                pulled[direction] = propagate_direction(i, chain, placed, mask, flows, direction)
+            except Exception as exc:
+                raise RuntimeError(f"frame {i} {direction}: {exc}") from exc
+        results.append(
+            fuse_directions(pulled["past"], pulled["future"], i - past_ref, future_ref - i)
+        )
     return results

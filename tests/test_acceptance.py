@@ -194,7 +194,7 @@ def test_criterion_05_complexity_claim():
     flows = {}
     for a, b in required_flow_pairs(chain, n):
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2)
-        flows[(a, b)] = complete_flow_laplacian(flow, mask, tol=1e-8)
+        flows[(a, b)] = complete_flow_laplacian(flow, mask)
     latents = [stand_in_encode(f, 2) for f in frames]
     pulls = sum(r.warp_count for r in propagate_sequence(latents, spec, chain, flows))
     chain_len = len(chain)
@@ -350,7 +350,7 @@ def test_criterion_10_laplacian_completer():
     valid[:, 5:9] = 1.0
     flow = FlowField(np.full((10, 14), -3.0) * valid, np.full((10, 14), 1.5) * valid, valid)
     missing = BinaryMask(1.0 - valid)
-    out = complete_flow_laplacian(flow, missing, tol=tol)
+    out = complete_flow_laplacian(flow, missing)
     assert np.max(np.abs(out.u - (-3.0))) <= tol
     assert np.max(np.abs(out.v - 1.5)) <= tol
 
@@ -358,16 +358,14 @@ def test_criterion_10_laplacian_completer():
     v2 = (rng.random((9, 9)) > 0.5).astype(float)
     v2[4, 4] = 1.0
     f2 = FlowField(rng.random((9, 9)) * v2, rng.random((9, 9)) * v2, v2)
-    out2 = complete_flow_laplacian(f2, BinaryMask(1.0 - v2), tol=tol)
+    out2 = complete_flow_laplacian(f2, BinaryMask(1.0 - v2))
     known = v2 == 1.0
     assert np.array_equal(out2.u[known], f2.u[known])
     assert np.array_equal(out2.v[known], f2.v[known])
 
     u = np.array([[0.0, 0.0, 0.0, 0.0, 4.0]])
     v1d = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
-    out3 = complete_flow_laplacian(
-        FlowField(u, np.zeros((1, 5)), v1d), BinaryMask(1.0 - v1d), tol=1e-10
-    )
+    out3 = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), v1d), BinaryMask(1.0 - v1d))
     assert np.max(np.abs(out3.u[0, 1:4] - np.array([1.0, 2.0, 3.0]))) < 1e-6
 
     report(10, "constant extension within tol; known cells bit-exact; 1-D fill matches hand solve", budget.check())

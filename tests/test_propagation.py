@@ -169,7 +169,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+            flows[(a, b)] = complete_flow_laplacian(raw, mask)
         out = propagate_sequence(latents, spec, chain, flows)
         f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
@@ -190,7 +190,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+            flows[(a, b)] = complete_flow_laplacian(raw, mask)
         out = propagate_sequence(latents, spec, chain, flows)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
@@ -201,6 +201,19 @@ class TestPropagateSequence:
             assert np.array_equal(res.latent.data[:, :, 2:6], placed_source)
         assert np.array_equal(placed_source, base)
         assert sum(r.warp_count for r in out) == n * 4 - 4
+
+    def test_missing_flow_names_frame_and_direction(self):
+        spec = CanvasSpec(4, 4, 4, 8, 0, 2)
+        latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(10)]
+        mask = make_outpaint_mask(spec.latent())
+        chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
+        src_valid = mask.complement().data
+        zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid), mask)
+        flows = {pair: zero for pair in required_flow_pairs(chain, 10)}
+        del flows[(2, 0)]
+        with pytest.raises(RuntimeError, match="frame 2 past: ") as err:
+            propagate_sequence(latents, spec, chain, flows)
+        assert isinstance(err.value.__cause__, KeyError)
 
     def test_source_preservation_with_motion(self):
         w0, w1, w2 = 0.2, 0.5, 0.8
@@ -215,7 +228,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+            flows[(a, b)] = complete_flow_laplacian(raw, mask)
         out = propagate_sequence(latents, spec, chain, flows)
         for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
@@ -232,7 +245,7 @@ class TestPropagateSequence:
             flows = {}
             for a, b in required_flow_pairs(chain, 3):
                 raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-                flows[(a, b)] = complete_flow_laplacian(raw, mask, tol=1e-10)
+                flows[(a, b)] = complete_flow_laplacian(raw, mask)
             return flows
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
@@ -268,7 +281,7 @@ def paper_pan_inputs(n=12):
     flows = {}
     for a, b in required_flow_pairs(chain, n):
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 4)
-        flows[(a, b)] = complete_flow_laplacian(flow, mask, tol=1e-8)
+        flows[(a, b)] = complete_flow_laplacian(flow, mask)
     return chain, latents, mask, flows
 
 
@@ -337,7 +350,7 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
         flows = {}
         for a, b in required_flow_pairs(chain, n):
             flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
-            flows[(a, b)] = complete_flow_laplacian(flow, mask, tol=1e-8)
+            flows[(a, b)] = complete_flow_laplacian(flow, mask)
         return propagate_sequence(latents, spec, chain, flows)
 
     guided = propagate(build_reference_chain(frames, 4))
