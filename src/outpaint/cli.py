@@ -170,6 +170,8 @@ def _cmd_chain(args) -> int:
 
 def _load_config(args, mode: str) -> PipelineConfig:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config} does not hold a JSON object")
     raw["mode"] = mode
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
@@ -193,7 +195,7 @@ def _cmd_bench(args) -> int:
         scene_kind=args.scene_kind,
         out_csv=out_dir / "benchmark.csv",
     )
-    write_json(out_dir / "benchmark.json", [r.to_dict(include_timings=True) for r in reports])
+    write_json(out_dir / "benchmark.json", [asdict(r) for r in reports])
     print(f"{len(reports)} benchmark cells written to {out_dir}")
     return 0
 

@@ -104,21 +104,27 @@ class PipelineConfig:
             raise ConfigError("window must be >= 1")
         if (self.scene is None) == (self.inputs is None):
             raise ConfigError("exactly one of scene/inputs must be given")
-        if self.denoiser == "oracle":
-            if self.scene is None:
-                raise ConfigError("oracle denoiser needs a synthetic scene")
-        else:
-            try:
+        if self.denoiser == "oracle" and self.scene is None:
+            raise ConfigError("oracle denoiser needs a synthetic scene")
+        # the checks the stages would make, so a bad value fails before any work
+        try:
+            if self.denoiser != "oracle":
                 resolve_denoiser(self.denoiser)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            if self.scene is not None:
+                self.scene.trajectory()
+            if self.mode == "sample":
+                make_schedule(self.timesteps)
+                plan_windows(1, self.sampler_window, self.sampler_stride)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
         try:
             data = dict(raw)
-            if "seed" not in data:
-                raise ConfigError("config must set a seed")
+            for key in ("seed", "canvas"):
+                if key not in data:
+                    raise ConfigError(f"config must set a {key}")
             canvas = CanvasSpec(**data.pop("canvas"))
             scene = data.pop("scene", None)
             inputs = data.pop("inputs", None)
@@ -141,12 +147,13 @@ class PipelineConfig:
 class BenchmarkReport:
     """Operation counts and working-set estimate for one run.
 
+    ``warp_count_sequential`` is N(N-1), the pulls of dense per-frame
+    accumulation; ``verify`` checks that the guided pulls do not exceed it.
     ``useful_pull_count`` counts the guided pulls that filled at least one
     cell; ``completion_max_residual`` is the largest 5-point residual over
     the filled cells of every completed flow (``flow.laplace_residual``).
     ``wall_time_s`` is populated for humans; it never enters deterministic
-    artifacts.  The ordering invariant guided <= sequential <= all-pairs is
-    checked by ``verify``.
+    artifacts.
     """
 
     n_frames: int
@@ -154,7 +161,6 @@ class BenchmarkReport:
     chain_len: int
     warp_count_guided: int
     warp_count_sequential: int
-    warp_count_all_pairs: int
     compose_count: int
     peak_live_bytes: int
     useful_pull_count: int = 0
@@ -162,31 +168,16 @@ class BenchmarkReport:
     wall_time_s: dict[str, float] = field(default_factory=dict)
 
     def verify(self) -> None:
-        if not (
-            self.warp_count_guided
-            <= self.warp_count_sequential
-            <= self.warp_count_all_pairs
-        ):
+        if self.warp_count_guided > self.warp_count_sequential:
             raise AssertionError(
-                f"warp-count ordering violated: guided {self.warp_count_guided}, "
-                f"sequential {self.warp_count_sequential}, all-pairs {self.warp_count_all_pairs}"
+                f"warp-count ordering violated: guided {self.warp_count_guided} > "
+                f"sequential {self.warp_count_sequential}"
             )
 
-    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        data = {
-            "n_frames": self.n_frames,
-            "window": self.window,
-            "chain_len": self.chain_len,
-            "warp_count_guided": self.warp_count_guided,
-            "warp_count_sequential": self.warp_count_sequential,
-            "warp_count_all_pairs": self.warp_count_all_pairs,
-            "compose_count": self.compose_count,
-            "peak_live_bytes": self.peak_live_bytes,
-            "useful_pull_count": self.useful_pull_count,
-            "completion_max_residual": self.completion_max_residual,
-        }
-        if include_timings:
-            data["wall_time_s"] = dict(self.wall_time_s)
+    def to_dict(self) -> dict[str, Any]:
+        """The deterministic fields: everything but ``wall_time_s``."""
+        data = asdict(self)
+        del data["wall_time_s"]
         return data
 
 
@@ -225,6 +216,22 @@ def write_json(path: Path, payload) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+_INPUT_KINDS = {"channel": ChannelGrid, "flow": FlowField}
+
+
+def _read_input(path: Path, kind: str, shape: tuple[int, int] | None):
+    """The ``kind`` ("channel" or "flow") grid at ``path``; with ``shape``,
+    it must be that (height, width).  Every error names the file."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing {kind} file {path}")
+    grid = read_grid(path)
+    if not isinstance(grid, _INPUT_KINDS[kind]):
+        raise ValueError(f"{path} is not a {kind} grid")
+    if shape is not None and (grid.height, grid.width) != shape:
+        raise ValueError(f"{path} is {grid.height}x{grid.width}, expected {shape[0]}x{shape[1]}")
+    return grid
+
+
 def _load_frames_from_dir(
     frames_dir: Path, prefix: str = "frame", shape: tuple[int, int] | None = None
 ) -> list[ChannelGrid]:
@@ -237,14 +244,10 @@ def _load_frames_from_dir(
     frames = []
     for i in range(count):
         p = frames_dir / f"{prefix}_{i:04d}.s2sg"
-        if not p.exists():
-            raise ValueError(f"{frames_dir} has {count} {prefix} files but no {p.name}")
-        grid = read_grid(p)
-        if not isinstance(grid, ChannelGrid):
-            raise ValueError(f"{p} is not a channel grid")
-        if shape is not None and (grid.height, grid.width) != shape:
-            raise ValueError(f"{p} is {grid.height}x{grid.width}, expected {shape[0]}x{shape[1]}")
-        frames.append(grid)
+        try:
+            frames.append(_read_input(p, "channel", shape))
+        except FileNotFoundError as exc:
+            raise ValueError(f"{frames_dir} has {count} {prefix} files but no {p.name}") from exc
     return frames
 
 
@@ -280,16 +283,7 @@ def _load_inputs(config: PipelineConfig):
 
     def load_flow(a: int, b: int) -> FlowField:
         path = flows_dir / f"flow_{a:04d}_to_{b:04d}.s2sg"
-        if not path.exists():
-            raise FileNotFoundError(f"missing flow file {path}")
-        grid = read_grid(path)
-        if not isinstance(grid, FlowField):
-            raise ValueError(f"{path} is not a flow grid")
-        if (grid.height, grid.width) != (spec.orig_h, spec.orig_w):
-            raise ValueError(
-                f"{path} is {grid.height}x{grid.width}, expected {spec.orig_h}x{spec.orig_w}"
-            )
-        return grid
+        return _read_input(path, "flow", (spec.orig_h, spec.orig_w))
 
     return frames, gt, load_flow
 
@@ -319,20 +313,26 @@ class _Propagated(NamedTuple):
     latents: list[ChannelGrid]
     results: list[PropagationResult]
 
-    def report(self, peak_live_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
-        """Operation counts of the run, checked for the warp-count ordering."""
+    def report(self, later_live_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
+        """Operation counts of the run, checked for the warp-count ordering.
+
+        The peak estimate is the bytes of every grid the shared stages hold
+        for the whole run plus ``later_live_bytes``, the peak of what the
+        caller's later stages add."""
         n = len(self.frames)
-        # dense per-frame accumulation pulls every other frame, as all pairs do
-        dense = n * (n - 1)
+        held = _live_bytes(
+            self.frames, self.gt_expanded, self.flows, self.latents,
+            [r.latent for r in self.results],
+        )
         report = BenchmarkReport(
             n_frames=n,
             window=self.chain.window,
             chain_len=len(self.chain),
             warp_count_guided=sum(r.warp_count for r in self.results),
-            warp_count_sequential=dense,
-            warp_count_all_pairs=dense,
+            # dense per-frame accumulation pulls every other frame
+            warp_count_sequential=n * (n - 1),
             compose_count=sum(r.compose_count for r in self.results),
-            peak_live_bytes=peak_live_bytes,
+            peak_live_bytes=held + later_live_bytes,
             useful_pull_count=sum(r.useful_pull_count for r in self.results),
             completion_max_residual=self.completion_max_residual,
             wall_time_s=dict(wall_time_s),
@@ -346,7 +346,8 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     completed on the latent canvas, encode, propagate."""
     spec = config.canvas
     s = spec.downsample
-    latent_mask = make_outpaint_mask(spec.latent())
+    latent = spec.latent()
+    latent_mask = make_outpaint_mask(latent)
     frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
     n = len(frames)
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
@@ -355,7 +356,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
         flows, residual = {}, 0.0
         for a, b in sorted(required_flow_pairs(chain, n)):
             try:
-                on_latent = downscale_flow(map_flow_to_canvas(pixel_flow(a, b), spec), s)
+                on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
                 # looked up on the module at call time, so wrapping it there takes effect
                 flow = _flow.complete_flow_laplacian(on_latent, latent_mask)
             except Exception as exc:
@@ -415,8 +416,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     write_json(out / "config.json", config.to_dict())
     try:
         staged = _propagate_stages(config, clock)
-        frames, gt_expanded, chain, flows, _, latents, results = staged
-        n = len(frames)
+        gt_expanded, chain, results = staged.gt_expanded, staged.chain, staged.results
+        n = len(staged.frames)
         write_json(
             out / "chain.json",
             {"indices": list(chain.indices), "window": chain.window, "num_frames": n},
@@ -489,13 +490,13 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             metrics = clock.run("metrics", compute_metrics)
             write_json(out / "metrics.json", metrics)
 
-        # frames, ground truth, flows and latents stay live for the whole run;
-        # on top of them the coverage masks, or later the sampled and decoded grids
-        peak_bytes = _live_bytes(
-            frames, gt_expanded, flows, latents, [r.latent for r in results]
-        ) + max(_live_bytes([r.coverage for r in results]), _live_bytes(sampled, decoded))
-        report = staged.report(peak_bytes, clock.times)
-        write_json(out / "report.json", report.to_dict(include_timings=False))
+        # on top of what the shared stages hold: the coverage masks, or later
+        # the sampled and decoded grids
+        later_bytes = max(
+            _live_bytes([r.coverage for r in results]), _live_bytes(sampled, decoded)
+        )
+        report = staged.report(later_bytes, clock.times)
+        write_json(out / "report.json", report.to_dict())
         if config.write_timings:
             write_json(out / "timings.json", {"wall_time_s": clock.times})
 
@@ -552,37 +553,21 @@ def run_benchmark(
                 ),
             )
             clock = _StageClock()
-            staged = _propagate_stages(config, clock)
-            peak_bytes = _live_bytes(
-                staged.frames, staged.latents, staged.flows,
-                [r.latent for r in staged.results],
-            )
-            reports.append(staged.report(peak_bytes, clock.times))
+            reports.append(_propagate_stages(config, clock).report(0, clock.times))
     if out_csv is not None:
         write_benchmark_csv(Path(out_csv), reports)
     return reports
 
 
-_CSV_COLUMNS = (
-    "n_frames", "window", "chain_len", "warp_count_guided", "warp_count_sequential",
-    "warp_count_all_pairs", "compose_count", "peak_live_bytes",
-    "chain_s", "flows_s", "propagate_s",
-)
-
-
 def write_benchmark_csv(path: Path, reports: list[BenchmarkReport]) -> None:
+    """One row per report: its ``to_dict`` fields, then each stage's time in
+    seconds as ``<stage>_s``."""
+    rows = [
+        r.to_dict() | {f"{stage}_s": f"{t:.6f}" for stage, t in r.wall_time_s.items()}
+        for r in reports
+    ]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.n_frames, r.window, r.chain_len, r.warp_count_guided,
-                    r.warp_count_sequential, r.warp_count_all_pairs, r.compose_count,
-                    r.peak_live_bytes,
-                    f"{r.wall_time_s.get('chain', 0.0):.6f}",
-                    f"{r.wall_time_s.get('flows', 0.0):.6f}",
-                    f"{r.wall_time_s.get('propagate', 0.0):.6f}",
-                ]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
+        writer.writeheader()
+        writer.writerows(rows)

@@ -114,6 +114,24 @@ class TestPipelineCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["propagate", "--config", str(cfg_path)]) == 2
 
+    def test_malformed_config_exits_2(self, tmp_path):
+        no_canvas = pipeline_config(tmp_path / "run")
+        del no_canvas["canvas"]
+        bad_sampler = pipeline_config(tmp_path / "run", mode_extra={"sampler_stride": 0})
+        bogus_scene = pipeline_config(tmp_path / "run")
+        bogus_scene["scene"]["kind"] = "bogus"
+        cfg_path = tmp_path / "config.json"
+        for command, cfg in (
+            ("propagate", no_canvas),
+            ("propagate", [pipeline_config(tmp_path / "run")]),
+            ("sample", bad_sampler),
+            ("propagate", bogus_scene),
+        ):
+            cfg_path.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(cfg_path), "--seed", "13"]) == 2
+            # rejected before any stage ran
+            assert not (tmp_path / "run").exists()
+
     def test_stage_failure_exits_3(self, tmp_path):
         scene_dir = tmp_path / "scene"
         main(synth_args(scene_dir))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outpaint import propagation
+from outpaint import pipeline, propagation
 from outpaint.grids import CanvasSpec, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
@@ -75,6 +75,29 @@ class TestConfig:
     def test_requires_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             PipelineConfig.from_dict({"canvas": {"orig_h": 4, "orig_w": 4, "canvas_h": 4, "canvas_w": 8, "offset_y": 0, "offset_x": 0}})
+
+    def test_requires_canvas(self):
+        with pytest.raises(ConfigError, match="canvas"):
+            PipelineConfig.from_dict({"seed": 1, "scene": {}})
+
+    @pytest.mark.parametrize(
+        "mode, bad",
+        [
+            ("sample", {"sampler_stride": 0}),
+            ("sample", {"sampler_window": 0}),
+            ("sample", {"sampler_stride": 30}),
+            ("sample", {"timesteps": 0}),
+            ("propagate", {"scene": SceneConfig(kind="bogus")}),
+        ],
+        ids=["stride_0", "window_0", "stride_over_window", "timesteps_0", "bogus_scene"],
+    )
+    def test_values_a_stage_would_reject_fail_first(self, mode, bad):
+        with pytest.raises(ConfigError):
+            pan_config("/tmp/nowhere", mode=mode, **bad)
+
+    def test_propagate_mode_ignores_sampler_fields(self, tmp_path):
+        cfg = pan_config(tmp_path / "run", n_frames=3, sampler_stride=0, timesteps=0)
+        assert run_pipeline(cfg)["status"] == "complete"
 
     def test_scene_xor_inputs(self):
         with pytest.raises(ConfigError, match="scene/inputs"):
@@ -386,16 +409,30 @@ class TestBenchmark:
         reports = run_benchmark(seed=5, n_values=(6,), m_values=(1,), scene_kind="static")
         r = reports[0]
         assert r.chain_len == 6
-        assert r.warp_count_guided == r.warp_count_sequential == r.warp_count_all_pairs
+        assert r.warp_count_guided == r.warp_count_sequential == 6 * 5
 
     def test_ordering_violation_detected(self):
         report = BenchmarkReport(
             n_frames=4, window=2, chain_len=3,
-            warp_count_guided=20, warp_count_sequential=12, warp_count_all_pairs=12,
+            warp_count_guided=20, warp_count_sequential=12,
             compose_count=0, peak_live_bytes=0,
         )
         with pytest.raises(AssertionError, match="ordering"):
             report.verify()
+
+    def test_peak_counts_what_the_shared_stages_hold(self, monkeypatch):
+        staged = []
+        shared = pipeline._propagate_stages
+        monkeypatch.setattr(
+            pipeline, "_propagate_stages", lambda *args: staged.append(shared(*args)) or staged[-1]
+        )
+        [report] = run_benchmark(seed=5, n_values=(6,), m_values=(3,), scene_kind="pan")
+        [held] = staged
+        grids = held.frames + held.gt_expanded + held.latents + [r.latent for r in held.results]
+        flows = held.flows.values()
+        assert report.peak_live_bytes == sum(g.data.nbytes for g in grids) + sum(
+            f.u.nbytes + f.v.nbytes + f.valid.nbytes for f in flows
+        )
 
 
 class TestCyclicPanRedundancy:
