@@ -155,12 +155,7 @@ def _cmd_chain(args) -> int:
         frames = _scene_from_json(args.scene).frames()
     else:
         frames = _load_frames_from_dir(Path(args.frames_dir))
-    chain = build_reference_chain(frames, args.window)
-    payload = {
-        "indices": list(chain.indices),
-        "window": chain.window,
-        "num_frames": chain.num_frames,
-    }
+    payload = asdict(build_reference_chain(frames, args.window))
     if args.out:
         write_json(Path(args.out), payload)
     else:
@@ -203,14 +198,14 @@ def _cmd_bench(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = read_grid(args.ref)
     test = read_grid(args.test)
-    payload = {
+    payload = _json_sanitize({
         "psnr_db": psnr(ref, test, peak=args.peak),
         "ssim": ssim_full(ref, test, dynamic_range=args.peak),
-    }
+    })
     if args.out:
         write_json(Path(args.out), payload)
     else:
-        print(json.dumps(_json_sanitize(payload), sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -6,7 +6,8 @@ target coordinate x on A, the displacement added to x to sample B, i.e.
 out(x) = B(x + F(x)) with bilinear interpolation.  Samples landing exactly
 on the array boundary are in-bounds (the far interpolation corner gets zero
 weight); anything outside invalidates the cell rather than clamping, so no
-content is ever fabricated.
+content is ever fabricated.  A warp gathers its whole (..., H, W) stack, all
+channels of a grid or u and v of a flow, in one bilinear evaluation.
 
 Completion is the harmonic (5-point Laplace) fill of a flow's unknown cells,
 solved exactly: the operator depends only on which cells are known, so it
@@ -47,12 +48,13 @@ def _sample_setup(flow: FlowField, height: int, width: int):
     return _corners(ys + flow.v, xs + flow.u, height, width)
 
 
-def _bilinear(plane: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
+def _bilinear(stack: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
+    """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at once."""
     # incremental form: exact on constant fields and at integer samples
-    a = plane[y0, x0]
-    b = plane[y0, x1]
-    c = plane[y1, x0]
-    d = plane[y1, x1]
+    a = stack[..., y0, x0]
+    b = stack[..., y0, x1]
+    c = stack[..., y1, x0]
+    d = stack[..., y1, x1]
     return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a)
 
 
@@ -66,9 +68,7 @@ def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, Binar
         raise ValueError("flow dims must match source spatial dims")
     y0, x0, y1, x1, fx, fy, inb = _sample_setup(flow, src.height, src.width)
     ok = inb & flow.valid
-    out = np.empty_like(src.data)
-    for c in range(src.channels):
-        out[c] = np.where(ok, _bilinear(src.data[c], y0, x0, y1, x1, fx, fy), 0.0)
+    out = np.where(ok, _bilinear(src.data, y0, x0, y1, x1, fx, fy), 0.0)
     return ChannelGrid(out), BinaryMask(ok)
 
 
@@ -83,10 +83,8 @@ def warp_flow(f: FlowField, through: FlowField) -> FlowField:
     y0, x0, y1, x1, fx, fy, inb = _sample_setup(through, f.height, f.width)
     corners_ok = f.valid[y0, x0] & f.valid[y0, x1] & f.valid[y1, x0] & f.valid[y1, x1]
     ok = inb & through.valid & corners_ok
-    u_src = np.where(f.valid, f.u, 0.0)
-    v_src = np.where(f.valid, f.v, 0.0)
-    u = np.where(ok, _bilinear(u_src, y0, x0, y1, x1, fx, fy), 0.0)
-    v = np.where(ok, _bilinear(v_src, y0, x0, y1, x1, fx, fy), 0.0)
+    uv = np.where(f.valid, np.stack([f.u, f.v]), 0.0)
+    u, v = np.where(ok, _bilinear(uv, y0, x0, y1, x1, fx, fy), 0.0)
     return FlowField(u, v, ok)
 
 
@@ -94,17 +92,13 @@ def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
     """Extend an accumulated flow i->r by a hop r->r' into i->r'.
 
     The hop is resampled through the accumulated flow and added; validity
-    is the intersection.
+    is the intersection, which ``warp_flow`` already forms.
     """
     if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("hop dims must match accumulated flow")
     warped = warp_flow(hop, acc)
-    valid = acc.valid & warped.valid
-    return FlowField(
-        np.where(valid, acc.u + warped.u, 0.0),
-        np.where(valid, acc.v + warped.v, 0.0),
-        valid,
-    )
+    uv = np.where(warped.valid, np.stack([acc.u + warped.u, acc.v + warped.v]), 0.0)
+    return FlowField(*uv, warped.valid)
 
 
 def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:

@@ -10,7 +10,7 @@ bool; the on-disk format stores every plane as 32-bit floats, masks as
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +169,14 @@ class FlowField:
         return cls.constant(height, width, 0.0, 0.0)
 
 
+def check_integer_fields(obj, names) -> None:
+    """ValueError unless each named field of ``obj`` is an integer (48.0 and True are not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CanvasSpec:
     """Geometry binding an original frame to its expanded canvas.
@@ -187,6 +195,7 @@ class CanvasSpec:
     downsample: int = 1
 
     def __post_init__(self):
+        check_integer_fields(self, [f.name for f in fields(self)])
         s = self.downsample
         if min(self.orig_h, self.orig_w, self.canvas_h, self.canvas_w) <= 0:
             raise ValueError("canvas dimensions must be positive")

@@ -14,7 +14,7 @@ import json
 import math
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -26,6 +26,7 @@ from .flow import FlowField, map_flow_to_canvas
 from .grids import (
     CanvasSpec,
     ChannelGrid,
+    check_integer_fields,
     downscale_flow,
     make_outpaint_mask,
     read_grid,
@@ -62,15 +63,11 @@ class SceneConfig:
     delta_x: float = 0.0
     period: int = 4
 
+    def __post_init__(self):
+        check_integer_fields(self, ("world_h", "world_w", "n_frames", "period"))
+
     def trajectory(self) -> TrajectorySpec:
-        return TrajectorySpec(
-            kind=self.kind,
-            start_y=self.start_y,
-            start_x=self.start_x,
-            delta_y=self.delta_y,
-            delta_x=self.delta_x,
-            period=self.period,
-        )
+        return TrajectorySpec(**{f.name: getattr(self, f.name) for f in fields(TrajectorySpec)})
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,8 @@ class PipelineConfig:
             inputs = data.pop("inputs", None)
             return cls(
                 canvas=canvas,
-                scene=SceneConfig(**scene) if scene else None,
-                inputs=InputPaths(**inputs) if inputs else None,
+                scene=SceneConfig(**scene) if scene is not None else None,
+                inputs=InputPaths(**inputs) if inputs is not None else None,
                 **data,
             )
         except (TypeError, ValueError) as exc:
@@ -211,8 +208,9 @@ def _json_sanitize(value):
 
 
 def write_json(path: Path, payload) -> None:
+    """Sorted, indented JSON; a NaN or infinite float raises ValueError."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_json_sanitize(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -418,10 +416,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
         staged = _propagate_stages(config, clock)
         gt_expanded, chain, results = staged.gt_expanded, staged.chain, staged.results
         n = len(staged.frames)
-        write_json(
-            out / "chain.json",
-            {"indices": list(chain.indices), "window": chain.window, "num_frames": n},
-        )
+        write_json(out / "chain.json", asdict(chain))
         prop_dir = out / "propagated"
         for i, res in enumerate(results):
             write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
@@ -488,7 +483,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 }
 
             metrics = clock.run("metrics", compute_metrics)
-            write_json(out / "metrics.json", metrics)
+            write_json(out / "metrics.json", _json_sanitize(metrics))
 
         # on top of what the shared stages hold: the coverage masks, or later
         # the sampled and decoded grids

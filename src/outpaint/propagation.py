@@ -2,14 +2,15 @@
 
 Every frame shares one outpaint mask, that of the latent canvas.  Each frame
 pulls content from chain references, nearest first: a reference's latent and
-its source mask are warped to the target in a single stacked grid-warp, and
-only cells that are still uncovered and whose warped source mask is (near)
-saturated get filled.  Farther references therefore only fill holes the
-nearer ones could not reach, and the frame's own source region is never
-overwritten.  Pulling runs independently toward the past and the future,
-and ``fuse_directions`` merges the two results: doubly covered cells blend
-by inverse temporal distance and credit the nearer direction, the past one
-on a tie.
+its source mask are stacked and warped to the target in one bilinear
+evaluation, and only cells that are still uncovered and whose warped source
+mask is (near) saturated get filled.  Farther references therefore only fill
+holes the nearer ones could not reach, and the frame's own source region is
+never overwritten.  Pulling runs independently toward the past and the
+future, and ``fuse_directions`` merges the two results: doubly covered cells
+blend by inverse temporal distance and credit the nearer direction, the past
+one on a tie.  A result's provenance map is its one record of coverage: a
+cell is covered exactly when the frame that supplied it is >= 0.
 
 Flows are a plain dict keyed by (src, dst) and arrive completed, valid on
 the whole latent canvas; this module never fills them in.  The flow from a
@@ -36,7 +37,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .flow import backward_warp, compose_accumulated
-from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask, place_on_canvas
+from .grids import (
+    BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen, make_outpaint_mask, place_on_canvas,
+)
 from .refselect import ReferenceChain, nearest_refs
 
 # A bilinearly warped source mask counts as covering a cell only when it is
@@ -68,25 +71,26 @@ class PropagationResult:
     """Propagated latent for one frame plus bookkeeping.
 
     ``provenance`` holds the frame index that supplied each covered cell
-    (the frame's own index on its source region, -1 where unfilled).
-    ``useful_pull_count`` counts the pulls that filled at least one cell.
+    (the frame's own index on its source region, -1 where unfilled);
+    ``coverage`` is read from it.  ``useful_pull_count`` counts the pulls
+    that filled at least one cell.
     """
 
     latent: ChannelGrid
-    coverage: BinaryMask
     provenance: np.ndarray
     warp_count: int
     compose_count: int = 0
     useful_pull_count: int = 0
 
     def __post_init__(self):
-        prov = np.array(self.provenance, dtype=np.int32, copy=True)
-        prov.flags.writeable = False
-        object.__setattr__(self, "provenance", prov)
-        if prov.shape != (self.latent.height, self.latent.width):
+        object.__setattr__(self, "provenance", _frozen(self.provenance, np.int32))
+        if self.provenance.shape != (self.latent.height, self.latent.width):
             raise ValueError("provenance shape must match the latent canvas")
-        if (prov[self.coverage.data] < 0).any():
-            raise ValueError("covered cells must have provenance >= 0")
+
+    @property
+    def coverage(self) -> BinaryMask:
+        """The cells some frame supplied: provenance >= 0."""
+        return BinaryMask(self.provenance >= 0)
 
 
 def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[int]:
@@ -129,37 +133,34 @@ def propagate_direction(
     out = latents[i].data.copy()
     # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
     source_mask = 1.0 - mask.data
-    covered = ~mask.data
-    prov = np.full(covered.shape, -1, dtype=np.int32)
-    prov[covered] = i
+    prov = np.full(mask.data.shape, -1, dtype=np.int32)
+    prov[~mask.data] = i
     warp_count = 0
     compose_count = 0
     useful_pull_count = 0
 
     refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
+        uncovered = prov < 0
         if k == 0:
             acc = _completed(flows, i, r)
         else:
             acc = compose_accumulated(acc, _completed(flows, refs[k - 1], r))
             compose_count += 1
             # validity only shrinks under composition: no farther pull can fill a cell
-            if not acc.valid[~covered].any():
+            if not acc.valid[uncovered].any():
                 break
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
         warped, wmask = backward_warp(stacked, acc)
         warp_count += 1
-        warped_source = warped.data[-1]
-        covering = ~covered & wmask.data & (warped_source >= COVERAGE_THRESHOLD)
+        covering = uncovered & wmask.data & (warped.data[-1] >= COVERAGE_THRESHOLD)
         if covering.any():
-            out[:, covering] = warped.data[:-1][:, covering]
+            out[:, covering] = warped.data[:-1, covering]
             prov[covering] = r
-            covered |= covering
             useful_pull_count += 1
 
     return PropagationResult(
         latent=ChannelGrid(out),
-        coverage=BinaryMask(covered),
         provenance=prov,
         warp_count=warp_count,
         compose_count=compose_count,
@@ -183,8 +184,8 @@ def fuse_directions(
         raise ValueError("latent shapes must match")
     if dist_past < 0 or dist_future < 0:
         raise ValueError("distances must be >= 0")
-    cov_p = past.coverage.data
-    cov_f = future.coverage.data
+    cov_p = past.provenance >= 0
+    cov_f = future.provenance >= 0
     f_only = cov_f & ~cov_p
     both = cov_p & cov_f
     w_p = 0.5 if dist_past + dist_future == 0 else dist_future / (dist_past + dist_future)
@@ -199,7 +200,6 @@ def fuse_directions(
         prov[both] = future.provenance[both]
     return PropagationResult(
         latent=ChannelGrid(out),
-        coverage=BinaryMask(cov_p | cov_f),
         provenance=prov,
         warp_count=past.warp_count + future.warp_count,
         compose_count=past.compose_count + future.compose_count,

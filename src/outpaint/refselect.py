@@ -54,10 +54,6 @@ class ReferenceChain:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, i: int) -> bool:
-        pos = bisect_left(self.indices, i)
-        return pos < len(self.indices) and self.indices[pos] == i
-
 
 def to_grayscale(frame: ChannelGrid) -> ScalarGrid:
     """BT.601 luma of an RGB frame with values in [0, 1]."""

@@ -40,6 +40,8 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.kind == "pan_cycle" and self.period < 1:
             raise ValueError("pan_cycle needs period >= 1")
+        if not all(map(math.isfinite, (self.start_y, self.start_x, self.delta_y, self.delta_x))):
+            raise ValueError("trajectory starts and deltas must be finite")
 
     def origins(self, n_frames: int) -> list[tuple[float, float]]:
         out = []
@@ -55,10 +57,11 @@ class TrajectorySpec:
         return out
 
 
-def _bilinear_sample(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # callers sample inside the plane only, so every cell is in bounds
-    y0, x0, y1, x1, fx, fy, _ = _corners(ys, xs, *plane.shape)
-    return _bilinear(plane, y0, x0, y1, x1, fx, fy)
+def _bilinear_sample(stack: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # every (H, W) plane of ``stack`` at once; callers sample inside the
+    # planes only, so every cell is in bounds
+    y0, x0, y1, x1, fx, fy, _ = _corners(ys, xs, *stack.shape[-2:])
+    return _bilinear(stack, y0, x0, y1, x1, fx, fy)
 
 
 def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -107,8 +110,7 @@ class SyntheticScene:
             iy, ix = int(oy), int(ox)
             return ChannelGrid(self.world.data[:, iy : iy + h, ix : ix + w])
         ys, xs = np.mgrid[0:h, 0:w].astype(float)
-        planes = [_bilinear_sample(c, ys + oy, xs + ox) for c in self.world.data]
-        return ChannelGrid(np.stack(planes))
+        return ChannelGrid(_bilinear_sample(self.world.data, ys + oy, xs + ox))
 
     def frame(self, i: int) -> ChannelGrid:
         oy, ox = self.origins[i]

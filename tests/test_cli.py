@@ -120,12 +120,28 @@ class TestPipelineCommands:
         bad_sampler = pipeline_config(tmp_path / "run", mode_extra={"sampler_stride": 0})
         bogus_scene = pipeline_config(tmp_path / "run")
         bogus_scene["scene"]["kind"] = "bogus"
+        float_size = pipeline_config(tmp_path / "run")
+        float_size["canvas"]["orig_h"] = 48.0
+        # an empty scene is a scene (all defaults), so it clashes with inputs
+        empty_scene_and_inputs = pipeline_config(tmp_path / "run")
+        empty_scene_and_inputs["scene"] = {}
+        empty_scene_and_inputs["inputs"] = {
+            "frames_dir": str(tmp_path / "frames"), "flows_dir": str(tmp_path / "flows"),
+        }
+        float_frames = pipeline_config(tmp_path / "run")
+        float_frames["scene"]["n_frames"] = 4.0
+        nan_start = pipeline_config(tmp_path / "run")
+        nan_start["scene"]["start_x"] = float("nan")
         cfg_path = tmp_path / "config.json"
         for command, cfg in (
             ("propagate", no_canvas),
             ("propagate", [pipeline_config(tmp_path / "run")]),
             ("sample", bad_sampler),
             ("propagate", bogus_scene),
+            ("propagate", float_size),
+            ("propagate", empty_scene_and_inputs),
+            ("propagate", float_frames),
+            ("propagate", nan_start),
         ):
             cfg_path.write_text(json.dumps(cfg))
             assert main([command, "--config", str(cfg_path), "--seed", "13"]) == 2

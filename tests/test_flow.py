@@ -82,6 +82,20 @@ class TestBackwardWarp:
         with pytest.raises(ValueError):
             backward_warp(rand_grid(0), FlowField.zero(5, 8))
 
+    def test_channels_warp_as_one_stack(self):
+        # fractional, varying flow with invalid cells and out-of-bounds samples
+        rng = np.random.default_rng(4)
+        flow = FlowField(
+            rng.uniform(-2.5, 2.5, (6, 8)), rng.uniform(-2.5, 2.5, (6, 8)), rng.random((6, 8)) > 0.2
+        )
+        src = rand_grid(5, c=4)
+        out, mask = backward_warp(src, flow)
+        singles = [backward_warp(ChannelGrid(plane[None]), flow) for plane in src.data]
+        assert np.array_equal(out.data, np.concatenate([o.data for o, _ in singles]))
+        for _, m in singles:
+            assert np.array_equal(mask.data, m.data)
+        assert mask.data.any() and not mask.data.all()
+
     @given(du=st.integers(-3, 3), dv=st.integers(-3, 3))
     @settings(max_examples=30, deadline=None)
     def test_integer_inverse_consistency(self, du, dv):

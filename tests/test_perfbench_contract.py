@@ -43,3 +43,26 @@ def test_report_holds_the_keys_perfbench_reads(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(REPORT_KEYS) <= set(report)
     assert "wall_time_s" in json.loads((tmp_path / "timings.json").read_text())
+
+
+def test_traced_counts_match_the_report(tracing, tmp_path):
+    # perfbench reads useful pulls from propagate_direction's provenance and
+    # pulls and composes from the calls it wraps; the report counts them in
+    # the code that does the work
+    config = PipelineConfig(
+        seed=5,
+        canvas=CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2),
+        scene=SceneConfig(n_frames=8, kind="pan", start_y=24.0, start_x=16.0, delta_x=2.0),
+        out_dir=str(tmp_path),
+    )
+    tracer = tracing.Tracer(memory=False)
+    tracer.install()
+    try:
+        run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    traced = tracer.metrics()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert traced["propagation.useful_pulls"] == report["useful_pull_count"] > 0
+    assert traced["flow.backward_warp.calls"] == report["warp_count_guided"]
+    assert traced["flow.compose_accumulated.calls"] == report["compose_count"] > 0

@@ -16,6 +16,7 @@ from outpaint.pipeline import (
     StageError,
     run_benchmark,
     run_pipeline,
+    write_json,
 )
 from outpaint.propagation import required_flow_pairs
 from outpaint.refselect import build_reference_chain, fixed_stride_chain, ssim_structure_score, to_grayscale
@@ -433,6 +434,15 @@ class TestBenchmark:
         assert report.peak_live_bytes == sum(g.data.nbytes for g in grids) + sum(
             f.u.nbytes + f.v.nbytes + f.valid.nbytes for f in flows
         )
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out" / "payload.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"per_frame": [{"psnr": value}]})
+        assert not path.exists()
 
 
 class TestCyclicPanRedundancy:

@@ -32,13 +32,12 @@ def const_grid(value, c=1, h=1, w=8):
     return ChannelGrid(np.full((c, h, w), float(value)))
 
 
-def directional(value, coverage, ref):
-    """A 2x2 one-direction result holding ``value``, filled from frame
-    ``ref`` wherever ``coverage`` is 1."""
-    cov = np.asarray(coverage, dtype=float)
-    return PropagationResult(
-        const_grid(value, h=2, w=2), BinaryMask(cov), np.where(cov == 1.0, ref, -1), warp_count=1
-    )
+def directional(value, covered, ref):
+    """A 2x2 one-direction result holding ``value`` on every cell, filled
+    from frame ``ref`` wherever ``covered`` is 1: its provenance is the only
+    record of which cells it covers."""
+    prov = np.where(np.asarray(covered) == 1, ref, -1)
+    return PropagationResult(const_grid(value, h=2, w=2), prov, warp_count=1)
 
 
 class TestFuseBaseline:
@@ -80,6 +79,16 @@ class TestFuseBaseline:
         assert np.array_equal(out.provenance, [[self.PAST, self.FUTURE], [-1, -1]])
         assert np.array_equal(out.coverage.data, [[1.0, 1.0], [0.0, 0.0]])
         assert out.warp_count == 2
+
+    def test_coverage_comes_from_provenance(self):
+        # each direction holds a value on every cell but covers only where its
+        # provenance is >= 0: past-only, doubly covered, future-only, neither
+        past = directional(2.0, [[1.0, 1.0], [0.0, 0.0]], self.PAST)
+        future = directional(6.0, [[0.0, 1.0], [1.0, 0.0]], self.FUTURE)
+        out = fuse_directions(past, future, 1, 1)
+        assert np.array_equal(out.provenance, [[self.PAST, self.PAST], [self.FUTURE, -1]])
+        assert np.array_equal(out.coverage.data, [[True, True], [True, False]])
+        assert np.array_equal(out.latent.data[0][out.coverage.data], [2.0, 4.0, 6.0])
 
 
 def strip_world(num_frames=5, width=8, src=(3, 6)):
@@ -139,11 +148,14 @@ class TestPropagateDirection:
 
 
 class TestPropagationResult:
-    def test_coverage_requires_provenance(self):
-        latent = const_grid(0.0, h=2, w=2)
-        cov = BinaryMask(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            PropagationResult(latent, cov, np.full((2, 2), -1), warp_count=0)
+    def test_coverage_is_read_from_provenance(self):
+        res = PropagationResult(const_grid(0.0, h=2, w=2), [[-1, 0], [3, -1]], warp_count=0)
+        assert np.array_equal(res.coverage.data, [[False, True], [True, False]])
+        with pytest.raises(TypeError):
+            PropagationResult(
+                const_grid(0.0, h=2, w=2), [[-1, 0], [3, -1]], warp_count=0,
+                coverage=BinaryMask(np.ones((2, 2))),
+            )
 
 
 class TestPropagateSequence:
