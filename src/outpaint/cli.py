@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .grids import CanvasSpec, GridFormatError, read_grid, write_grid
+from .grids import CanvasSpec, read_grid, write_grid
 from .metrics import psnr, ssim_full
 from .pipeline import (
     BENCH_M_VALUES,
@@ -142,12 +142,15 @@ def _cmd_synth(args) -> int:
 
 def _scene_from_json(path: str):
     raw = json.loads(Path(path).read_text())
-    spec = CanvasSpec(**raw["canvas"])
-    traj = TrajectorySpec(**raw["trajectory"])
-    return generate_scene(
-        raw["seed"], raw["world_h"], raw["world_w"], raw["crop_h"], raw["crop_w"],
-        raw["n_frames"], traj, spec,
-    )
+    try:
+        spec = CanvasSpec(**raw["canvas"])
+        traj = TrajectorySpec(**raw["trajectory"])
+        return generate_scene(
+            raw["seed"], raw["world_h"], raw["world_w"], raw["crop_h"], raw["crop_w"],
+            raw["n_frames"], traj, spec,
+        )
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a scene description: {exc!r}") from exc
 
 
 def _cmd_chain(args) -> int:
@@ -229,7 +232,8 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GridFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    # ConfigError, GridFormatError and json.JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -35,7 +35,9 @@ from .grids import (
 from .metrics import psnr, psnr_masked, ssim_full
 from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
 from .refselect import ReferenceChain, build_reference_chain
-from .synthetic import TrajectorySpec, generate_scene, stand_in_decode, stand_in_encode
+from .synthetic import (
+    TrajectorySpec, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
+)
 
 
 class ConfigError(ValueError):
@@ -108,7 +110,9 @@ class PipelineConfig:
             if self.denoiser != "oracle":
                 resolve_denoiser(self.denoiser)
             if self.scene is not None:
-                self.scene.trajectory()
+                scene = self.scene
+                origins = scene.trajectory().origins(scene.n_frames)
+                check_in_world(origins, self.canvas, scene.world_h, scene.world_w)
             if self.mode == "sample":
                 make_schedule(self.timesteps)
                 plan_windows(1, self.sampler_window, self.sampler_stride)
@@ -178,23 +182,9 @@ class BenchmarkReport:
         return data
 
 
-def _grid_bytes(obj) -> int:
-    if isinstance(obj, FlowField):
-        return obj.u.nbytes + obj.v.nbytes + obj.valid.nbytes
-    if hasattr(obj, "data"):
-        return obj.data.nbytes
-    return 0
-
-
-def _live_bytes(*collections) -> int:
-    total = 0
-    for coll in collections:
-        if coll is None:
-            continue
-        values = coll.values() if hasattr(coll, "values") else coll
-        for item in values:
-            total += _grid_bytes(item)
-    return total
+def _nbytes(grids) -> int:
+    """Bytes of the array fields of every grid dataclass in ``grids``."""
+    return sum(getattr(g, f.name).nbytes for g in grids for f in fields(g))
 
 
 def _json_sanitize(value):
@@ -301,27 +291,22 @@ class _StageClock:
 
 
 class _Propagated(NamedTuple):
-    """What the shared stages leave for the rest of a run."""
+    """What the shared stages leave for the rest of a run: only what a later
+    stage reads, and ``shared_bytes``, the grid bytes they held at their
+    widest point."""
 
-    frames: list[ChannelGrid]
     gt_expanded: list[ChannelGrid] | None
     chain: ReferenceChain
-    flows: dict[tuple[int, int], FlowField]
     completion_max_residual: float
-    latents: list[ChannelGrid]
     results: list[PropagationResult]
+    shared_bytes: int
 
-    def report(self, later_live_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
+    def report(self, later_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
         """Operation counts of the run, checked for the warp-count ordering.
 
-        The peak estimate is the bytes of every grid the shared stages hold
-        for the whole run plus ``later_live_bytes``, the peak of what the
-        caller's later stages add."""
-        n = len(self.frames)
-        held = _live_bytes(
-            self.frames, self.gt_expanded, self.flows, self.latents,
-            [r.latent for r in self.results],
-        )
+        The peak estimate is the larger of ``shared_bytes`` and
+        ``later_bytes``, the grid bytes the caller's later stages hold."""
+        n = len(self.results)
         report = BenchmarkReport(
             n_frames=n,
             window=self.chain.window,
@@ -330,7 +315,7 @@ class _Propagated(NamedTuple):
             # dense per-frame accumulation pulls every other frame
             warp_count_sequential=n * (n - 1),
             compose_count=sum(r.compose_count for r in self.results),
-            peak_live_bytes=held + later_live_bytes,
+            peak_live_bytes=max(self.shared_bytes, later_bytes),
             useful_pull_count=sum(r.useful_pull_count for r in self.results),
             completion_max_residual=self.completion_max_residual,
             wall_time_s=dict(wall_time_s),
@@ -341,7 +326,8 @@ class _Propagated(NamedTuple):
 
 def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated:
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
-    completed on the latent canvas, encode, propagate."""
+    completed on the latent canvas, encode, propagate.  The frames, flows
+    and unplaced latents are freed when it returns."""
     spec = config.canvas
     s = spec.downsample
     latent = spec.latent()
@@ -367,7 +353,9 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     flows, residual = clock.run("flows", build_flows)
     latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
     results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
-    return _Propagated(frames, gt_expanded, chain, flows, residual, latents, results)
+    held = frames + (gt_expanded or []) + list(flows.values()) + latents
+    shared_bytes = _nbytes(held + [r.latent for r in results])
+    return _Propagated(gt_expanded, chain, residual, results, shared_bytes)
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -415,7 +403,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     try:
         staged = _propagate_stages(config, clock)
         gt_expanded, chain, results = staged.gt_expanded, staged.chain, staged.results
-        n = len(staged.frames)
+        n = len(results)
         write_json(out / "chain.json", asdict(chain))
         prop_dir = out / "propagated"
         for i, res in enumerate(results):
@@ -485,12 +473,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             metrics = clock.run("metrics", compute_metrics)
             write_json(out / "metrics.json", _json_sanitize(metrics))
 
-        # on top of what the shared stages hold: the coverage masks, or later
-        # the sampled and decoded grids
-        later_bytes = max(
-            _live_bytes([r.coverage for r in results]), _live_bytes(sampled, decoded)
-        )
-        report = staged.report(later_bytes, clock.times)
+        later = (gt_expanded or []) + [r.latent for r in results] + (sampled or []) + decoded
+        report = staged.report(_nbytes(later), clock.times)
         write_json(out / "report.json", report.to_dict())
         if config.write_timings:
             write_json(out / "timings.json", {"wall_time_s": clock.times})

@@ -57,6 +57,21 @@ class TrajectorySpec:
         return out
 
 
+def check_in_world(origins, spec: CanvasSpec, world_h: int, world_w: int) -> None:
+    """Raise ValueError unless ``origins`` holds at least one frame and the
+    expanded canvas of every frame lies inside a world_h x world_w world."""
+    if not origins:
+        raise ValueError("need at least one frame")
+    for oy, ox in origins:
+        ey = oy - spec.offset_y
+        ex = ox - spec.offset_x
+        if ey < 0 or ex < 0 or ey + spec.canvas_h > world_h or ex + spec.canvas_w > world_w:
+            raise ValueError(
+                f"trajectory escapes world: expanded crop at ({ey}, {ex}) "
+                f"with size {spec.canvas_h}x{spec.canvas_w}"
+            )
+
+
 def _bilinear_sample(stack: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # every (H, W) plane of ``stack`` at once; callers sample inside the
     # planes only, so every cell is in bounds
@@ -91,15 +106,7 @@ class SyntheticScene:
 
     def __post_init__(self):
         object.__setattr__(self, "origins", tuple((float(y), float(x)) for y, x in self.origins))
-        wh, ww = self.world.height, self.world.width
-        for oy, ox in self.origins:
-            ey = oy - self.spec.offset_y
-            ex = ox - self.spec.offset_x
-            if ey < 0 or ex < 0 or ey + self.spec.canvas_h > wh or ex + self.spec.canvas_w > ww:
-                raise ValueError(
-                    f"trajectory escapes world: expanded crop at ({ey}, {ex}) "
-                    f"with size {self.spec.canvas_h}x{self.spec.canvas_w}"
-                )
+        check_in_world(self.origins, self.spec, self.world.height, self.world.width)
 
     @property
     def num_frames(self) -> int:
@@ -145,8 +152,6 @@ def generate_scene(
     spec: CanvasSpec,
 ) -> SyntheticScene:
     """Build a scene whose world is fully determined by ``seed``."""
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
     if (crop_h, crop_w) != (spec.orig_h, spec.orig_w):
         raise ValueError("crop size must match the canvas spec's original size")
     rng = seeded_generator(seed, "world")

@@ -132,6 +132,11 @@ class TestPipelineCommands:
         float_frames["scene"]["n_frames"] = 4.0
         nan_start = pipeline_config(tmp_path / "run")
         nan_start["scene"]["start_x"] = float("nan")
+        # every default: the crop starts at (0, 0), so the band leaves the world
+        escaping_scene = pipeline_config(tmp_path / "run")
+        escaping_scene["scene"] = {}
+        no_frames = pipeline_config(tmp_path / "run")
+        no_frames["scene"]["n_frames"] = 0
         cfg_path = tmp_path / "config.json"
         for command, cfg in (
             ("propagate", no_canvas),
@@ -142,6 +147,8 @@ class TestPipelineCommands:
             ("propagate", empty_scene_and_inputs),
             ("propagate", float_frames),
             ("propagate", nan_start),
+            ("propagate", escaping_scene),
+            ("propagate", no_frames),
         ):
             cfg_path.write_text(json.dumps(cfg))
             assert main([command, "--config", str(cfg_path), "--seed", "13"]) == 2
@@ -189,6 +196,37 @@ class TestBenchCommand:
         payload = json.loads((tmp_path / "bench" / "benchmark.json").read_text())
         assert len(payload) == 2
         assert all("wall_time_s" in cell for cell in payload)
+
+
+    def test_bench_without_frames_exits_2(self, tmp_path):
+        assert main(["bench", "--seed", "1", "--out-dir", str(tmp_path / "bench"), "--n", "0"]) == 2
+        assert not (tmp_path / "bench").exists()
+
+
+SCENE_EDITS = {
+    "no canvas": lambda raw: raw.pop("canvas"),
+    "unknown trajectory key": lambda raw: raw["trajectory"].update(speed=1.0),
+    "float n_frames": lambda raw: raw.update(n_frames=4.0),
+}
+
+
+@pytest.mark.parametrize("case", [*SCENE_EDITS, "--scene dir", "--config dir", "--ref dir"])
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    main(synth_args(tmp_path / "scene"))
+    scene_json = tmp_path / "scene" / "scene.json"
+    frame = str(tmp_path / "scene" / "frames" / "frame_0000.s2sg")
+    argv = {
+        "--scene dir": ["chain", "--scene", str(tmp_path)],
+        "--config dir": ["propagate", "--config", str(tmp_path)],
+        "--ref dir": ["metrics", "--ref", str(tmp_path), "--test", frame],
+    }.get(case)
+    if argv is None:
+        raw = json.loads(scene_json.read_text())
+        SCENE_EDITS[case](raw)
+        scene_json.write_text(json.dumps(raw))
+        argv = ["chain", "--scene", str(scene_json)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMetricsCommand:

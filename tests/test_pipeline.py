@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from outpaint.pipeline import (
     write_json,
 )
 from outpaint.propagation import required_flow_pairs
-from outpaint.refselect import build_reference_chain, fixed_stride_chain, ssim_structure_score, to_grayscale
+from outpaint.refselect import ReferenceChain, build_reference_chain, fixed_stride_chain, ssim_structure_score, to_grayscale
 from outpaint.synthetic import generate_scene, stand_in_encode
 
 
@@ -429,11 +431,52 @@ class TestBenchmark:
         )
         [report] = run_benchmark(seed=5, n_values=(6,), m_values=(3,), scene_kind="pan")
         [held] = staged
-        grids = held.frames + held.gt_expanded + held.latents + [r.latent for r in held.results]
-        flows = held.flows.values()
-        assert report.peak_live_bytes == sum(g.data.nbytes for g in grids) + sum(
-            f.u.nbytes + f.v.nbytes + f.valid.nbytes for f in flows
+        # 16x16 frames on a 16x32 canvas at s=2: frames, ground truth,
+        # latents and placed latents (3 float64 planes), and flows on the
+        # latent canvas (float64 u and v, bool valid)
+        grid_bytes = 6 * 3 * 8 * (16 * 16 + 16 * 32 + 8 * 8 + 8 * 16)
+        flow_bytes = len(required_flow_pairs(held.chain, 6)) * 8 * 16 * (8 + 8 + 1)
+        assert report.peak_live_bytes == grid_bytes + flow_bytes
+
+    def test_shared_stages_free_what_no_later_stage_reads(self, tmp_path, monkeypatch):
+        refs = []
+
+        def track(fn):
+            def tracked(*args):
+                out = fn(*args)
+                # _load_inputs returns the frames first; the others one grid
+                refs.extend(map(weakref.ref, out[0] if isinstance(out, tuple) else [out]))
+                return out
+            return tracked
+
+        monkeypatch.setattr(pipeline, "_load_inputs", track(pipeline._load_inputs))
+        monkeypatch.setattr(pipeline, "stand_in_encode", track(pipeline.stand_in_encode))
+        completion = pipeline._flow.complete_flow_laplacian
+        monkeypatch.setattr(pipeline._flow, "complete_flow_laplacian", track(completion))
+        staged = pipeline._propagate_stages(pan_config(tmp_path, n_frames=6), pipeline._StageClock())
+        gc.collect()
+        # the frames, the unplaced latents and the completed flows
+        assert len(refs) == 6 + 6 + len(required_flow_pairs(staged.chain, 6))
+        assert [ref for ref in refs if ref() is not None] == []
+        assert len(staged.results) == 6
+
+    @pytest.mark.parametrize(
+        "mode, n_frames, later_wins", [("propagate", 16, False), ("sample", 6, True)]
+    )
+    def test_run_peak_is_the_larger_phase(self, tmp_path, mode, n_frames, later_wins):
+        run_pipeline(pan_config(tmp_path, mode=mode, n_frames=n_frames, timesteps=5))
+        report = json.loads((tmp_path / "report.json").read_text())
+        chain = ReferenceChain(**json.loads((tmp_path / "chain.json").read_text()))
+        # 48x48 frames on a 48x64 canvas at s=2, 3 float64 planes per grid
+        frame, canvas, latent, placed = (
+            n_frames * 3 * 8 * cells for cells in (48 * 48, 48 * 64, 24 * 24, 24 * 32)
         )
+        flows = len(required_flow_pairs(chain, n_frames)) * 24 * 32 * (8 + 8 + 1)
+        shared = frame + canvas + flows + latent + placed
+        # ground truth, placed latents, sampled latents, decoded frames
+        later = canvas + placed + (placed if mode == "sample" else 0) + canvas
+        assert (later > shared) == later_wins
+        assert report["peak_live_bytes"] == max(shared, later)
 
 
 class TestWriteJson:
