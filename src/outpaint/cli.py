@@ -1,9 +1,11 @@
 """Command-line driver.
 
-Subcommands: synth (generate a synthetic scene), chain (emit the reference
-chain), propagate (propagation-only pipeline), sample (pipeline with
-diffusion sampling), bench (operation-count benchmark grid), metrics
-(compare two grid files).
+Subcommands: synth (write a config's synthetic scene to disk), chain (emit
+the reference chain of a frame directory or of a config's input frames),
+propagate (propagation-only pipeline), sample (pipeline with diffusion
+sampling), bench (operation-count benchmark grid), metrics (compare two
+grid files).  synth, chain, propagate and sample read one pipeline config,
+the only description of a run's inputs; their flags override its fields.
 
 Exit codes: 0 success, 2 configuration/input error, 3 stage failure.
 """
@@ -16,7 +18,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .grids import CanvasSpec, read_grid, write_grid
+from .grids import read_grid, write_grid
 from .metrics import psnr, ssim_full
 from .pipeline import (
     BENCH_M_VALUES,
@@ -26,62 +28,39 @@ from .pipeline import (
     StageError,
     _json_sanitize,
     _load_frames_from_dir,
+    _load_inputs,
     run_benchmark,
     run_pipeline,
     write_json,
 )
 from .refselect import build_reference_chain
-from .synthetic import TrajectorySpec, generate_scene
-
-
-def _canvas_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--crop-h", type=int, default=48)
-    parser.add_argument("--crop-w", type=int, default=48)
-    parser.add_argument("--canvas-h", type=int, default=48)
-    parser.add_argument("--canvas-w", type=int, default=64)
-    parser.add_argument("--offset-y", type=int, default=0)
-    parser.add_argument("--offset-x", type=int, default=16)
-    parser.add_argument("--downsample", type=int, default=2)
-
-
-def _scene_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--world-h", type=int, default=96)
-    parser.add_argument("--world-w", type=int, default=96)
-    parser.add_argument("--frames", type=int, default=16)
-    parser.add_argument("--trajectory", choices=("static", "pan", "pan_cycle"), default="pan")
-    parser.add_argument("--start-y", type=float, default=24.0)
-    parser.add_argument("--start-x", type=float, default=16.0)
-    parser.add_argument("--delta-y", type=float, default=0.0)
-    parser.add_argument("--delta-x", type=float, default=2.0)
-    parser.add_argument("--period", type=int, default=4)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="outpaint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic scene to disk")
-    p_synth.add_argument("--seed", type=int, required=True)
-    p_synth.add_argument("--out", required=True)
-    _scene_args(p_synth)
-    _canvas_args(p_synth)
+    p_synth = sub.add_parser("synth", help="write a config's synthetic scene to disk")
+    p_synth.add_argument("--config", required=True)
+    p_synth.add_argument("--out", required=True, help="scene directory")
+    p_synth.add_argument("--seed", type=int)
 
     p_chain = sub.add_parser("chain", help="emit the reference chain as JSON")
     src = p_chain.add_mutually_exclusive_group(required=True)
     src.add_argument("--frames-dir", help="directory of frame_*.s2sg files")
-    src.add_argument("--scene", help="scene.json produced by synth")
-    p_chain.add_argument("--window", type=int, default=4)
+    src.add_argument("--config", help="pipeline config whose input frames to read")
+    p_chain.add_argument("--window", type=int, help="overrides the config's (default 4)")
     p_chain.add_argument("--out", help="output file (stdout when omitted)")
 
     p_prop = sub.add_parser("propagate", help="run the propagation-only pipeline")
     p_prop.add_argument("--config", required=True)
     p_prop.add_argument("--seed", type=int)
-    p_prop.add_argument("--out", help="override the configured out_dir")
+    p_prop.add_argument("--out", dest="out_dir", help="override the configured out_dir")
 
     p_sample = sub.add_parser("sample", help="run the pipeline with diffusion sampling")
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--out", help="override the configured out_dir")
+    p_sample.add_argument("--out", dest="out_dir", help="override the configured out_dir")
 
     p_bench = sub.add_parser("bench", help="run the operation-count benchmark grid")
     p_bench.add_argument("--seed", type=int, required=True)
@@ -99,83 +78,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args, mode: str) -> PipelineConfig:
+    """The config file ``args.config`` in ``mode``, with the ``seed``,
+    ``window`` and ``out_dir`` the command's flags set."""
+    raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config} does not hold a JSON object")
+    raw["mode"] = mode
+    for key in ("seed", "window", "out_dir"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    return PipelineConfig.from_dict(raw)
+
+
 def _cmd_synth(args) -> int:
-    spec = CanvasSpec(
-        args.crop_h, args.crop_w, args.canvas_h, args.canvas_w,
-        args.offset_y, args.offset_x, args.downsample,
-    )
-    traj = TrajectorySpec(
-        kind=args.trajectory,
-        start_y=args.start_y, start_x=args.start_x,
-        delta_y=args.delta_y, delta_x=args.delta_x,
-        period=args.period,
-    )
-    scene = generate_scene(
-        args.seed, args.world_h, args.world_w, args.crop_h, args.crop_w,
-        args.frames, traj, spec,
-    )
+    config = _load_config(args, "propagate")
+    if config.scene is None:
+        raise ConfigError(f"{args.config} describes no synthetic scene")
+    scene = config.scene.build(config.seed, config.canvas)
     out = Path(args.out)
-    write_grid_dir = out / "frames"
-    gt_dir = out / "gt"
-    write_grid_dir.mkdir(parents=True, exist_ok=True)
-    gt_dir.mkdir(parents=True, exist_ok=True)
     write_grid(out / "world.s2sg", scene.world)
     for i in range(scene.num_frames):
-        write_grid(write_grid_dir / f"frame_{i:04d}.s2sg", scene.frame(i))
-        write_grid(gt_dir / f"gt_{i:04d}.s2sg", scene.gt_expanded(i))
-    write_json(
-        out / "scene.json",
-        {
-            "seed": args.seed,
-            "world_h": args.world_h,
-            "world_w": args.world_w,
-            "crop_h": args.crop_h,
-            "crop_w": args.crop_w,
-            "n_frames": args.frames,
-            "trajectory": asdict(traj),
-            "canvas": asdict(spec),
-        },
-    )
+        write_grid(out / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
+        write_grid(out / "gt" / f"gt_{i:04d}.s2sg", scene.gt_expanded(i))
+    write_json(out / "config.json", config.to_dict())
     print(f"scene written to {out}")
     return 0
 
 
-def _scene_from_json(path: str):
-    raw = json.loads(Path(path).read_text())
-    try:
-        spec = CanvasSpec(**raw["canvas"])
-        traj = TrajectorySpec(**raw["trajectory"])
-        return generate_scene(
-            raw["seed"], raw["world_h"], raw["world_w"], raw["crop_h"], raw["crop_w"],
-            raw["n_frames"], traj, spec,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path} is not a scene description: {exc!r}") from exc
-
-
 def _cmd_chain(args) -> int:
-    if args.scene:
-        frames = _scene_from_json(args.scene).frames()
+    if args.config:
+        config = _load_config(args, "propagate")
+        frames, window = _load_inputs(config)[0], config.window
     else:
         frames = _load_frames_from_dir(Path(args.frames_dir))
-    payload = asdict(build_reference_chain(frames, args.window))
+        window = PipelineConfig.window if args.window is None else args.window
+    payload = asdict(build_reference_chain(frames, window))
     if args.out:
         write_json(Path(args.out), payload)
     else:
         print(json.dumps(payload, sort_keys=True))
     return 0
-
-
-def _load_config(args, mode: str) -> PipelineConfig:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config} does not hold a JSON object")
-    raw["mode"] = mode
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "out", None):
-        raw["out_dir"] = args.out
-    return PipelineConfig.from_dict(raw)
 
 
 def _cmd_pipeline(args, mode: str) -> int:

@@ -71,14 +71,16 @@ class NoiseSchedule:
         )
 
 
-def make_schedule(timesteps: int, beta_first: float = 1e-4, beta_last: float = 0.02) -> NoiseSchedule:
-    """Linear beta schedule over ``timesteps`` steps, from ``beta_first`` at
-    timestep 1 to ``beta_last`` at timestep T."""
+BETA_FIRST = 1e-4
+BETA_LAST = 0.02
+
+
+def make_schedule(timesteps: int) -> NoiseSchedule:
+    """Linear beta schedule over ``timesteps`` steps, from ``BETA_FIRST`` at
+    timestep 1 to ``BETA_LAST`` at timestep T."""
     if timesteps < 1:
         raise ValueError("need at least one timestep")
-    if not 0.0 < beta_first <= beta_last < 1.0:
-        raise ValueError("need 0 < beta_first <= beta_last < 1")
-    return NoiseSchedule(np.linspace(beta_first, beta_last, timesteps))
+    return NoiseSchedule(np.linspace(BETA_FIRST, BETA_LAST, timesteps))
 
 
 def forward_noise(

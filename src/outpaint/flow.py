@@ -9,11 +9,11 @@ weight); anything outside invalidates the cell rather than clamping, so no
 content is ever fabricated.  A warp gathers its whole (..., H, W) stack, all
 channels of a grid or u and v of a flow, in one bilinear evaluation.
 
-Completion is the harmonic (5-point Laplace) fill of a flow's unknown cells,
-solved exactly: the operator depends only on which cells are known, so it
-is factored once per known-cell mask (block LDL^T over canvas rows), and
-each flow sharing that mask costs one forward and one backward block sweep.
-There is no tolerance or iteration count.
+Completion is the harmonic (5-point Laplace) fill of a flow's invalid
+cells, solved exactly: the operator depends only on which cells are valid,
+so it is factored once per validity mask (block LDL^T over canvas rows),
+and each flow sharing that mask costs one forward and one backward block
+sweep.  There is no tolerance or iteration count.
 """
 
 from __future__ import annotations
@@ -186,25 +186,22 @@ def _solve_laplace(rows, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def complete_flow_laplacian(flow: FlowField, missing: BinaryMask) -> FlowField:
-    """Harmonic extension of a flow over its missing region.
+def complete_flow_laplacian(flow: FlowField) -> FlowField:
+    """Harmonic extension of a flow over its invalid cells.
 
-    Solves the 5-point Laplace equation on the unknown cells (missing or
-    invalid), with the known cells as Dirichlet data and a Neumann canvas
-    border (each cell averages only its in-canvas neighbours).  The solve is
-    direct: the operator depends only on the known-cell mask, so its block
-    factor is built once per mask and cached, and u and v are solved
-    together.  A plane whose known data is constant is filled with that
-    constant exactly.  Known cells are returned bit-identical; the output is
-    valid everywhere.
+    Solves the 5-point Laplace equation on the invalid cells, with the valid
+    cells as Dirichlet data and a Neumann canvas border (each cell averages
+    only its in-canvas neighbours).  The solve is direct: the operator
+    depends only on the known-cell mask, so its block factor is built once
+    per mask and cached, and u and v are solved together.  A plane whose
+    known data is constant is filled with that constant exactly.  Valid
+    cells are returned bit-identical; the output is valid everywhere.
     """
-    if (flow.height, flow.width) != (missing.height, missing.width):
-        raise ValueError("missing mask dims must match the flow")
-    known = ~missing.data & flow.valid
+    known = flow.valid
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
     if known.all():
-        return FlowField(flow.u, flow.v, np.ones_like(flow.valid))
+        return flow
     planes = [np.where(known, p, p[known][0]) for p in (flow.u, flow.v)]
     varying = [p for p in planes if np.ptp(p[known]) != 0.0]
     if varying:

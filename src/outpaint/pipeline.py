@@ -28,7 +28,6 @@ from .grids import (
     ChannelGrid,
     check_integer_fields,
     downscale_flow,
-    make_outpaint_mask,
     read_grid,
     write_grid,
 )
@@ -36,7 +35,8 @@ from .metrics import psnr, psnr_masked, ssim_full
 from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
 from .refselect import ReferenceChain, build_reference_chain
 from .synthetic import (
-    TrajectorySpec, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
+    SyntheticScene, TrajectorySpec, check_in_world, generate_scene, stand_in_decode,
+    stand_in_encode,
 )
 
 
@@ -71,6 +71,13 @@ class SceneConfig:
     def trajectory(self) -> TrajectorySpec:
         return TrajectorySpec(**{f.name: getattr(self, f.name) for f in fields(TrajectorySpec)})
 
+    def build(self, seed: int, spec: CanvasSpec) -> SyntheticScene:
+        """The scene this describes, its world drawn from ``seed``, seen through ``spec``."""
+        return generate_scene(
+            seed, self.world_h, self.world_w, spec.orig_h, spec.orig_w,
+            self.n_frames, self.trajectory(), spec,
+        )
+
 
 @dataclass(frozen=True)
 class InputPaths:
@@ -99,14 +106,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in ("propagate", "sample"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
         if (self.scene is None) == (self.inputs is None):
             raise ConfigError("exactly one of scene/inputs must be given")
         if self.denoiser == "oracle" and self.scene is None:
             raise ConfigError("oracle denoiser needs a synthetic scene")
         # the checks the stages would make, so a bad value fails before any work
         try:
+            check_integer_fields(self, ("seed", "window"))
+            if self.seed < 0 or self.window < 1:
+                raise ValueError(f"need seed >= 0 and window >= 1, got {self.seed} and {self.window}")
             if self.denoiser != "oracle":
                 resolve_denoiser(self.denoiser)
             if self.scene is not None:
@@ -114,6 +122,7 @@ class PipelineConfig:
                 origins = scene.trajectory().origins(scene.n_frames)
                 check_in_world(origins, self.canvas, scene.world_h, scene.world_w)
             if self.mode == "sample":
+                check_integer_fields(self, ("timesteps", "sampler_window", "sampler_stride"))
                 make_schedule(self.timesteps)
                 plan_windows(1, self.sampler_window, self.sampler_stride)
         except (TypeError, ValueError) as exc:
@@ -244,16 +253,7 @@ def _load_inputs(config: PipelineConfig):
     a function giving the pixel flow for a pair (a, b)."""
     spec = config.canvas
     if config.scene is not None:
-        scene = generate_scene(
-            seed=config.seed,
-            world_h=config.scene.world_h,
-            world_w=config.scene.world_w,
-            crop_h=spec.orig_h,
-            crop_w=spec.orig_w,
-            n_frames=config.scene.n_frames,
-            trajectory=config.scene.trajectory(),
-            spec=spec,
-        )
+        scene = config.scene.build(config.seed, spec)
         gt = [scene.gt_expanded(i) for i in range(scene.num_frames)]
         return scene.frames(), gt, scene.gt_flow
 
@@ -331,7 +331,6 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     spec = config.canvas
     s = spec.downsample
     latent = spec.latent()
-    latent_mask = make_outpaint_mask(latent)
     frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
     n = len(frames)
     chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
@@ -342,11 +341,10 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
             try:
                 on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
                 # looked up on the module at call time, so wrapping it there takes effect
-                flow = _flow.complete_flow_laplacian(on_latent, latent_mask)
+                flow = _flow.complete_flow_laplacian(on_latent)
             except Exception as exc:
                 raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
-            filled = latent_mask.data | ~on_latent.valid
-            residual = max(residual, _flow.laplace_residual(flow, filled))
+            residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
             flows[(a, b)] = flow
         return flows, residual
 

@@ -95,14 +95,12 @@ def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """World, trajectory, and derived ground truth for one synthetic run."""
+    """World, camera origins and canvas of one synthetic run, and the ground
+    truth derived from them; frames are the canvas's original size."""
 
     world: ChannelGrid
     origins: tuple[tuple[float, float], ...]
-    crop_h: int
-    crop_w: int
     spec: CanvasSpec
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "origins", tuple((float(y), float(x)) for y, x in self.origins))
@@ -121,7 +119,7 @@ class SyntheticScene:
 
     def frame(self, i: int) -> ChannelGrid:
         oy, ox = self.origins[i]
-        return self._crop(oy, ox, self.crop_h, self.crop_w)
+        return self._crop(oy, ox, self.spec.orig_h, self.spec.orig_w)
 
     def frames(self) -> list[ChannelGrid]:
         return [self.frame(i) for i in range(self.num_frames)]
@@ -138,7 +136,7 @@ class SyntheticScene:
         ``dst``: constant origin difference origin_src - origin_dst."""
         oy_s, ox_s = self.origins[src]
         oy_d, ox_d = self.origins[dst]
-        return FlowField.constant(self.crop_h, self.crop_w, ox_s - ox_d, oy_s - oy_d)
+        return FlowField.constant(self.spec.orig_h, self.spec.orig_w, ox_s - ox_d, oy_s - oy_d)
 
 
 def generate_scene(
@@ -157,14 +155,7 @@ def generate_scene(
     rng = seeded_generator(seed, "world")
     planes = [_value_noise(rng, world_h, world_w) for _ in range(3)]
     world = ChannelGrid(np.stack(planes))
-    return SyntheticScene(
-        world=world,
-        origins=tuple(trajectory.origins(n_frames)),
-        crop_h=crop_h,
-        crop_w=crop_w,
-        spec=spec,
-        seed=seed,
-    )
+    return SyntheticScene(world=world, origins=tuple(trajectory.origins(n_frames)), spec=spec)
 
 
 def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:

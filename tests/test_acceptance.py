@@ -15,6 +15,7 @@ import pytest
 
 from outpaint.diffusion import (
     ConstantDenoiser,
+    NoiseSchedule,
     OracleDenoiser,
     forward_noise,
     make_schedule,
@@ -23,13 +24,13 @@ from outpaint.diffusion import (
     windowed_epsilon,
 )
 from outpaint.flow import complete_flow_laplacian, compose_accumulated, backward_warp, warp_flow
-from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, read_grid
+from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, read_grid
 from outpaint.pipeline import PipelineConfig, SceneConfig, run_benchmark, run_pipeline
 from outpaint.propagation import propagate_sequence, required_flow_pairs
 from outpaint.refselect import ScalarGrid, build_reference_chain, ssim_structure_score
 from outpaint.seeding import seeded_generator
 from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
-from outpaint.grids import downscale_flow, downscale_mask, make_outpaint_mask
+from outpaint.grids import downscale_flow
 from outpaint.flow import map_flow_to_canvas
 
 
@@ -190,11 +191,10 @@ def test_criterion_05_complexity_claim():
     frames = scene.frames()
     chain = build_reference_chain(frames, 4)
     assert chain.indices == tuple(range(0, 45, 4)) + (47,)
-    mask = downscale_mask(make_outpaint_mask(spec), 2)
     flows = {}
     for a, b in required_flow_pairs(chain, n):
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2)
-        flows[(a, b)] = complete_flow_laplacian(flow, mask)
+        flows[(a, b)] = complete_flow_laplacian(flow)
     latents = [stand_in_encode(f, 2) for f in frames]
     pulls = sum(r.warp_count for r in propagate_sequence(latents, spec, chain, flows))
     chain_len = len(chain)
@@ -253,7 +253,7 @@ def test_criterion_07_diffusion_harness():
     assert np.all(np.diff(sched.alpha_bar) < 0)
 
     # forward statistics at 1e4 draws
-    stats_sched = make_schedule(10, 0.02, 0.1)
+    stats_sched = NoiseSchedule(np.linspace(0.02, 0.1, 10))
     t = 6
     ab = stats_sched.alpha_bar_at(t)
     z0 = np.full((1, 1, 4, 4), 0.8)
@@ -270,7 +270,7 @@ def test_criterion_07_diffusion_harness():
     assert abs(samples.var() - (1.0 - ab)) < 0.05 * (1.0 - ab)
 
     # oracle reverse sampling over 50 steps
-    sched50 = make_schedule(50, 1e-4, 0.05)
+    sched50 = NoiseSchedule(np.linspace(1e-4, 0.05, 50))
     clean = np.stack([rng.standard_normal((2, 4, 4)) for _ in range(3)])
     cond = np.zeros((3, 2, 4, 4))
     out = reverse_sample(OracleDenoiser(clean, sched50), cond, sched50, seed=17)
@@ -349,8 +349,7 @@ def test_criterion_10_laplacian_completer():
     valid = np.zeros((10, 14))
     valid[:, 5:9] = 1.0
     flow = FlowField(np.full((10, 14), -3.0) * valid, np.full((10, 14), 1.5) * valid, valid)
-    missing = BinaryMask(1.0 - valid)
-    out = complete_flow_laplacian(flow, missing)
+    out = complete_flow_laplacian(flow)
     assert np.max(np.abs(out.u - (-3.0))) <= tol
     assert np.max(np.abs(out.v - 1.5)) <= tol
 
@@ -358,14 +357,14 @@ def test_criterion_10_laplacian_completer():
     v2 = (rng.random((9, 9)) > 0.5).astype(float)
     v2[4, 4] = 1.0
     f2 = FlowField(rng.random((9, 9)) * v2, rng.random((9, 9)) * v2, v2)
-    out2 = complete_flow_laplacian(f2, BinaryMask(1.0 - v2))
+    out2 = complete_flow_laplacian(f2)
     known = v2 == 1.0
     assert np.array_equal(out2.u[known], f2.u[known])
     assert np.array_equal(out2.v[known], f2.v[known])
 
     u = np.array([[0.0, 0.0, 0.0, 0.0, 4.0]])
     v1d = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
-    out3 = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), v1d), BinaryMask(1.0 - v1d))
+    out3 = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), v1d))
     assert np.max(np.abs(out3.u[0, 1:4] - np.array([1.0, 2.0, 3.0]))) < 1e-6
 
     report(10, "constant extension within tol; known cells bit-exact; 1-D fill matches hand solve", budget.check())

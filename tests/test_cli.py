@@ -1,22 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outpaint.cli import main
 from outpaint.grids import BinaryMask, ChannelGrid, FlowField, write_grid
-
-
-def synth_args(out, seed=13, frames=6):
-    return [
-        "synth", "--seed", str(seed), "--out", str(out),
-        "--world-h", "96", "--world-w", "96",
-        "--crop-h", "48", "--crop-w", "48",
-        "--canvas-h", "48", "--canvas-w", "64",
-        "--offset-x", "16", "--downsample", "2",
-        "--frames", str(frames),
-        "--trajectory", "pan", "--start-y", "24", "--start-x", "16", "--delta-x", "2",
-    ]
+from outpaint.pipeline import PipelineConfig
 
 
 def pipeline_config(out_dir, seed=13, mode_extra=None):
@@ -37,31 +29,139 @@ def pipeline_config(out_dir, seed=13, mode_extra=None):
     return cfg
 
 
+def write_config(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def synth_args(tmp_path, out):
+    """synth of the 6-frame scene of ``pipeline_config``."""
+    cfg = write_config(tmp_path / "synth-config.json", pipeline_config(tmp_path / "run"))
+    return ["synth", "--config", cfg, "--out", str(out)]
+
+
+def inputs_config(scene_dir, out_dir):
+    """A config reading the frames synth wrote to ``scene_dir``, with the
+    scene's true flow for every ordered pair written to ``scene_dir/flows``."""
+    scene_cfg = PipelineConfig.from_dict(json.loads((scene_dir / "config.json").read_text()))
+    scene = scene_cfg.scene.build(scene_cfg.seed, scene_cfg.canvas)
+    for a in range(scene.num_frames):
+        for b in range(scene.num_frames):
+            if a != b:
+                write_grid(scene_dir / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
+    cfg = pipeline_config(out_dir)
+    del cfg["scene"]
+    cfg["inputs"] = {"frames_dir": str(scene_dir / "frames"), "flows_dir": str(scene_dir / "flows")}
+    return cfg
+
+
 class TestSynthAndChain:
     def test_synth_writes_scene(self, tmp_path, capsys):
-        assert main(synth_args(tmp_path / "scene")) == 0
+        assert main(synth_args(tmp_path, tmp_path / "scene")) == 0
         assert (tmp_path / "scene" / "world.s2sg").exists()
         assert (tmp_path / "scene" / "frames" / "frame_0005.s2sg").exists()
         assert (tmp_path / "scene" / "gt" / "gt_0000.s2sg").exists()
-        meta = json.loads((tmp_path / "scene" / "scene.json").read_text())
-        assert meta["n_frames"] == 6
+        meta = json.loads((tmp_path / "scene" / "config.json").read_text())
+        assert meta["scene"]["n_frames"] == 6
 
     def test_synth_deterministic(self, tmp_path):
-        main(synth_args(tmp_path / "a"))
-        main(synth_args(tmp_path / "b"))
+        main(synth_args(tmp_path, tmp_path / "a"))
+        main(synth_args(tmp_path, tmp_path / "b"))
         a = (tmp_path / "a" / "frames" / "frame_0002.s2sg").read_bytes()
         b = (tmp_path / "b" / "frames" / "frame_0002.s2sg").read_bytes()
         assert a == b
 
-    def test_chain_from_scene_json(self, tmp_path, capsys):
-        main(synth_args(tmp_path / "scene"))
-        assert main(["chain", "--scene", str(tmp_path / "scene" / "scene.json"), "--window", "4"]) == 0
+    @pytest.mark.parametrize("seed_flag", [None, 21])
+    def test_synth_writes_the_config_scene(self, tmp_path, seed_flag):
+        argv = synth_args(tmp_path, tmp_path / "scene")
+        if seed_flag is not None:
+            argv += ["--seed", str(seed_flag)]
+        assert main(argv) == 0
+        written = PipelineConfig.from_dict(json.loads((tmp_path / "scene" / "config.json").read_text()))
+        assert written.seed == (13 if seed_flag is None else seed_flag)
+        scene = written.scene.build(written.seed, written.canvas)
+        # the grids the scene builds, through the same writer
+        expected = {"world.s2sg": scene.world}
+        for i in range(scene.num_frames):
+            expected[f"frames/frame_{i:04d}.s2sg"] = scene.frame(i)
+            expected[f"gt/gt_{i:04d}.s2sg"] = scene.gt_expanded(i)
+        for name, grid in expected.items():
+            write_grid(tmp_path / "expected" / name, grid)
+        written_files = sorted(
+            str(p.relative_to(tmp_path / "scene")) for p in (tmp_path / "scene").rglob("*.s2sg")
+        )
+        assert written_files == sorted(expected)
+        for name in expected:
+            assert (tmp_path / "scene" / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+
+    def test_chain_from_synth_config(self, tmp_path, capsys):
+        main(synth_args(tmp_path, tmp_path / "scene"))
+        assert main(["chain", "--config", str(tmp_path / "scene" / "config.json"), "--window", "4"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["indices"][0] == 0
         assert payload["indices"][-1] == 5
 
+    def test_chain_config_matches_propagate(self, tmp_path, capsys):
+        # a scene config, and an inputs config reading the same frames from files
+        main(synth_args(tmp_path, tmp_path / "scene"))
+        scene_cfg = pipeline_config(tmp_path / "scene-run", mode_extra={"window": 3})
+        files_cfg = inputs_config(tmp_path / "scene", tmp_path / "files-run")
+        files_cfg["window"] = 3
+        for name, cfg in (("scene", scene_cfg), ("files", files_cfg)):
+            cfg_path = write_config(tmp_path / f"{name}.json", cfg)
+            assert main(["propagate", "--config", cfg_path]) == 0
+            chain_json = Path(cfg["out_dir"]) / "chain.json"
+            capsys.readouterr()
+            assert main(["chain", "--config", cfg_path]) == 0
+            assert json.loads(capsys.readouterr().out) == json.loads(chain_json.read_text())
+            assert main(["chain", "--config", cfg_path, "--out", str(tmp_path / f"{name}-chain.json")]) == 0
+            assert (tmp_path / f"{name}-chain.json").read_bytes() == chain_json.read_bytes()
+        assert main([
+            "chain", "--frames-dir", str(tmp_path / "scene" / "frames"), "--window", "3",
+            "--out", str(tmp_path / "dir-chain.json"),
+        ]) == 0
+        assert (tmp_path / "dir-chain.json").read_bytes() == (tmp_path / "files-chain.json").read_bytes()
+
+    def test_chain_window_flag(self, tmp_path, capsys):
+        # --window overrides the config's; a frame directory defaults to 4
+        main(synth_args(tmp_path, tmp_path / "scene"))
+        cfg_path = write_config(
+            tmp_path / "config.json", pipeline_config(tmp_path / "run", mode_extra={"window": 3})
+        )
+        frames_dir = str(tmp_path / "scene" / "frames")
+        for argv, window in (
+            (["--config", cfg_path], 3),
+            (["--config", cfg_path, "--window", "2"], 2),
+            (["--frames-dir", frames_dir], 4),
+        ):
+            capsys.readouterr()
+            assert main(["chain", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["window"] == window
+        assert main(["chain", "--config", cfg_path, "--window", "0"]) == 2
+
+    def test_synth_malformed_config_exits_2(self, tmp_path, capsys):
+        float_size = pipeline_config(tmp_path / "run")
+        float_size["canvas"]["orig_h"] = 48.0
+        float_seed = pipeline_config(tmp_path / "run", seed=13.5)
+        float_period = pipeline_config(tmp_path / "run")
+        float_period["scene"].update(kind="pan_cycle", period=2.5)
+        # every default: the crop starts at (0, 0), so the band leaves the world
+        escaping_scene = pipeline_config(tmp_path / "run")
+        escaping_scene["scene"] = {}
+        inputs_only = pipeline_config(tmp_path / "run")
+        del inputs_only["scene"]
+        inputs_only["inputs"] = {
+            "frames_dir": str(tmp_path / "frames"), "flows_dir": str(tmp_path / "flows"),
+        }
+        for cfg in (float_size, float_seed, float_period, escaping_scene, inputs_only):
+            cfg_path = write_config(tmp_path / "config.json", cfg)
+            assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "scene")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "scene").exists()
+            assert not (tmp_path / "run").exists()
+
     def test_chain_from_frames_dir(self, tmp_path, capsys):
-        main(synth_args(tmp_path / "scene"))
+        main(synth_args(tmp_path, tmp_path / "scene"))
         out_file = tmp_path / "chain.json"
         code = main([
             "chain", "--frames-dir", str(tmp_path / "scene" / "frames"),
@@ -138,6 +238,15 @@ class TestPipelineCommands:
         no_frames = pipeline_config(tmp_path / "run")
         no_frames["scene"]["n_frames"] = 0
         cfg_path = tmp_path / "config.json"
+        integer_edits = [
+            ("propagate", {"window": 4.0}),
+            ("propagate", {"window": True}),
+            ("propagate", {"seed": 1.5}),
+            ("propagate", {"seed": -1}),
+            ("sample", {"timesteps": 5.0}),
+            ("sample", {"sampler_window": 25.0}),
+            ("sample", {"sampler_stride": 12.0}),
+        ]
         for command, cfg in (
             ("propagate", no_canvas),
             ("propagate", [pipeline_config(tmp_path / "run")]),
@@ -149,15 +258,18 @@ class TestPipelineCommands:
             ("propagate", nan_start),
             ("propagate", escaping_scene),
             ("propagate", no_frames),
+            *[(command, pipeline_config(tmp_path / "run", mode_extra=edit)) for command, edit in integer_edits],
         ):
             cfg_path.write_text(json.dumps(cfg))
-            assert main([command, "--config", str(cfg_path), "--seed", "13"]) == 2
+            # sample needs --seed; propagate keeps the config's, so a bad one shows
+            seed_flag = ["--seed", "13"] if command == "sample" else []
+            assert main([command, "--config", str(cfg_path), *seed_flag]) == 2
             # rejected before any stage ran
             assert not (tmp_path / "run").exists()
 
     def test_stage_failure_exits_3(self, tmp_path):
         scene_dir = tmp_path / "scene"
-        main(synth_args(scene_dir))
+        main(synth_args(tmp_path, scene_dir))
         cfg = {
             "seed": 13,
             "canvas": {
@@ -205,26 +317,26 @@ class TestBenchCommand:
 
 SCENE_EDITS = {
     "no canvas": lambda raw: raw.pop("canvas"),
-    "unknown trajectory key": lambda raw: raw["trajectory"].update(speed=1.0),
-    "float n_frames": lambda raw: raw.update(n_frames=4.0),
+    "unknown trajectory key": lambda raw: raw["scene"].update(speed=1.0),
+    "float n_frames": lambda raw: raw["scene"].update(n_frames=4.0),
 }
 
 
-@pytest.mark.parametrize("case", [*SCENE_EDITS, "--scene dir", "--config dir", "--ref dir"])
+@pytest.mark.parametrize("case", [*SCENE_EDITS, "chain --config dir", "--config dir", "--ref dir"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    main(synth_args(tmp_path / "scene"))
-    scene_json = tmp_path / "scene" / "scene.json"
+    main(synth_args(tmp_path, tmp_path / "scene"))
+    scene_config = tmp_path / "scene" / "config.json"
     frame = str(tmp_path / "scene" / "frames" / "frame_0000.s2sg")
     argv = {
-        "--scene dir": ["chain", "--scene", str(tmp_path)],
+        "chain --config dir": ["chain", "--config", str(tmp_path)],
         "--config dir": ["propagate", "--config", str(tmp_path)],
         "--ref dir": ["metrics", "--ref", str(tmp_path), "--test", frame],
     }.get(case)
     if argv is None:
-        raw = json.loads(scene_json.read_text())
+        raw = json.loads(scene_config.read_text())
         SCENE_EDITS[case](raw)
-        scene_json.write_text(json.dumps(raw))
-        argv = ["chain", "--scene", str(scene_json)]
+        scene_config.write_text(json.dumps(raw))
+        argv = ["chain", "--config", str(scene_config)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -248,3 +360,28 @@ class TestMetricsCommand:
         write_grid(tmp_path / "mask.s2sg", BinaryMask(np.zeros((8, 8))))
         for other in ("flow.s2sg", "mask.s2sg"):
             assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / other)]) == 2
+
+
+def _fenced_block(text, heading, lang):
+    """The first ```lang block after ``heading`` in ``text``."""
+    section = text[text.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_cli_walkthrough(tmp_path, monkeypatch, capsys):
+    """The README's CLI block, run on its config block in an empty
+    directory: every command exits 0.  bench is left out; TestBenchCommand
+    runs it on a small grid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tmp_path / "config.json").write_text(_fenced_block(readme, "### Pipeline config", "json"))
+    commands = [
+        shlex.split(line)[1:]
+        for line in _fenced_block(readme, "## CLI", "bash").splitlines()
+        if line.startswith("outpaint ")
+    ]
+    run = [argv for argv in commands if argv[0] != "bench"]
+    assert [argv[0] for argv in run] == ["synth", "chain", "chain", "propagate", "sample", "metrics"]
+    monkeypatch.chdir(tmp_path)
+    for argv in run:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

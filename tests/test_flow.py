@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
+from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.flow import (
     backward_warp,
     complete_flow_laplacian,
@@ -215,7 +215,7 @@ class TestLaplacianCompletion:
             np.random.default_rng(1).random((5, 5)),
             np.ones((5, 5)),
         )
-        out = complete_flow_laplacian(f, BinaryMask(np.zeros((5, 5))))
+        out = complete_flow_laplacian(f)
         assert np.array_equal(out.u, f.u)
         assert np.array_equal(out.v, f.v)
 
@@ -223,8 +223,7 @@ class TestLaplacianCompletion:
         valid = np.zeros((6, 10))
         valid[:, 3:7] = 1.0
         f = FlowField(np.full((6, 10), 2.5) * valid, np.full((6, 10), -1.0) * valid, valid)
-        missing = BinaryMask(1.0 - valid)
-        out = complete_flow_laplacian(f, missing)
+        out = complete_flow_laplacian(f)
         assert np.allclose(out.u, 2.5, atol=1e-9)
         assert np.allclose(out.v, -1.0, atol=1e-9)
         assert np.all(out.valid == 1.0)
@@ -233,8 +232,7 @@ class TestLaplacianCompletion:
         # hand-solved tridiagonal system: boundary 0 and 4 -> 1, 2, 3
         u = np.array([[0.0, 0.0, 0.0, 0.0, 4.0]])
         valid = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
-        missing = BinaryMask(1.0 - valid)
-        out = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), valid), missing)
+        out = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), valid))
         assert np.allclose(out.u[0, 1:4], [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_known_cells_bit_identical(self):
@@ -244,8 +242,7 @@ class TestLaplacianCompletion:
         u = rng.random((7, 7)) * valid
         v = rng.random((7, 7)) * valid
         f = FlowField(u, v, valid)
-        missing = BinaryMask(1.0 - valid)
-        out = complete_flow_laplacian(f, missing)
+        out = complete_flow_laplacian(f)
         known = valid == 1.0
         assert np.array_equal(out.u[known], f.u[known])
         assert np.array_equal(out.v[known], f.v[known])
@@ -255,9 +252,8 @@ class TestLaplacianCompletion:
         valid[2:6, 2:6] = 1.0
         rng = np.random.default_rng(5)
         f = FlowField(rng.random((8, 8)) * valid, rng.random((8, 8)) * valid, valid)
-        missing = BinaryMask(1.0 - valid)
-        once = complete_flow_laplacian(f, missing)
-        twice = complete_flow_laplacian(once, missing)
+        once = complete_flow_laplacian(f)
+        twice = complete_flow_laplacian(once)
         assert np.allclose(once.u, twice.u, atol=1e-6)
         assert np.allclose(once.v, twice.v, atol=1e-6)
 
@@ -271,7 +267,7 @@ class TestLaplacianCompletion:
         f = FlowField(
             (np.sin(3 * ys / 8) + 0.3 * xs) * valid, (np.cos(xs / 3) - 0.1 * ys) * valid, valid
         )
-        out = complete_flow_laplacian(f, BinaryMask(1.0 - valid))
+        out = complete_flow_laplacian(f)
         cells = [(y, x) for y in range(h) for x in range(8, w)]
         index = {cell: k for k, cell in enumerate(cells)}
         a = np.zeros((len(cells), len(cells)))
@@ -314,7 +310,7 @@ class TestLaplacianCompletion:
         known = valid & ~missing
         assume(known.any())
         f = FlowField(rng.normal(0.0, 3.0, (h, w)), rng.normal(0.0, 1.0, (h, w)), valid)
-        out = complete_flow_laplacian(f, BinaryMask(missing))
+        out = complete_flow_laplacian(f)
         # measured worst case over such inputs: 2e-14 px
         assert np.max(np.abs(np.stack([out.u, out.v]) - dense_completion(f, known))) < 1e-10
         assert laplace_residual(out, ~known) < 1e-10
@@ -328,13 +324,13 @@ class TestLaplacianCompletion:
         valid = np.zeros((9, 12), dtype=bool)
         valid[2:7, 3:10] = True
         f = FlowField(np.where(valid, 0.1, 0.0), np.where(valid, -1.0 / 3.0, 0.0), valid)
-        out = complete_flow_laplacian(f, BinaryMask(~valid))
+        out = complete_flow_laplacian(f)
         assert np.array_equal(out.u, np.full((9, 12), 0.1))
         assert np.array_equal(out.v, np.full((9, 12), -1.0 / 3.0))
         # a constant plane stays exact next to a plane that needs a solve
         ys, xs = np.mgrid[0:9, 0:12].astype(float)
         f = FlowField(f.u, np.where(valid, np.sin(xs) + ys, 0.0), valid)
-        out = complete_flow_laplacian(f, BinaryMask(~valid))
+        out = complete_flow_laplacian(f)
         assert np.array_equal(out.u, np.full((9, 12), 0.1))
         assert np.max(np.abs(out.v - dense_completion(f, valid)[1])) < 1e-10
 
@@ -349,18 +345,18 @@ class TestLaplacianCompletion:
         for missing in (mask_a, mask_b, mask_a, mask_a.reshape(10, 6)):
             valid = ~missing
             f = FlowField(rng.random(missing.shape), rng.random(missing.shape), valid)
-            out = complete_flow_laplacian(f, BinaryMask(missing))
+            out = complete_flow_laplacian(f)
             assert np.max(np.abs(np.stack([out.u, out.v]) - dense_completion(f, valid))) < 1e-10
 
     def test_no_known_cells(self):
         f = FlowField(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="known"):
-            complete_flow_laplacian(f, BinaryMask(np.zeros((3, 3))))
+            complete_flow_laplacian(f)
 
     def test_completer_interface(self):
         valid = np.zeros((4, 6))
         valid[:, 2:4] = 1.0
         f = FlowField(valid * 1.5, valid * 0.5, valid)
-        out = complete_flow_laplacian(f, BinaryMask(1.0 - valid))
+        out = complete_flow_laplacian(f)
         assert np.all(out.valid == 1.0)
         assert np.allclose(out.u, 1.5, atol=1e-8)

@@ -181,7 +181,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask)
+            flows[(a, b)] = complete_flow_laplacian(raw)
         out = propagate_sequence(latents, spec, chain, flows)
         f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
@@ -202,7 +202,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask)
+            flows[(a, b)] = complete_flow_laplacian(raw)
         out = propagate_sequence(latents, spec, chain, flows)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
@@ -220,7 +220,7 @@ class TestPropagateSequence:
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
         src_valid = mask.complement().data
-        zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid), mask)
+        zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid))
         flows = {pair: zero for pair in required_flow_pairs(chain, 10)}
         del flows[(2, 0)]
         with pytest.raises(RuntimeError, match="frame 2 past: ") as err:
@@ -240,7 +240,7 @@ class TestPropagateSequence:
         src_valid = mask.complement().data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-            flows[(a, b)] = complete_flow_laplacian(raw, mask)
+            flows[(a, b)] = complete_flow_laplacian(raw)
         out = propagate_sequence(latents, spec, chain, flows)
         for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
@@ -257,7 +257,7 @@ class TestPropagateSequence:
             flows = {}
             for a, b in required_flow_pairs(chain, 3):
                 raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
-                flows[(a, b)] = complete_flow_laplacian(raw, mask)
+                flows[(a, b)] = complete_flow_laplacian(raw)
             return flows
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
@@ -293,7 +293,7 @@ def paper_pan_inputs(n=12):
     flows = {}
     for a, b in required_flow_pairs(chain, n):
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 4)
-        flows[(a, b)] = complete_flow_laplacian(flow, mask)
+        flows[(a, b)] = complete_flow_laplacian(flow)
     return chain, latents, mask, flows
 
 
@@ -356,13 +356,12 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
     scene = generate_scene(seed, *world, spec.orig_h, spec.orig_w, n, traj, spec)
     frames = scene.frames()
     latents = [stand_in_encode(f, s) for f in frames]
-    mask = make_outpaint_mask(spec.latent())
 
     def propagate(chain):
         flows = {}
         for a, b in required_flow_pairs(chain, n):
             flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
-            flows[(a, b)] = complete_flow_laplacian(flow, mask)
+            flows[(a, b)] = complete_flow_laplacian(flow)
         return propagate_sequence(latents, spec, chain, flows)
 
     guided = propagate(build_reference_chain(frames, 4))
