@@ -23,7 +23,6 @@ from .grids import (
 from .refselect import (
     ReferenceChain,
     build_reference_chain,
-    fixed_stride_chain,
     nearest_refs,
     ssim_structure_score,
     to_grayscale,
@@ -52,7 +51,7 @@ from .diffusion import (
     reverse_sample,
     windowed_epsilon,
 )
-from .synthetic import SyntheticScene, TrajectorySpec, generate_scene, stand_in_decode, stand_in_encode
+from .synthetic import SyntheticScene, generate_scene, stand_in_decode, stand_in_encode
 from .metrics import psnr, psnr_masked, ssim_full
 from .pipeline import BenchmarkReport, ConfigError, PipelineConfig, StageError, run_benchmark, run_pipeline
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -97,6 +98,10 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"{args.config} describes no synthetic scene")
     scene = config.scene.build(config.seed, config.canvas)
     out = Path(args.out)
+    # an earlier, longer scene's extra frames would otherwise outlive it
+    for name in ("frames", "gt"):
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
     write_grid(out / "world.s2sg", scene.world)
     for i in range(scene.num_frames):
         write_grid(out / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))

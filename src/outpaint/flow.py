@@ -29,16 +29,18 @@ def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
     """Bilinear machinery for sampling an (height, width) plane at (sy, sx):
     corner indices, weights, and the in-bounds predicate."""
     inb = (sx >= 0.0) & (sx <= width - 1.0) & (sy >= 0.0) & (sy <= height - 1.0)
+    # out-of-bounds samples (NaN and inf among them) read cell (0, 0) with
+    # frac 0, so every floor lies in range and casts cleanly
+    sx = np.where(inb, sx, 0.0)
+    sy = np.where(inb, sy, 0.0)
     # boundary-exact samples keep frac 0 (the far corner collapses onto the
     # near one), so integer positions always read grid values verbatim
-    x0 = np.clip(np.floor(sx), 0, width - 1).astype(int)
-    y0 = np.clip(np.floor(sy), 0, height - 1).astype(int)
-    x0 = np.where(inb, x0, 0)
-    y0 = np.where(inb, y0, 0)
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    fx = np.where(inb, sx - x0, 0.0)
-    fy = np.where(inb, sy - y0, 0.0)
+    fx = sx - x0
+    fy = sy - y0
     return (y0, x0, y1, x1, fx, fy, inb)
 
 

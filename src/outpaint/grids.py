@@ -115,9 +115,6 @@ class BinaryMask:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def complement(self) -> "BinaryMask":
-        return BinaryMask(~self.data)
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -163,10 +160,6 @@ class FlowField:
             np.full((height, width), dv),
             np.ones((height, width), dtype=bool),
         )
-
-    @classmethod
-    def zero(cls, height: int, width: int) -> "FlowField":
-        return cls.constant(height, width, 0.0, 0.0)
 
 
 def check_integer_fields(obj, names) -> None:
@@ -270,13 +263,12 @@ def downscale_flow(flow: FlowField, s: int) -> FlowField:
     vb = _blocks(flow.valid, s)
     count = vb.sum(axis=(1, 3))
     safe = np.maximum(count, 1.0)
-    # invalid input cells may hold junk; zero them before summing
+    # invalid input cells may hold junk; zero them before summing, so a
+    # block without a valid cell sums to 0.0
     u_src = np.where(flow.valid, flow.u, 0.0)
     v_src = np.where(flow.valid, flow.v, 0.0)
     u = _blocks(u_src, s).sum(axis=(1, 3)) / safe / s
     v = _blocks(v_src, s).sum(axis=(1, 3)) / safe / s
-    u = np.where(count > 0, u, 0.0)
-    v = np.where(count > 0, v, 0.0)
     return FlowField(u, v, count == s * s)
 
 

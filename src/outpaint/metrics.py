@@ -78,7 +78,7 @@ def ssim_full(
     c3 = c2 / 2.0
     per_channel = []
     for ca, cb in zip(pa, pb):
-        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb, w)
+        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb)
         lum = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
         con = (2.0 * sd_a * sd_b + c2) / (sd_a**2 + sd_b**2 + c2)
         stru = (cov + c3) / (sd_a * sd_b + c3)

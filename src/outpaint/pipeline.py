@@ -35,8 +35,7 @@ from .metrics import psnr, psnr_masked, ssim_full
 from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
 from .refselect import ReferenceChain, build_reference_chain
 from .synthetic import (
-    SyntheticScene, TrajectorySpec, check_in_world, generate_scene, stand_in_decode,
-    stand_in_encode,
+    SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
 )
 
 
@@ -53,8 +52,20 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
+TRAJECTORY_KINDS = ("static", "pan", "pan_cycle")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
+    """A synthetic scene: a world_h x world_w world seen by a camera whose
+    crop origin follows a static path, a constant pan, or a back-and-forth
+    pan over ``n_frames`` frames.
+
+    The origin starts at (start_y, start_x) and steps by (delta_y, delta_x)
+    per frame; ``period`` is the number of frames a pan_cycle moves forward
+    before reversing.
+    """
+
     world_h: int = 96
     world_w: int = 96
     n_frames: int = 16
@@ -67,15 +78,36 @@ class SceneConfig:
 
     def __post_init__(self):
         check_integer_fields(self, ("world_h", "world_w", "n_frames", "period"))
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        if self.kind == "pan_cycle" and self.period < 1:
+            raise ValueError("pan_cycle needs period >= 1")
+        if not all(map(math.isfinite, (self.start_y, self.start_x, self.delta_y, self.delta_x))):
+            raise ValueError("trajectory starts and deltas must be finite")
 
-    def trajectory(self) -> TrajectorySpec:
-        return TrajectorySpec(**{f.name: getattr(self, f.name) for f in fields(TrajectorySpec)})
+    def origins(self, n_frames: int) -> list[tuple[float, float]]:
+        """The camera's crop origin (y, x) in each of the first ``n_frames`` frames."""
+        out = []
+        for k in range(n_frames):
+            if self.kind == "static":
+                step = 0.0
+            elif self.kind == "pan":
+                step = float(k)
+            else:
+                phase = k % (2 * self.period)
+                step = float(phase if phase <= self.period else 2 * self.period - phase)
+            out.append((self.start_y + step * self.delta_y, self.start_x + step * self.delta_x))
+        return out
+
+    def trajectory(self) -> "SceneConfig":
+        # the scene is its own camera path; kept only because
+        # perfbench/child.py passes sc.trajectory() to generate_scene
+        return self
 
     def build(self, seed: int, spec: CanvasSpec) -> SyntheticScene:
         """The scene this describes, its world drawn from ``seed``, seen through ``spec``."""
         return generate_scene(
-            seed, self.world_h, self.world_w, spec.orig_h, spec.orig_w,
-            self.n_frames, self.trajectory(), spec,
+            seed, self.world_h, self.world_w, spec.orig_h, spec.orig_w, self.n_frames, self, spec
         )
 
 
@@ -119,7 +151,7 @@ class PipelineConfig:
                 resolve_denoiser(self.denoiser)
             if self.scene is not None:
                 scene = self.scene
-                origins = scene.trajectory().origins(scene.n_frames)
+                origins = scene.origins(scene.n_frames)
                 check_in_world(origins, self.canvas, scene.world_h, scene.world_w)
             if self.mode == "sample":
                 check_integer_fields(self, ("timesteps", "sampler_window", "sampler_stride"))

@@ -151,9 +151,10 @@ def propagate_direction(
             if not acc.valid[uncovered].any():
                 break
         stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
-        warped, wmask = backward_warp(stacked, acc)
+        warped, _ = backward_warp(stacked, acc)
         warp_count += 1
-        covering = uncovered & wmask.data & (warped.data[-1] >= COVERAGE_THRESHOLD)
+        # a cell the warp cannot sample is zeroed, so it fails the threshold
+        covering = uncovered & (warped.data[-1] >= COVERAGE_THRESHOLD)
         if covering.any():
             out[:, covering] = warped.data[:-1, covering]
             prov[covering] = r

@@ -65,45 +65,34 @@ def to_grayscale(frame: ChannelGrid) -> ScalarGrid:
     return ScalarGrid(_LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b)
 
 
-def _window_sums(p: np.ndarray, win: int, axis: int) -> np.ndarray:
-    """Sums of ``win`` consecutive entries along ``axis``, which shrinks by
-    ``win - 1``.  Runs of length 2^k are built by adding two runs of length
-    2^(k-1), and ``win`` is assembled from its binary digits, so every sum
-    adds only nearby values: its rounding error is local, and for a
-    power-of-two ``win`` equal entries sum exactly."""
-
-    def take(a: np.ndarray, start: int, stop: int) -> np.ndarray:
-        return a[(slice(None),) * (axis % a.ndim) + (slice(start, stop),)]
-
-    m = p.shape[axis] - win + 1
-    total, start = None, 0
-    run, length = p, 1  # run[j] sums p[j : j + length]
-    while True:
-        if win & length:
-            part = take(run, start, start + m)
-            total = part if total is None else total + part
-            start += length
-        if 2 * length > win:
-            return total
-        k = run.shape[axis]
-        run = take(run, 0, k - length) + take(run, length, k)
+def _window_sums(p: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of STRUCTURE_WINDOW consecutive entries along ``axis`` (>= 0),
+    which shrinks by STRUCTURE_WINDOW - 1.  Three rounds of pairwise addition
+    double the run length 1 -> 2 -> 4 -> 8, so every sum adds only nearby
+    values: its rounding error is local, and equal entries sum exactly."""
+    head = (slice(None),) * axis
+    length = 1
+    while length < STRUCTURE_WINDOW:
+        k = p.shape[axis]
+        p = p[head + (slice(0, k - length),)] + p[head + (slice(length, k),)]
         length *= 2
+    return p
 
 
-def _window_moments(a: np.ndarray, b: np.ndarray, win: int):
-    """Per-window means, std deviations and covariance (unbiased, N-1).
+def _window_moments(a: np.ndarray, b: np.ndarray):
+    """Per-window means, std deviations and covariance (unbiased, N-1) over
+    every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW window.
 
     Each plane's mean is subtracted first, so the one-pass forms
     var = (sum x^2 - (sum x)^2 / n) / (n - 1) and
     cov = (sum xy - sum x sum y / n) / (n - 1) cancel only window-sized
-    terms; with the power-of-two window the SSIM uses, a constant window
-    gets zero variance exactly.
+    terms; a constant window gets zero variance exactly.
     """
-    n = win * win
+    n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
     mean_a, mean_b = a.mean(), b.mean()
     x = a - mean_a
     y = b - mean_b
-    sums = _window_sums(_window_sums(np.stack([x, y, x * x, y * y, x * y]), win, 2), win, 1)
+    sums = _window_sums(_window_sums(np.stack([x, y, x * x, y * y, x * y]), 2), 1)
     s_x, s_y, s_xx, s_yy, s_xy = sums
     var_a = (s_xx - s_x * s_x / n) / (n - 1)
     var_b = (s_yy - s_y * s_y / n) / (n - 1)
@@ -122,7 +111,7 @@ def ssim_structure_score(a: ScalarGrid, b: ScalarGrid) -> float:
         raise ValueError("grids must share dimensions")
     if a.height < w or a.width < w:
         raise ValueError(f"grid smaller than the {w}x{w} local window")
-    _, _, sd_a, sd_b, cov = _window_moments(a.data, b.data, w)
+    _, _, sd_a, sd_b, cov = _window_moments(a.data, b.data)
     return float(np.mean((cov + _C3) / (sd_a * sd_b + _C3)))
 
 
@@ -165,15 +154,3 @@ def nearest_refs(chain: ReferenceChain, i: int) -> tuple[int, int]:
     past = idx[bisect_right(idx, i) - 1]
     future = idx[bisect_left(idx, i)]
     return past, future
-
-
-def fixed_stride_chain(n: int, stride: int) -> ReferenceChain:
-    """Uniform sampling at ``stride`` plus the final frame."""
-    if n < 1:
-        raise ValueError("need at least one frame")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if n == 1:
-        return ReferenceChain((0,), window=stride, num_frames=1)
-    indices = tuple(range(0, n - 1, stride)) + (n - 1,)
-    return ReferenceChain(indices, window=stride, num_frames=n)

@@ -1,9 +1,10 @@
-"""Deterministic synthetic scenes: a procedural world, a camera trajectory,
-and exact ground truth for frames, expanded frames, and flows.
+"""Deterministic synthetic scenes: a procedural world seen along a camera
+path, and exact ground truth for frames, expanded frames, and flows.
 
-A scene is a value-noise world sampled through a moving crop window.  Because
-the world is static, the true flow between any two frames is the constant
-origin difference, which makes propagation testable to machine precision.
+A scene is a value-noise world sampled through a moving crop window; the
+pipeline's ``SceneConfig`` describes the path.  Because the world is static,
+the true flow between any two frames is the constant origin difference,
+which makes propagation testable to machine precision.
 """
 
 from __future__ import annotations
@@ -16,45 +17,6 @@ import numpy as np
 from .flow import _bilinear, _corners
 from .grids import CanvasSpec, ChannelGrid, FlowField
 from .seeding import seeded_generator
-
-TRAJECTORY_KINDS = ("static", "pan", "pan_cycle")
-
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Camera path: static, constant pan, or back-and-forth pan.
-
-    ``delta`` is the per-frame origin step (dy, dx); ``period`` is the number
-    of frames a pan_cycle moves forward before reversing.
-    """
-
-    kind: str = "pan"
-    start_y: float = 0.0
-    start_x: float = 0.0
-    delta_y: float = 0.0
-    delta_x: float = 0.0
-    period: int = 4
-
-    def __post_init__(self):
-        if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.kind == "pan_cycle" and self.period < 1:
-            raise ValueError("pan_cycle needs period >= 1")
-        if not all(map(math.isfinite, (self.start_y, self.start_x, self.delta_y, self.delta_x))):
-            raise ValueError("trajectory starts and deltas must be finite")
-
-    def origins(self, n_frames: int) -> list[tuple[float, float]]:
-        out = []
-        for k in range(n_frames):
-            if self.kind == "static":
-                step = 0.0
-            elif self.kind == "pan":
-                step = float(k)
-            else:
-                phase = k % (2 * self.period)
-                step = float(phase if phase <= self.period else 2 * self.period - phase)
-            out.append((self.start_y + step * self.delta_y, self.start_x + step * self.delta_x))
-        return out
 
 
 def check_in_world(origins, spec: CanvasSpec, world_h: int, world_w: int) -> None:
@@ -146,10 +108,11 @@ def generate_scene(
     crop_h: int,
     crop_w: int,
     n_frames: int,
-    trajectory: TrajectorySpec,
+    trajectory,
     spec: CanvasSpec,
 ) -> SyntheticScene:
-    """Build a scene whose world is fully determined by ``seed``."""
+    """Build a scene whose world is fully determined by ``seed``, its camera
+    at ``trajectory.origins(n_frames)`` (a pipeline ``SceneConfig``)."""
     if (crop_h, crop_w) != (spec.orig_h, spec.orig_w):
         raise ValueError("crop size must match the canvas spec's original size")
     rng = seeded_generator(seed, "world")

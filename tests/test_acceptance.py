@@ -29,7 +29,7 @@ from outpaint.pipeline import PipelineConfig, SceneConfig, run_benchmark, run_pi
 from outpaint.propagation import propagate_sequence, required_flow_pairs
 from outpaint.refselect import ScalarGrid, build_reference_chain, ssim_structure_score
 from outpaint.seeding import seeded_generator
-from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
+from outpaint.synthetic import generate_scene, stand_in_encode
 from outpaint.grids import downscale_flow
 from outpaint.flow import map_flow_to_canvas
 
@@ -54,7 +54,7 @@ def test_criterion_01_warp_identity_and_inverse():
     rng = seeded_generator(1, "acc1")
     src = ChannelGrid(rng.random((3, 128, 128)))
 
-    out, mask = backward_warp(src, FlowField.zero(128, 128))
+    out, mask = backward_warp(src, FlowField.constant(128, 128, 0.0, 0.0))
     assert np.max(np.abs(out.data - src.data)) == 0.0
     assert np.all(mask.data == 1.0)
 
@@ -109,7 +109,7 @@ def test_criterion_03_translation_oracle_end_to_end(tmp_path):
     )
     run_pipeline(cfg)
 
-    scene = generate_scene(7, 96, 96, 48, 48, 16, ORACLE_SCENE.trajectory(), ORACLE_CANVAS)
+    scene = generate_scene(7, 96, 96, 48, 48, 16, ORACLE_SCENE, ORACLE_CANVAS)
     chain = json.loads((tmp_path / "run" / "chain.json").read_text())["indices"]
     lat = ORACLE_CANVAS.latent()
     outpaint = np.ones((lat.canvas_h, lat.canvas_w), dtype=bool)
@@ -167,7 +167,7 @@ def test_criterion_04_reference_chain_correctness():
         start_x = 24.0 + (span if dx < 0 else 0)
         world = int(48 + 24 + span + 8)
         spec = CanvasSpec(24, 24, 24, 32, 0, 8)
-        traj = TrajectorySpec(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
+        traj = SceneConfig(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
         scene = generate_scene(int(stream.integers(0, 2**31)), world, world, 24, 24, n, traj, spec)
         frames = scene.frames()
         lengths = []
@@ -186,7 +186,7 @@ def test_criterion_05_complexity_claim():
     # measured counts on an identical-frame scene, N=48, m=4
     n = 48
     spec = CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2)
-    traj = TrajectorySpec(kind="static", start_y=8.0, start_x=8.0)
+    traj = SceneConfig(kind="static", start_y=8.0, start_x=8.0)
     scene = generate_scene(5, 48, 48, 16, 16, n, traj, spec)
     frames = scene.frames()
     chain = build_reference_chain(frames, 4)

@@ -94,6 +94,23 @@ class TestSynthAndChain:
         for name in expected:
             assert (tmp_path / "scene" / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
 
+    def test_synth_replaces_the_frames_of_a_longer_scene(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        cfg = pipeline_config(tmp_path / "run")
+        cfg["scene"]["n_frames"] = 16
+        long_cfg = write_config(tmp_path / "long.json", cfg)
+        assert main(["synth", "--config", long_cfg, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        cfg["scene"]["n_frames"] = 6
+        short_cfg = write_config(tmp_path / "short.json", cfg)
+        assert main(["synth", "--config", short_cfg, "--out", str(out)]) == 0
+        assert len(list((out / "frames").iterdir())) == 6
+        assert len(list((out / "gt").iterdir())) == 6
+        assert (out / "notes.txt").read_text() == "kept"
+        capsys.readouterr()
+        assert main(["chain", "--frames-dir", str(out / "frames")]) == 0
+        assert json.loads(capsys.readouterr().out)["num_frames"] == 6
+
     def test_chain_from_synth_config(self, tmp_path, capsys):
         main(synth_args(tmp_path, tmp_path / "scene"))
         assert main(["chain", "--config", str(tmp_path / "scene" / "config.json"), "--window", "4"]) == 0
@@ -356,7 +373,7 @@ class TestMetricsCommand:
         write_grid(tmp_path / "a.s2sg", grid)
         assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / "junk.s2sg")]) == 2
         # a well-formed grid of a kind the metrics do not take
-        write_grid(tmp_path / "flow.s2sg", FlowField.zero(8, 8))
+        write_grid(tmp_path / "flow.s2sg", FlowField.constant(8, 8, 0.0, 0.0))
         write_grid(tmp_path / "mask.s2sg", BinaryMask(np.zeros((8, 8))))
         for other in ("flow.s2sg", "mask.s2sg"):
             assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / other)]) == 2

@@ -50,7 +50,7 @@ def dense_completion(flow, known):
 class TestBackwardWarp:
     def test_zero_flow_is_identity(self):
         src = rand_grid(0)
-        out, mask = backward_warp(src, FlowField.zero(6, 8))
+        out, mask = backward_warp(src, FlowField.constant(6, 8, 0.0, 0.0))
         assert np.array_equal(out.data, src.data)
         assert np.all(mask.data == 1.0)
 
@@ -80,7 +80,7 @@ class TestBackwardWarp:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            backward_warp(rand_grid(0), FlowField.zero(5, 8))
+            backward_warp(rand_grid(0), FlowField.constant(5, 8, 0.0, 0.0))
 
     def test_channels_warp_as_one_stack(self):
         # fractional, varying flow with invalid cells and out-of-bounds samples
@@ -119,7 +119,7 @@ class TestWarpFlow:
             np.random.default_rng(1).random((5, 5)),
             np.ones((5, 5)),
         )
-        out = warp_flow(f, FlowField.zero(5, 5))
+        out = warp_flow(f, FlowField.constant(5, 5, 0.0, 0.0))
         assert np.array_equal(out.u, f.u)
         assert np.array_equal(out.v, f.v)
         assert np.all(out.valid == 1.0)
@@ -154,13 +154,44 @@ class TestWarpFlow:
         assert out.valid[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("plane", ["u", "v"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
+    # invalid cells may hold anything; a non-finite one must neither warn
+    # (the suite turns warnings into errors) nor change any output
+    rng = np.random.default_rng(6)
+    u, v = rng.uniform(-1.5, 1.5, (2, 6, 8))
+    valid = np.ones((6, 8), dtype=bool)
+    valid[2, 3] = False
+    clean = FlowField(u, v, valid)
+    planes = {"u": u.copy(), "v": v.copy()}
+    planes[plane][2, 3] = value
+    dirty = FlowField(planes["u"], planes["v"], valid)
+
+    src = rand_grid(3)
+    (out, mask), (want_out, want_mask) = backward_warp(src, dirty), backward_warp(src, clean)
+    assert np.array_equal(out.data, want_out.data)
+    assert np.array_equal(mask.data, want_mask.data)
+    assert not mask.data[2, 3]
+
+    f = FlowField(*rng.uniform(-1.0, 1.0, (2, 6, 8)), np.ones((6, 8)))
+    for got, want in (
+        (warp_flow(f, dirty), warp_flow(f, clean)),
+        (warp_flow(dirty, f), warp_flow(clean, f)),
+    ):
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.valid, want.valid)
+    assert not warp_flow(f, dirty).valid[2, 3]
+
+
 class TestComposeAccumulated:
     def base(self, du=3.0, dv=0.0, h=6, w=8):
         return FlowField.constant(h, w, du, dv)
 
     def test_zero_hop_keeps_flow(self):
         base = self.base()
-        out = compose_accumulated(base, FlowField.zero(6, 8))
+        out = compose_accumulated(base, FlowField.constant(6, 8, 0.0, 0.0))
         ok = out.valid == 1.0
         assert np.array_equal(out.u[ok], base.u[ok])
 
@@ -205,7 +236,7 @@ class TestMapFlowToCanvas:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            map_flow_to_canvas(FlowField.zero(3, 3), CanvasSpec(4, 4, 6, 8, 1, 2))
+            map_flow_to_canvas(FlowField.constant(3, 3, 0.0, 0.0), CanvasSpec(4, 4, 6, 8, 1, 2))
 
 
 class TestLaplacianCompletion:

@@ -206,7 +206,7 @@ class TestDownscaleFlow:
 
     def test_non_divisible_dims(self):
         with pytest.raises(ValueError):
-            downscale_flow(FlowField.zero(5, 4), 2)
+            downscale_flow(FlowField.constant(5, 4, 0.0, 0.0), 2)
 
     @given(
         st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),

@@ -1,10 +1,13 @@
-"""What perfbench/ relies on in the package: the names its tracer patches and
-the report keys run.py reads.  A break here otherwise shows only in a traced
-perfbench run."""
+"""What perfbench/ relies on in the package: the names its child imports,
+the scene call it makes, the names its tracer patches and the report keys
+run.py reads.  A break here otherwise shows only in a perfbench run."""
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from outpaint.grids import CanvasSpec
@@ -24,6 +27,34 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+def test_every_name_the_child_imports_resolves():
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "outpaint"
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_child_builds_the_scene_the_pipeline_builds(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+
+    canvas = {
+        "orig_h": 48, "orig_w": 48, "canvas_h": 48, "canvas_w": 64, "offset_y": 0, "offset_x": 16,
+    }
+    scene = {"n_frames": 3, "kind": "pan", "start_y": 24.0, "start_x": 16.0, "delta_x": 2.0}
+    built, spec = child._scene({"seed": 5, "config": {"canvas": canvas}, "scene": scene})
+    assert spec == CanvasSpec(**canvas)
+    want = SceneConfig(**scene).build(5, spec)
+    assert built.origins == want.origins == ((24.0, 16.0), (24.0, 18.0), (24.0, 20.0))
+    assert np.array_equal(built.world.data, want.world.data)
 
 
 def test_every_traced_name_resolves(tracing):

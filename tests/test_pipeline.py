@@ -21,7 +21,7 @@ from outpaint.pipeline import (
     write_json,
 )
 from outpaint.propagation import required_flow_pairs
-from outpaint.refselect import ReferenceChain, build_reference_chain, fixed_stride_chain, ssim_structure_score, to_grayscale
+from outpaint.refselect import ReferenceChain, build_reference_chain
 from outpaint.synthetic import generate_scene, stand_in_encode
 
 
@@ -52,7 +52,7 @@ def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
     """Run a 3-frame file-driven static scene whose flow 1->0 file holds
     ``bad_flow``; return the StageError and the summary it left."""
     spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-    traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
+    traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0)
     scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
     for i in range(3):
         write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
@@ -90,13 +90,18 @@ class TestConfig:
             ("sample", {"sampler_window": 0}),
             ("sample", {"sampler_stride": 30}),
             ("sample", {"timesteps": 0}),
-            ("propagate", {"scene": SceneConfig(kind="bogus")}),
+            # pan_config's scene with an unknown kind, which SceneConfig rejects
+            ("propagate", {"scene": {
+                "world_h": 96, "world_w": 96, "n_frames": 16, "kind": "bogus",
+                "start_y": 24.0, "start_x": 16.0, "delta_x": 2.0,
+            }}),
         ],
         ids=["stride_0", "window_0", "stride_over_window", "timesteps_0", "bogus_scene"],
     )
     def test_values_a_stage_would_reject_fail_first(self, mode, bad):
+        raw = pan_config("/tmp/nowhere").to_dict() | {"mode": mode} | bad
         with pytest.raises(ConfigError):
-            pan_config("/tmp/nowhere", mode=mode, **bad)
+            PipelineConfig.from_dict(raw)
 
     def test_propagate_mode_ignores_sampler_fields(self, tmp_path):
         cfg = pan_config(tmp_path / "run", n_frames=3, sampler_stride=0, timesteps=0)
@@ -186,7 +191,7 @@ class TestRunPipeline:
         )
         run_pipeline(cfg)
         scene = generate_scene(
-            cfg.seed, 96, 96, 48, 48, 6, cfg.scene.trajectory(), cfg.canvas
+            cfg.seed, 96, 96, 48, 48, 6, cfg.scene, cfg.canvas
         )
         for i in range(6):
             latent = read_grid(tmp_path / "run" / "propagated" / f"latent_{i:04d}.s2sg")
@@ -210,7 +215,7 @@ class TestRunPipeline:
         )
         run_pipeline(cfg)
         scene = generate_scene(
-            cfg.seed, 96, 96, 48, 48, 16, cfg.scene.trajectory(), cfg.canvas
+            cfg.seed, 96, 96, 48, 48, 16, cfg.scene, cfg.canvas
         )
         for i in (0, 7, 15):
             decoded = read_grid(tmp_path / "run" / "decoded" / f"frame_{i:04d}.s2sg")
@@ -247,7 +252,7 @@ class TestRunPipeline:
         )
         run_pipeline(cfg)
         scene = generate_scene(
-            cfg.seed, 96, 96, 48, 48, n_frames, cfg.scene.trajectory(), cfg.canvas
+            cfg.seed, 96, 96, 48, 48, n_frames, cfg.scene, cfg.canvas
         )
         for i in range(n_frames):
             sampled = read_grid(tmp_path / "run" / "sampled" / f"latent_{i:04d}.s2sg")
@@ -283,7 +288,7 @@ class TestRunPipeline:
         frames_dir = tmp_path / "frames"
         scene = generate_scene(
             3, 96, 96, 48, 48, 4,
-            SceneConfig(n_frames=4, kind="static", start_y=24.0, start_x=24.0).trajectory(),
+            SceneConfig(n_frames=4, kind="static", start_y=24.0, start_x=24.0),
             CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2),
         )
         for i in range(4):
@@ -303,7 +308,7 @@ class TestRunPipeline:
 
     def test_flow_grid_in_gt_dir_fails_at_inputs(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0).trajectory()
+        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0)
         scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
         for i in range(3):
             write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
@@ -336,7 +341,7 @@ class TestRunPipeline:
 
     def test_frame_index_gap_fails_at_inputs(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-        traj = SceneConfig(n_frames=6, kind="static", start_y=24.0, start_x=24.0).trajectory()
+        traj = SceneConfig(n_frames=6, kind="static", start_y=24.0, start_x=24.0)
         scene = generate_scene(3, 96, 96, 48, 48, 6, traj, spec)
         for i in (0, 1, 3, 4, 5):
             write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
@@ -354,7 +359,7 @@ class TestRunPipeline:
         assert "frame_0002.s2sg" in summary["error"]
 
     def test_wrong_size_flow_error_names_the_file(self, tmp_path):
-        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.zero(40, 48))
+        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.constant(40, 48, 0.0, 0.0))
         assert err.stage == "flows"
         assert "flow_0001_to_0000.s2sg" in summary["error"]
 
@@ -362,7 +367,7 @@ class TestRunPipeline:
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
         traj = SceneConfig(
             n_frames=6, kind="pan", start_y=24.0, start_x=16.0, delta_x=2.0
-        ).trajectory()
+        )
         scene = generate_scene(11, 96, 96, 48, 48, 6, traj, spec)
         frames_dir = tmp_path / "frames"
         flows_dir = tmp_path / "flows"
@@ -487,28 +492,3 @@ class TestWriteJson:
             write_json(path, {"per_frame": [{"psnr": value}]})
         assert not path.exists()
 
-
-class TestCyclicPanRedundancy:
-    def test_similarity_chain_avoids_redundant_references(self):
-        # period-4 cycle with stride 8 makes fixed-stride pick identical views
-        spec = CanvasSpec(24, 24, 24, 32, 0, 8, downsample=2)
-        traj = SceneConfig(
-            kind="pan_cycle", start_y=8.0, start_x=8.0, delta_x=3.0, period=4,
-        ).trajectory()
-        scene = generate_scene(21, 48, 64, 24, 24, 17, traj, spec)
-        frames = scene.frames()
-        grays = [to_grayscale(f) for f in frames]
-
-        fixed = fixed_stride_chain(17, 8)
-        fixed_scores = [
-            ssim_structure_score(grays[a], grays[b])
-            for a, b in zip(fixed.indices, fixed.indices[1:])
-        ]
-        assert max(fixed_scores) > 0.999  # stride lands on the same view
-
-        chain = build_reference_chain(frames, 8)
-        chain_scores = [
-            ssim_structure_score(grays[a], grays[b])
-            for a, b in zip(chain.indices, chain.indices[1:])
-        ]
-        assert max(chain_scores) <= 0.999

@@ -25,7 +25,8 @@ from outpaint.propagation import (
     required_flow_pairs,
 )
 from outpaint.refselect import ReferenceChain, build_reference_chain
-from outpaint.synthetic import TrajectorySpec, generate_scene, stand_in_encode
+from outpaint.pipeline import SceneConfig
+from outpaint.synthetic import generate_scene, stand_in_encode
 
 
 def const_grid(value, c=1, h=1, w=8):
@@ -142,7 +143,7 @@ class TestPropagateDirection:
     def test_requires_completed_flows(self):
         latents, mask = strip_world()
         chain = self.make_chain()
-        flows = {(0, 2): FlowField(np.zeros((1, 8)), np.zeros((1, 8)), mask.complement().data)}
+        flows = {(0, 2): FlowField(np.zeros((1, 8)), np.zeros((1, 8)), ~mask.data)}
         with pytest.raises(ValueError, match="completed"):
             propagate_direction(0, chain, latents, mask, flows, "future")
 
@@ -178,7 +179,7 @@ class TestPropagateSequence:
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         flows = {}
-        src_valid = mask.complement().data
+        src_valid = ~mask.data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
@@ -199,7 +200,7 @@ class TestPropagateSequence:
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=n)
         flows = {}
-        src_valid = mask.complement().data
+        src_valid = ~mask.data
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
@@ -219,7 +220,7 @@ class TestPropagateSequence:
         latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(10)]
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
-        src_valid = mask.complement().data
+        src_valid = ~mask.data
         zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid))
         flows = {pair: zero for pair in required_flow_pairs(chain, 10)}
         del flows[(2, 0)]
@@ -237,7 +238,7 @@ class TestPropagateSequence:
         mask = make_outpaint_mask(spec.latent())
         chain = ReferenceChain((0, 1), window=1, num_frames=2)
         flows = {}
-        src_valid = mask.complement().data
+        src_valid = ~mask.data
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
@@ -251,7 +252,7 @@ class TestPropagateSequence:
         spec = CanvasSpec(1, 2, 1, 8, 0, 3)
         latents = [ChannelGrid(np.array([[[w[i], w[i + 1]]]])) for i in range(3)]
         mask = make_outpaint_mask(spec.latent())
-        src_valid = mask.complement().data
+        src_valid = ~mask.data
 
         def flows_for(chain):
             flows = {}
@@ -284,7 +285,7 @@ def paper_pan_inputs(n=12):
     panning 4 px (one latent cell) per frame, with exact completed flows
     and a reference on every other frame."""
     spec = CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4)
-    traj = TrajectorySpec(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)
+    traj = SceneConfig(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)
     scene = generate_scene(5, 96, 128 + 4 * (n - 1), 96, 96, n, traj, spec)
     lat = spec.latent()
     mask = make_outpaint_mask(lat)
@@ -340,9 +341,9 @@ def test_early_exit_matches_pulling_every_reference():
 # the paper's 96x96 -> 96x128 s=4 regime and the 48 -> 64 s=2 translation oracle
 DENSE_SCENES = [
     (5, CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4), (96, 128 + 4 * 19), 20,
-     TrajectorySpec(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)),
+     SceneConfig(kind="pan", start_y=0.0, start_x=16.0, delta_x=4.0)),
     (7, CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2), (96, 96), 16,
-     TrajectorySpec(kind="pan", start_y=24.0, start_x=16.0, delta_x=2.0)),
+     SceneConfig(kind="pan", start_y=24.0, start_x=16.0, delta_x=2.0)),
 ]
 
 

@@ -10,13 +10,13 @@ from outpaint.grids import CanvasSpec, ChannelGrid, ScalarGrid
 from outpaint.refselect import (
     ReferenceChain,
     build_reference_chain,
-    fixed_stride_chain,
     nearest_refs,
     ssim_structure_score,
     to_grayscale,
 )
 from outpaint.seeding import seeded_generator
-from outpaint.synthetic import TrajectorySpec, generate_scene
+from outpaint.pipeline import SceneConfig
+from outpaint.synthetic import generate_scene
 
 C2 = 0.03**2
 C3 = C2 / 2.0
@@ -43,7 +43,7 @@ def structure_score_oracle(a, b, win=8):
     return total / count
 
 
-def reference_window_moments(a, b, win):
+def reference_window_moments(a, b, win=8):
     """Per-window means, std deviations and covariance (unbiased, N-1),
     two-pass over every window's own values."""
     wa = sliding_window_view(a, (win, win))
@@ -184,7 +184,7 @@ class TestWindowMoments:
         b = rng.random((h, w))
         b[:, : min(band, w)] = fill
         a, b = a + offset, b + offset
-        got = refselect._window_moments(a, b, 8)
+        got = refselect._window_moments(a, b)
         want = reference_window_moments(a, b, 8)
         for g, r in zip(got, want):
             assert g.shape == r.shape
@@ -193,7 +193,7 @@ class TestWindowMoments:
     def test_constant_window_has_zero_deviation(self):
         a = np.random.default_rng(8).random((16, 24))
         a[:, :12] = 0.3
-        _, _, sd_a, _, _ = refselect._window_moments(a, a, 8)
+        _, _, sd_a, _, _ = refselect._window_moments(a, a)
         assert np.all(sd_a[:, :5] == 0.0)
 
 
@@ -212,7 +212,7 @@ def criterion_04_scenes(count):
         start_x = 24.0 + (span if dx < 0 else 0)
         world = int(48 + 24 + span + 8)
         spec = CanvasSpec(24, 24, 24, 32, 0, 8)
-        traj = TrajectorySpec(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
+        traj = SceneConfig(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
         scene = generate_scene(int(stream.integers(0, 2**31)), world, world, 24, 24, n, traj, spec)
         yield scene.frames()
 
@@ -299,6 +299,19 @@ class TestNearestRefs:
         assert lo in chain.indices and hi in chain.indices
 
 
+def fixed_stride_chain(n: int, stride: int) -> ReferenceChain:
+    """Uniform sampling at ``stride`` plus the final frame: the baseline the
+    similarity chain is compared against."""
+    if n < 1:
+        raise ValueError("need at least one frame")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if n == 1:
+        return ReferenceChain((0,), window=stride, num_frames=1)
+    indices = tuple(range(0, n - 1, stride)) + (n - 1,)
+    return ReferenceChain(indices, window=stride, num_frames=n)
+
+
 class TestFixedStride:
     def test_n10_stride4(self):
         assert fixed_stride_chain(10, 4).indices == (0, 4, 8, 9)
@@ -311,3 +324,27 @@ class TestFixedStride:
 
     def test_no_duplicate_final_frame(self):
         assert fixed_stride_chain(9, 4).indices == (0, 4, 8)
+
+
+class TestCyclicPanRedundancy:
+    def test_similarity_chain_avoids_redundant_references(self):
+        # period-4 cycle with stride 8 makes fixed-stride pick identical views
+        spec = CanvasSpec(24, 24, 24, 32, 0, 8, downsample=2)
+        traj = SceneConfig(kind="pan_cycle", start_y=8.0, start_x=8.0, delta_x=3.0, period=4)
+        scene = generate_scene(21, 48, 64, 24, 24, 17, traj, spec)
+        frames = scene.frames()
+        grays = [to_grayscale(f) for f in frames]
+
+        fixed = fixed_stride_chain(17, 8)
+        fixed_scores = [
+            ssim_structure_score(grays[a], grays[b])
+            for a, b in zip(fixed.indices, fixed.indices[1:])
+        ]
+        assert max(fixed_scores) > 0.999  # stride lands on the same view
+
+        chain = build_reference_chain(frames, 8)
+        chain_scores = [
+            ssim_structure_score(grays[a], grays[b])
+            for a, b in zip(chain.indices, chain.indices[1:])
+        ]
+        assert max(chain_scores) <= 0.999

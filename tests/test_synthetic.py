@@ -5,8 +5,8 @@ import pytest
 
 from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, ScalarGrid
 from outpaint.metrics import psnr, psnr_masked, ssim_full
+from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import (
-    TrajectorySpec,
     generate_scene,
     stand_in_decode,
     stand_in_encode,
@@ -15,7 +15,7 @@ from outpaint.synthetic import (
 
 def pan_scene(seed=1, n=5, delta=(0.0, 2.0)):
     spec = CanvasSpec(16, 16, 16, 24, 0, 8)
-    traj = TrajectorySpec(
+    traj = SceneConfig(
         kind="pan", start_y=8.0, start_x=8.0, delta_y=delta[0], delta_x=delta[1]
     )
     return generate_scene(seed, 48, 64, 16, 16, n, traj, spec)
@@ -24,7 +24,7 @@ def pan_scene(seed=1, n=5, delta=(0.0, 2.0)):
 class TestSceneGeneration:
     def test_static_scene_zero_flows(self):
         spec = CanvasSpec(8, 8, 8, 12, 0, 4)
-        traj = TrajectorySpec(kind="static", start_y=4.0, start_x=4.0)
+        traj = SceneConfig(kind="static", start_y=4.0, start_x=4.0)
         scene = generate_scene(0, 24, 24, 8, 8, 4, traj, spec)
         for i in range(4):
             for j in range(4):
@@ -71,19 +71,19 @@ class TestSceneGeneration:
 
     def test_trajectory_escape_rejected(self):
         spec = CanvasSpec(8, 8, 8, 12, 0, 4)
-        traj = TrajectorySpec(kind="pan", start_y=0.0, start_x=4.0, delta_x=10.0)
+        traj = SceneConfig(kind="pan", start_y=0.0, start_x=4.0, delta_x=10.0)
         with pytest.raises(ValueError, match="escapes"):
             generate_scene(0, 24, 24, 8, 8, 4, traj, spec)
 
     def test_pan_cycle_returns_to_start(self):
-        traj = TrajectorySpec(kind="pan_cycle", start_x=4.0, delta_x=1.0, period=3)
+        traj = SceneConfig(kind="pan_cycle", start_x=4.0, delta_x=1.0, period=3)
         origins = traj.origins(9)
         xs = [x for _, x in origins]
         assert xs == [4.0, 5.0, 6.0, 7.0, 6.0, 5.0, 4.0, 5.0, 6.0]
 
     def test_subpixel_origins_allowed(self):
         spec = CanvasSpec(8, 8, 8, 12, 0, 4)
-        traj = TrajectorySpec(kind="pan", start_y=4.0, start_x=4.0, delta_x=0.5)
+        traj = SceneConfig(kind="pan", start_y=4.0, start_x=4.0, delta_x=0.5)
         scene = generate_scene(3, 24, 32, 8, 8, 4, traj, spec)
         assert scene.frame(1).data.shape == (3, 8, 8)
 
