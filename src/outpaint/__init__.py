@@ -43,7 +43,6 @@ from .propagation import (
 )
 from .diffusion import (
     NoiseSchedule,
-    WindowPlan,
     forward_noise,
     make_schedule,
     plan_windows,

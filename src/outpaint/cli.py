@@ -70,10 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m", type=int, nargs="+", default=list(BENCH_M_VALUES))
     p_bench.add_argument("--scene-kind", choices=("static", "pan"), default="static")
 
-    p_metrics = sub.add_parser("metrics", help="PSNR/SSIM between two grid files")
+    p_metrics = sub.add_parser("metrics", help="PSNR/SSIM between two grid files, values on [0, 1]")
     p_metrics.add_argument("--ref", required=True)
     p_metrics.add_argument("--test", required=True)
-    p_metrics.add_argument("--peak", type=float, default=1.0)
     p_metrics.add_argument("--out", help="output file (stdout when omitted)")
 
     return parser
@@ -150,8 +149,8 @@ def _cmd_metrics(args) -> int:
     ref = read_grid(args.ref)
     test = read_grid(args.test)
     payload = _json_sanitize({
-        "psnr_db": psnr(ref, test, peak=args.peak),
-        "ssim": ssim_full(ref, test, dynamic_range=args.peak),
+        "psnr_db": psnr(ref, test),
+        "ssim": ssim_full(ref, test),
     })
     if args.out:
         write_json(Path(args.out), payload)

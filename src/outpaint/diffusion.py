@@ -155,39 +155,9 @@ def resolve_denoiser(
     raise ValueError(f"unknown denoiser {name!r}")
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    """Overlapping temporal windows covering [0, frame_count)."""
-
-    windows: tuple[tuple[int, int], ...]
-    length: int
-    stride: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "windows", tuple((int(s), int(e)) for s, e in self.windows)
-        )
-        if self.length < 1 or not 1 <= self.stride <= self.length:
-            raise ValueError("need 1 <= stride <= window length")
-        for s, e in self.windows:
-            if not 0 <= s < e:
-                raise ValueError(f"bad window [{s}, {e})")
-            if e - s > self.length:
-                raise ValueError(f"window [{s}, {e}) longer than {self.length}")
-
-    @property
-    def frame_count(self) -> int:
-        return max(e for _, e in self.windows)
-
-    def membership_counts(self) -> np.ndarray:
-        counts = np.zeros(self.frame_count, dtype=np.int64)
-        for s, e in self.windows:
-            counts[s:e] += 1
-        return counts
-
-
-def plan_windows(frame_count: int, length: int, stride: int) -> WindowPlan:
-    """Windows [k*stride, k*stride + length), the last clamped to the end."""
+def plan_windows(frame_count: int, length: int, stride: int) -> tuple[tuple[int, int], ...]:
+    """Overlapping windows ``((start, end), ...)`` covering [0, frame_count):
+    [k*stride, k*stride + length), the last clamped to the end."""
     if frame_count < 1:
         raise ValueError("need at least one frame")
     if length < 1:
@@ -203,7 +173,7 @@ def plan_windows(frame_count: int, length: int, stride: int) -> WindowPlan:
         if start + length >= frame_count:
             break
         k += 1
-    return WindowPlan(tuple(windows), length=length, stride=stride)
+    return tuple(windows)
 
 
 def windowed_epsilon(
@@ -211,23 +181,26 @@ def windowed_epsilon(
     noisy: np.ndarray,
     condition: np.ndarray,
     timestep: int,
-    plan: WindowPlan,
+    plan: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
     """Per-frame average of the denoiser's predictions over every window
-    containing the frame.  Windows are evaluated in plan order so the
-    floating-point sum is deterministic; each ``predict`` gets the position
-    of its window's first frame as ``start``."""
+    ``(start, end)`` of ``plan`` containing the frame.  Each window must lie
+    inside [0, N) and every frame must be in one.  Windows are evaluated in
+    plan order so the floating-point sum is deterministic; each ``predict``
+    gets the position of its window's first frame as ``start``."""
     if noisy.shape != condition.shape:
         raise ValueError(f"noisy {noisy.shape} and condition {condition.shape} differ")
     n = len(noisy)
-    if plan.frame_count != n:
-        raise ValueError(f"plan covers {plan.frame_count} frames, sequence has {n}")
-    counts = plan.membership_counts()
+    counts = np.zeros(n, dtype=np.int64)
+    for start, end in plan:
+        if not 0 <= start < end <= n:
+            raise ValueError(f"window [{start}, {end}) outside the {n} frames")
+        counts[start:end] += 1
     if (counts == 0).any():
         holes = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"plan leaves frames uncovered: {holes}")
     sums = np.zeros_like(noisy)
-    for start, end in plan.windows:
+    for start, end in plan:
         pred = denoiser.predict(noisy[start:end], condition[start:end], timestep, start)
         if pred.shape != sums[start:end].shape:
             raise ValueError(f"denoiser returned {pred.shape} for window [{start}, {end})")
@@ -240,14 +213,14 @@ def reverse_sample(
     condition: np.ndarray,
     schedule: NoiseSchedule,
     seed: int,
-    plan: WindowPlan | None = None,
+    plan: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
     """Ancestral reverse sampling from seeded Gaussian noise.
 
     Z_{t-1} = (Z_t - beta_t / sqrt(1-abar_t) * eps) / sqrt(alpha_t) + sigma_t * n,
     with no noise injected at the final step.  ``condition`` and the result
     are (N, C, h, w) arrays.  The noise estimate is windowed_epsilon over
-    ``plan``; without one, a single window covers the whole sequence.
+    the windows of ``plan`` (see plan_windows).
 
     Draw order is fixed: the initial state, then one draw per step, each a
     single ``standard_normal`` of shape (N, C, h, w).  Such a draw equals N
@@ -257,8 +230,6 @@ def reverse_sample(
     """
     if condition.ndim != 4 or len(condition) < 1:
         raise ValueError(f"condition must be a non-empty (N, C, h, w) array: {condition.shape}")
-    if plan is None:
-        plan = plan_windows(len(condition), len(condition), len(condition))
     rng = seeded_generator(seed, "reverse-sample")
     z = rng.standard_normal(condition.shape)
     for timestep in range(schedule.timesteps, 0, -1):

@@ -1,8 +1,8 @@
-"""Quality metrics: PSNR and full three-term SSIM.
+"""Quality metrics: PSNR and full three-term SSIM, for values on [0, 1].
 
 SSIM here is the standard luminance * contrast * structure product over
 8x8 stride-1 windows with unbiased (N-1) moments; the structure factor is
-the same term reference selection uses.
+the same term reference selection uses, with the same constants.
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ import math
 import numpy as np
 
 from .grids import BinaryMask, ChannelGrid, ScalarGrid
-from .refselect import STRUCTURE_WINDOW, _window_moments
+from .refselect import _C2, _C3, STRUCTURE_WINDOW, _window_moments
+
+# luminance regularizer for dynamic range L=1: C1 = (0.01 L)^2
+_C1 = 0.01**2
 
 
 def _planes(grid: ChannelGrid | ScalarGrid) -> np.ndarray:
@@ -23,28 +26,25 @@ def _planes(grid: ChannelGrid | ScalarGrid) -> np.ndarray:
     raise ValueError(f"metrics need a channel or scalar grid, got {type(grid).__name__}")
 
 
-def _psnr_db(mse: float, peak: float) -> float:
-    """10 log10(peak^2 / MSE) in dB; +inf for a zero MSE."""
-    if not peak > 0.0:
-        raise ValueError("peak must be positive")
+def _psnr_db(mse: float) -> float:
+    """10 log10(1 / MSE) in dB, for a peak of 1; +inf for a zero MSE."""
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid, peak: float = 1.0) -> float:
+def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid) -> float:
     """PSNR in dB over every cell and channel; +inf for identical inputs."""
     pa, pb = _planes(a), _planes(b)
     if pa.shape != pb.shape:
         raise ValueError("grids must share dimensions")
-    return _psnr_db(float(np.mean((pa - pb) ** 2)), peak)
+    return _psnr_db(float(np.mean((pa - pb) ** 2)))
 
 
 def psnr_masked(
     a: ChannelGrid | ScalarGrid,
     b: ChannelGrid | ScalarGrid,
     mask: BinaryMask,
-    peak: float = 1.0,
 ) -> float:
     """PSNR restricted to cells where ``mask`` is True (every channel counts).
 
@@ -57,14 +57,10 @@ def psnr_masked(
         raise ValueError("mask must match grid dimensions")
     cells = mask.data
     mse = float(np.mean((pa[:, cells] - pb[:, cells]) ** 2)) if cells.any() else 0.0
-    return _psnr_db(mse, peak)
+    return _psnr_db(mse)
 
 
-def ssim_full(
-    a: ChannelGrid | ScalarGrid,
-    b: ChannelGrid | ScalarGrid,
-    dynamic_range: float = 1.0,
-) -> float:
+def ssim_full(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid) -> float:
     """Mean SSIM over all STRUCTURE_WINDOW-sized windows, averaged across
     channels."""
     w = STRUCTURE_WINDOW
@@ -73,14 +69,11 @@ def ssim_full(
         raise ValueError("grids must share dimensions")
     if pa.shape[1] < w or pa.shape[2] < w:
         raise ValueError(f"grid smaller than the {w}x{w} local window")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    c3 = c2 / 2.0
     per_channel = []
     for ca, cb in zip(pa, pb):
         mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb)
-        lum = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
-        con = (2.0 * sd_a * sd_b + c2) / (sd_a**2 + sd_b**2 + c2)
-        stru = (cov + c3) / (sd_a * sd_b + c3)
+        lum = (2.0 * mu_a * mu_b + _C1) / (mu_a**2 + mu_b**2 + _C1)
+        con = (2.0 * sd_a * sd_b + _C2) / (sd_a**2 + sd_b**2 + _C2)
+        stru = (cov + _C3) / (sd_a * sd_b + _C3)
         per_channel.append(float(np.mean(lum * con * stru)))
     return float(np.mean(per_channel))

@@ -52,14 +52,15 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-TRAJECTORY_KINDS = ("static", "pan", "pan_cycle")
+TRAJECTORY_KINDS = ("pan", "pan_cycle")
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     """A synthetic scene: a world_h x world_w world seen by a camera whose
-    crop origin follows a static path, a constant pan, or a back-and-forth
-    pan over ``n_frames`` frames.
+    crop origin follows a constant pan or a back-and-forth pan (pan_cycle)
+    over ``n_frames`` frames; a still camera is a pan with zero deltas, the
+    default.
 
     The origin starts at (start_y, start_x) and steps by (delta_y, delta_x)
     per frame; ``period`` is the number of frames a pan_cycle moves forward
@@ -89,9 +90,7 @@ class SceneConfig:
         """The camera's crop origin (y, x) in each of the first ``n_frames`` frames."""
         out = []
         for k in range(n_frames):
-            if self.kind == "static":
-                step = 0.0
-            elif self.kind == "pan":
+            if self.kind == "pan":
                 step = float(k)
             else:
                 phase = k % (2 * self.period)
@@ -111,11 +110,29 @@ class SceneConfig:
         )
 
 
+_TYPE_NAMES = {str: "a string", bool: "true or false", type(None): "null"}
+
+
+def _check_field_types(obj, types: dict[str, tuple[type, ...]]) -> None:
+    """ConfigError unless each named field of ``obj`` is an instance of one
+    of its types (1 is not a bool, None is not a string)."""
+    for name, allowed in types.items():
+        value = getattr(obj, name)
+        if not isinstance(value, allowed):
+            want = " or ".join(_TYPE_NAMES[t] for t in allowed)
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InputPaths:
     frames_dir: str
     flows_dir: str
     gt_dir: str | None = None
+
+    def __post_init__(self):
+        _check_field_types(
+            self, {"frames_dir": (str,), "flows_dir": (str,), "gt_dir": (str, type(None))}
+        )
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,9 @@ class PipelineConfig:
     write_timings: bool = False
 
     def __post_init__(self):
+        _check_field_types(
+            self, {"denoiser": (str,), "out_dir": (str,), "write_timings": (bool,)}
+        )
         if self.mode not in ("propagate", "sample"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if (self.scene is None) == (self.inputs is None):
@@ -539,7 +559,9 @@ def run_benchmark(
     out_csv: str | Path | None = None,
 ) -> list[BenchmarkReport]:
     """Run the stages up to propagation over an (N, m) grid of small
-    synthetic scenes, verifying the warp-count ordering on every cell."""
+    synthetic scenes, verifying the warp-count ordering on every cell.
+    ``scene_kind`` "static" films them with a still camera, "pan" with one
+    panning 1 px per frame."""
     if scene_kind not in ("static", "pan"):
         raise ConfigError(f"unknown benchmark scene kind {scene_kind!r}")
     pan = scene_kind == "pan"
@@ -555,7 +577,6 @@ def run_benchmark(
                     # a 1 px/frame pan moves the crop n columns
                     world_w=48 + n if pan else 48,
                     n_frames=n,
-                    kind=scene_kind,
                     start_y=8.0,
                     start_x=8.0,
                     delta_x=1.0 if pan else 0.0,

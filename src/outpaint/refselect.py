@@ -20,7 +20,8 @@ from .grids import ChannelGrid, ScalarGrid
 # BT.601 luma weights.
 _LUMA = (0.299, 0.587, 0.114)
 
-# Structure-term regularizer for dynamic range L=1: C3 = C2/2, C2 = (0.03 L)^2.
+# SSIM regularizers for dynamic range L=1, shared with metrics.ssim_full:
+# C2 = (0.03 L)^2 and the structure term's C3 = C2/2.
 STRUCTURE_WINDOW = 8
 _C2 = 0.03**2
 _C3 = _C2 / 2.0

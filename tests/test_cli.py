@@ -237,6 +237,12 @@ class TestPipelineCommands:
         bad_sampler = pipeline_config(tmp_path / "run", mode_extra={"sampler_stride": 0})
         bogus_scene = pipeline_config(tmp_path / "run")
         bogus_scene["scene"]["kind"] = "bogus"
+        # a still camera is a pan with zero deltas; "static" is not a kind
+        static_scene = pipeline_config(tmp_path / "run")
+        static_scene["scene"]["kind"] = "static"
+        int_frames_dir = pipeline_config(tmp_path / "run")
+        del int_frames_dir["scene"]
+        int_frames_dir["inputs"] = {"frames_dir": 5, "flows_dir": str(tmp_path / "flows")}
         float_size = pipeline_config(tmp_path / "run")
         float_size["canvas"]["orig_h"] = 48.0
         # an empty scene is a scene (all defaults), so it clashes with inputs
@@ -264,11 +270,14 @@ class TestPipelineCommands:
             ("sample", {"sampler_window": 25.0}),
             ("sample", {"sampler_stride": 12.0}),
         ]
+        type_edits = [{"denoiser": 5}, {"out_dir": 5}, {"write_timings": "no"}]
         for command, cfg in (
             ("propagate", no_canvas),
             ("propagate", [pipeline_config(tmp_path / "run")]),
             ("sample", bad_sampler),
             ("propagate", bogus_scene),
+            ("propagate", static_scene),
+            ("propagate", int_frames_dir),
             ("propagate", float_size),
             ("propagate", empty_scene_and_inputs),
             ("propagate", float_frames),
@@ -276,6 +285,7 @@ class TestPipelineCommands:
             ("propagate", escaping_scene),
             ("propagate", no_frames),
             *[(command, pipeline_config(tmp_path / "run", mode_extra=edit)) for command, edit in integer_edits],
+            *[("propagate", pipeline_config(tmp_path / "run", mode_extra=edit)) for edit in type_edits],
         ):
             cfg_path.write_text(json.dumps(cfg))
             # sample needs --seed; propagate keeps the config's, so a bad one shows

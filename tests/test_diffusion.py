@@ -7,7 +7,6 @@ from outpaint.diffusion import (
     ConstantDenoiser,
     NoiseSchedule,
     OracleDenoiser,
-    WindowPlan,
     ZeroDenoiser,
     forward_noise,
     make_schedule,
@@ -27,6 +26,15 @@ def linear_schedule(timesteps, beta_first, beta_last):
     return NoiseSchedule(np.linspace(beta_first, beta_last, timesteps))
 
 
+def membership_counts(windows):
+    """How many of the ``(start, end)`` windows contain each frame, from 0
+    to the last window's end."""
+    counts = np.zeros(max(e for _, e in windows), dtype=np.int64)
+    for s, e in windows:
+        counts[s:e] += 1
+    return counts
+
+
 def reference_reverse_sample(predict_frame, n, shape, schedule, seed, windows):
     """The sampler frame by frame: the state is a list of (C, h, w) arrays,
     every draw is one frame's in frame order, and each window's predictions
@@ -34,7 +42,7 @@ def reference_reverse_sample(predict_frame, n, shape, schedule, seed, windows):
     is the denoiser's prediction for frame ``i``."""
     rng = seeded_generator(seed, "reverse-sample")
     state = [rng.standard_normal(shape) for _ in range(n)]
-    counts = [sum(s <= i < e for s, e in windows) for i in range(n)]
+    counts = membership_counts(windows)
     for t in range(schedule.timesteps, 0, -1):
         sums = [np.zeros(shape) for _ in range(n)]
         for s, e in windows:
@@ -147,7 +155,8 @@ class TestReverseSample:
         rng = seeded_generator(11, "t1-test")
         z0 = frames(rng.standard_normal((1, 3, 3)))
         oracle = OracleDenoiser(z0, sched)
-        out = reverse_sample(oracle, frames(np.zeros((1, 3, 3))), sched, seed=42)
+        cond = frames(np.zeros((1, 3, 3)))
+        out = reverse_sample(oracle, cond, sched, seed=42, plan=plan_windows(1, 1, 1))
         assert np.allclose(out[0], z0[0], atol=1e-12)
 
     def test_oracle_recovers_after_50_steps(self):
@@ -156,7 +165,7 @@ class TestReverseSample:
         z0 = frames(rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 4, 4)))
         oracle = OracleDenoiser(z0, sched)
         cond = frames(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
-        out = reverse_sample(oracle, cond, sched, seed=9)
+        out = reverse_sample(oracle, cond, sched, seed=9, plan=plan_windows(2, 2, 2))
         for got, want in zip(out, z0):
             assert np.allclose(got, want, atol=1e-4)
 
@@ -178,7 +187,7 @@ class TestReverseSample:
         sched = linear_schedule(6, 0.05, 0.3)
         cond = frames(np.zeros((1, 2, 2)))
         seed = 77
-        out = reverse_sample(ZeroDenoiser(), cond, sched, seed=seed)
+        out = reverse_sample(ZeroDenoiser(), cond, sched, seed=seed, plan=plan_windows(1, 1, 1))
 
         rng = seeded_generator(seed, "reverse-sample")
         z = rng.standard_normal((1, 2, 2))
@@ -199,7 +208,7 @@ class TestReverseSample:
         rng = seeded_generator(19, "reference-sampler")
         clean = rng.standard_normal((n,) + shape)
         cond = rng.standard_normal((n,) + shape)
-        plan = plan_windows(n, window, 2) if window else None
+        plan = plan_windows(n, window, 2) if window else plan_windows(n, n, n)
 
         def oracle(z, i, t):
             ab = sched.alpha_bar_at(t)
@@ -213,44 +222,45 @@ class TestReverseSample:
         got = reverse_sample(
             resolve_denoiser(name, clean=clean, schedule=sched), cond, sched, seed=23, plan=plan
         )
-        windows = plan.windows if plan else ((0, n),)
-        want = reference_reverse_sample(predict_frame, n, shape, sched, 23, windows)
+        want = reference_reverse_sample(predict_frame, n, shape, sched, 23, plan)
         assert np.array_equal(got, np.stack(want))
 
     def test_same_seed_bit_identical(self):
         sched = linear_schedule(5, 0.01, 0.1)
         cond = frames(np.ones((1, 3, 3)))
-        a = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5)
-        b = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5)
+        plan = plan_windows(1, 1, 1)
+        a = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5, plan=plan)
+        b = reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=5, plan=plan)
         assert np.array_equal(a[0], b[0])
 
     def test_different_seed_differs(self):
         sched = linear_schedule(5, 0.01, 0.1)
         cond = frames(np.ones((1, 3, 3)))
-        a = reverse_sample(ZeroDenoiser(), cond, sched, seed=5)
-        b = reverse_sample(ZeroDenoiser(), cond, sched, seed=6)
+        plan = plan_windows(1, 1, 1)
+        a = reverse_sample(ZeroDenoiser(), cond, sched, seed=5, plan=plan)
+        b = reverse_sample(ZeroDenoiser(), cond, sched, seed=6, plan=plan)
         assert not np.array_equal(a[0], b[0])
 
 
 class TestWindowPlan:
     def test_short_sequence_single_window(self):
         plan = plan_windows(10, 25, 12)
-        assert plan.windows == ((0, 10),)
+        assert plan == ((0, 10),)
 
     def test_spec_example_40_25_12(self):
         plan = plan_windows(40, 25, 12)
-        assert plan.windows == ((0, 25), (12, 37), (24, 40))
+        assert plan == ((0, 25), (12, 37), (24, 40))
 
     def test_stride_equals_length_tiles(self):
         plan = plan_windows(40, 10, 10)
-        assert plan.windows == ((0, 10), (10, 20), (20, 30), (30, 40))
+        assert plan == ((0, 10), (10, 20), (20, 30), (30, 40))
 
     def test_stride_exceeding_length_rejected(self):
         with pytest.raises(ValueError):
             plan_windows(40, 10, 11)
 
     def test_counts(self):
-        counts = plan_windows(40, 25, 12).membership_counts()
+        counts = membership_counts(plan_windows(40, 25, 12))
         assert counts[0] == 1 and counts[12] == 2 and counts[24] == 3
         assert counts[37] == 1 and counts.min() >= 1
 
@@ -258,7 +268,7 @@ class TestWindowPlan:
     @settings(max_examples=50, deadline=None)
     def test_every_frame_covered(self, n, w, data):
         s = data.draw(st.integers(1, w))
-        counts = plan_windows(n, w, s).membership_counts()
+        counts = membership_counts(plan_windows(n, w, s))
         assert counts.size == n and counts.min() >= 1
 
 
@@ -323,7 +333,7 @@ class TestWindowedEpsilon:
         out = windowed_epsilon(NoisyEcho(), noisy, cond, 1, plan)
         for i, g in enumerate(out):
             per_window = [
-                noisy[i] + cond[i] for (s, e) in plan.windows if s <= i < e
+                noisy[i] + cond[i] for (s, e) in plan if s <= i < e
             ]
             lo = np.minimum.reduce(per_window)
             hi = np.maximum.reduce(per_window)
@@ -331,18 +341,9 @@ class TestWindowedEpsilon:
 
     def test_uncovered_frame_rejected(self):
         noisy, cond = self.seq(6)
-        bad = WindowPlan(((0, 2), (4, 6)), length=2, stride=2)
+        bad = ((0, 2), (4, 6))
         with pytest.raises(ValueError, match="uncovered"):
             windowed_epsilon(ZeroDenoiser(), noisy, cond, 1, bad)
-
-    def test_windowed_reverse_sample_matches_single_window(self):
-        sched = linear_schedule(4, 0.02, 0.2)
-        cond = frames(*[np.full((1, 2, 2), float(i)) for i in range(5)])
-        plan = plan_windows(5, 10, 5)
-        direct = reverse_sample(ConstantDenoiser(0.1), cond, sched, seed=3)
-        windowed = reverse_sample(ConstantDenoiser(0.1), cond, sched, seed=3, plan=plan)
-        for a, b in zip(direct, windowed):
-            assert np.array_equal(a, b)
 
 
 class TestDenoiserRegistry:

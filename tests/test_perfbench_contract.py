@@ -57,6 +57,18 @@ def test_child_builds_the_scene_the_pipeline_builds(monkeypatch):
     assert np.array_equal(built.world.data, want.world.data)
 
 
+def test_every_workload_config_parses(monkeypatch):
+    # the configs perfbench hands run_pipeline: a kind, key or type the
+    # package rejects would fail every repetition of that workload
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        config = PipelineConfig.from_dict(workload.config(5))
+        assert config.seed == 5 and config.window == workloads.WINDOW, name
+
+
 def test_every_traced_name_resolves(tracing):
     for owner, attr, span in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr}"

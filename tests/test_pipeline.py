@@ -49,10 +49,10 @@ def tree_digest(root: Path, exclude=()) -> dict[str, str]:
 
 
 def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
-    """Run a 3-frame file-driven static scene whose flow 1->0 file holds
+    """Run a 3-frame file-driven still scene whose flow 1->0 file holds
     ``bad_flow``; return the StageError and the summary it left."""
     spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-    traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0)
+    traj = SceneConfig(n_frames=3, start_y=24.0, start_x=24.0)
     scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
     for i in range(3):
         write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
@@ -186,7 +186,7 @@ class TestRunPipeline:
     def test_static_scene_source_exact(self, tmp_path):
         cfg = pan_config(
             tmp_path / "run",
-            scene=SceneConfig(world_h=96, world_w=96, n_frames=6, kind="static",
+            scene=SceneConfig(world_h=96, world_w=96, n_frames=6,
                               start_y=24.0, start_x=24.0),
         )
         run_pipeline(cfg)
@@ -263,7 +263,7 @@ class TestRunPipeline:
     def test_sample_single_frame_still_runs(self, tmp_path):
         cfg = pan_config(
             tmp_path / "run", mode="sample", timesteps=5,
-            scene=SceneConfig(world_h=96, world_w=96, n_frames=1, kind="static",
+            scene=SceneConfig(world_h=96, world_w=96, n_frames=1,
                               start_y=24.0, start_x=24.0),
         )
         summary = run_pipeline(cfg)
@@ -288,7 +288,7 @@ class TestRunPipeline:
         frames_dir = tmp_path / "frames"
         scene = generate_scene(
             3, 96, 96, 48, 48, 4,
-            SceneConfig(n_frames=4, kind="static", start_y=24.0, start_x=24.0),
+            SceneConfig(n_frames=4, start_y=24.0, start_x=24.0),
             CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2),
         )
         for i in range(4):
@@ -308,7 +308,7 @@ class TestRunPipeline:
 
     def test_flow_grid_in_gt_dir_fails_at_inputs(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-        traj = SceneConfig(n_frames=3, kind="static", start_y=24.0, start_x=24.0)
+        traj = SceneConfig(n_frames=3, start_y=24.0, start_x=24.0)
         scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
         for i in range(3):
             write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
@@ -341,7 +341,7 @@ class TestRunPipeline:
 
     def test_frame_index_gap_fails_at_inputs(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
-        traj = SceneConfig(n_frames=6, kind="static", start_y=24.0, start_x=24.0)
+        traj = SceneConfig(n_frames=6, start_y=24.0, start_x=24.0)
         scene = generate_scene(3, 96, 96, 48, 48, 6, traj, spec)
         for i in (0, 1, 3, 4, 5):
             write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))

@@ -24,7 +24,7 @@ def pan_scene(seed=1, n=5, delta=(0.0, 2.0)):
 class TestSceneGeneration:
     def test_static_scene_zero_flows(self):
         spec = CanvasSpec(8, 8, 8, 12, 0, 4)
-        traj = SceneConfig(kind="static", start_y=4.0, start_x=4.0)
+        traj = SceneConfig(start_y=4.0, start_x=4.0)
         scene = generate_scene(0, 24, 24, 8, 8, 4, traj, spec)
         for i in range(4):
             for j in range(4):
@@ -144,21 +144,21 @@ class TestMetrics:
     def test_psnr_constant_offset(self):
         a = ChannelGrid(np.full((1, 8, 8), 0.3))
         b = ChannelGrid(np.full((1, 8, 8), 0.4))
-        assert psnr(a, b, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+        assert psnr(a, b) == pytest.approx(20.0, abs=1e-9)
 
     def test_psnr_symmetric(self):
         rng = np.random.default_rng(5)
         a, b = ChannelGrid(rng.random((2, 6, 6))), ChannelGrid(rng.random((2, 6, 6)))
         assert psnr(a, b) == pytest.approx(psnr(b, a), abs=1e-12)
 
-    @pytest.mark.parametrize("peak", [0.0, -1.0])
-    def test_psnr_rejects_nonpositive_peak(self, peak):
-        a = ChannelGrid(np.full((1, 4, 4), 0.3))
-        b = ChannelGrid(np.full((1, 4, 4), 0.4))
-        with pytest.raises(ValueError, match="peak must be positive"):
-            psnr(a, b, peak=peak)
-        with pytest.raises(ValueError, match="peak must be positive"):
-            psnr_masked(a, b, BinaryMask(np.ones((4, 4))), peak=peak)
+    def test_psnr_masked_counts_only_masked_cells(self):
+        rng = np.random.default_rng(6)
+        a, b = ChannelGrid(rng.random((2, 4, 6))), ChannelGrid(rng.random((2, 4, 6)))
+        cells = np.zeros((4, 6), dtype=bool)
+        cells[1:3, 2:5] = True
+        inside = ChannelGrid(a.data[:, 1:3, 2:5]), ChannelGrid(b.data[:, 1:3, 2:5])
+        assert psnr_masked(a, b, BinaryMask(cells)) == pytest.approx(psnr(*inside), abs=1e-12)
+        assert psnr_masked(a, b, BinaryMask(np.zeros((4, 6), dtype=bool))) == math.inf
 
     def test_ssim_identical_is_one(self):
         g = ScalarGrid(np.random.default_rng(1).random((10, 10)))
