@@ -12,7 +12,6 @@ from .grids import (
     ChannelGrid,
     FlowField,
     GridFormatError,
-    ScalarGrid,
     downscale_flow,
     downscale_mask,
     make_outpaint_mask,
@@ -32,7 +31,6 @@ from .flow import (
     complete_flow_laplacian,
     compose_accumulated,
     map_flow_to_canvas,
-    warp_flow,
 )
 from .propagation import (
     PropagationResult,

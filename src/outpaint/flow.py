@@ -1,5 +1,5 @@
-"""Backward warping, flow-through-flow warping, chain accumulation, and
-flow completion on the expanded canvas.
+"""Backward warping, chain accumulation, and flow completion on the
+expanded canvas.
 
 Warp convention: a flow F on frame A pointing at frame B gives, for each
 target coordinate x on A, the displacement added to x to sample B, i.e.
@@ -44,12 +44,6 @@ def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
     return (y0, x0, y1, x1, fx, fy, inb)
 
 
-def _sample_setup(flow: FlowField, height: int, width: int):
-    """``_corners`` at x + flow(x) for every cell x."""
-    ys, xs = np.mgrid[0:height, 0:width].astype(float)
-    return _corners(ys + flow.v, xs + flow.u, height, width)
-
-
 def _bilinear(stack: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
     """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at once."""
     # incremental form: exact on constant fields and at integer samples
@@ -64,43 +58,31 @@ def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, Binar
     """Warp ``src`` by sampling it at x + flow(x).
 
     Returns the warped grid and a mask that is True only where the flow is
-    valid and the sample lies inside ``src``; invalid cells are zeroed.
+    valid and the sample lies inside ``src``; invalid cells are zeroed.  A
+    flow warps through another flow as the grid of its stacked (u, v)
+    planes (see ``compose_accumulated``).
     """
     if (src.height, src.width) != (flow.height, flow.width):
         raise ValueError("flow dims must match source spatial dims")
-    y0, x0, y1, x1, fx, fy, inb = _sample_setup(flow, src.height, src.width)
+    ys, xs = np.mgrid[0:src.height, 0:src.width].astype(float)
+    y0, x0, y1, x1, fx, fy, inb = _corners(ys + flow.v, xs + flow.u, src.height, src.width)
     ok = inb & flow.valid
     out = np.where(ok, _bilinear(src.data, y0, x0, y1, x1, fx, fy), 0.0)
     return ChannelGrid(out), BinaryMask(ok)
 
 
-def warp_flow(f: FlowField, through: FlowField) -> FlowField:
-    """Resample flow ``f`` at x + through(x).
-
-    Output validity requires ``through`` valid, the sample in bounds, and
-    all four interpolation corners of ``f`` valid.
-    """
-    if (f.height, f.width) != (through.height, through.width):
-        raise ValueError("flow dims must match")
-    y0, x0, y1, x1, fx, fy, inb = _sample_setup(through, f.height, f.width)
-    corners_ok = f.valid[y0, x0] & f.valid[y0, x1] & f.valid[y1, x0] & f.valid[y1, x1]
-    ok = inb & through.valid & corners_ok
-    uv = np.where(f.valid, np.stack([f.u, f.v]), 0.0)
-    u, v = np.where(ok, _bilinear(uv, y0, x0, y1, x1, fx, fy), 0.0)
-    return FlowField(u, v, ok)
-
-
 def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
     """Extend an accumulated flow i->r by a hop r->r' into i->r'.
 
-    The hop is resampled through the accumulated flow and added; validity
-    is the intersection, which ``warp_flow`` already forms.
+    The hop must be a completed flow (valid everywhere): its (u, v) planes
+    are backward-warped through the accumulated flow and added.  The result
+    is valid where the accumulated flow is valid and its sample lies inside
+    the hop.
     """
-    if (acc.height, acc.width) != (hop.height, hop.width):
-        raise ValueError("hop dims must match accumulated flow")
-    warped = warp_flow(hop, acc)
-    uv = np.where(warped.valid, np.stack([acc.u + warped.u, acc.v + warped.v]), 0.0)
-    return FlowField(*uv, warped.valid)
+    if not hop.valid.all():
+        raise ValueError("hop must be a completed flow, valid everywhere")
+    warped, ok = backward_warp(ChannelGrid(np.stack([hop.u, hop.v])), acc)
+    return FlowField(*np.where(ok.data, np.stack([acc.u, acc.v]) + warped.data, 0.0), ok.data)
 
 
 def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:

@@ -18,7 +18,6 @@ import numpy as np
 GRID_MAGIC = b"S2SG"
 GRID_VERSION = 1
 
-KIND_SCALAR = 0
 KIND_CHANNEL = 1
 KIND_FLOW = 2
 KIND_MASK = 3
@@ -43,29 +42,6 @@ def _frozen_mask(data, what: str) -> np.ndarray:
     if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{what} must contain only 0/1 values")
     return _frozen(arr, dtype=bool)
-
-
-@dataclass(frozen=True)
-class ScalarGrid:
-    """Single-plane grid of finite real values, row-major."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.data)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("ScalarGrid needs a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ScalarGrid values must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -283,13 +259,11 @@ def downscale_mask(mask: BinaryMask, s: int) -> BinaryMask:
     return BinaryMask(_blocks(mask.data, s).any(axis=(1, 3)))
 
 
-Grid = ScalarGrid | ChannelGrid | FlowField | BinaryMask
+Grid = ChannelGrid | FlowField | BinaryMask
 
 
 def _payload_planes(grid: Grid) -> tuple[int, int, np.ndarray]:
     """(kind, channels, planes stacked as (C, H, W)) for serialization."""
-    if isinstance(grid, ScalarGrid):
-        return KIND_SCALAR, 1, grid.data[None]
     if isinstance(grid, ChannelGrid):
         return KIND_CHANNEL, grid.channels, grid.data
     if isinstance(grid, FlowField):
@@ -329,10 +303,10 @@ def read_grid(path) -> Grid:
     version, kind, channels, h, w = struct.unpack("<HBIII", raw[4:hdr_size])
     if version != GRID_VERSION:
         raise GridFormatError(f"unsupported version {version}")
-    if kind not in (KIND_SCALAR, KIND_CHANNEL, KIND_FLOW, KIND_MASK):
+    if kind not in (KIND_CHANNEL, KIND_FLOW, KIND_MASK):
         raise GridFormatError(f"unknown kind {kind}")
-    if kind in (KIND_SCALAR, KIND_MASK) and channels != 1:
-        raise GridFormatError(f"kind {kind} requires channels=1, got {channels}")
+    if kind == KIND_MASK and channels != 1:
+        raise GridFormatError(f"mask files require channels=1, got {channels}")
     if kind == KIND_FLOW and channels != 3:
         raise GridFormatError(f"flow files require channels=3, got {channels}")
     if channels == 0 or h == 0 or w == 0 or channels * h * w > _MAX_CELLS:
@@ -345,8 +319,6 @@ def read_grid(path) -> Grid:
         raise GridFormatError(f"trailing data: {len(body)} bytes, expected {expected}")
     planes = np.frombuffer(body, dtype="<f4").reshape(channels, h, w).astype(np.float64)
     try:
-        if kind == KIND_SCALAR:
-            return ScalarGrid(planes[0])
         if kind == KIND_CHANNEL:
             return ChannelGrid(planes)
         if kind == KIND_FLOW:

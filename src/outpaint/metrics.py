@@ -11,19 +11,17 @@ import math
 
 import numpy as np
 
-from .grids import BinaryMask, ChannelGrid, ScalarGrid
+from .grids import BinaryMask, ChannelGrid
 from .refselect import _C2, _C3, STRUCTURE_WINDOW, _window_moments
 
 # luminance regularizer for dynamic range L=1: C1 = (0.01 L)^2
 _C1 = 0.01**2
 
 
-def _planes(grid: ChannelGrid | ScalarGrid) -> np.ndarray:
-    if isinstance(grid, ScalarGrid):
-        return grid.data[None]
-    if isinstance(grid, ChannelGrid):
-        return grid.data
-    raise ValueError(f"metrics need a channel or scalar grid, got {type(grid).__name__}")
+def _planes(grid: ChannelGrid) -> np.ndarray:
+    if not isinstance(grid, ChannelGrid):
+        raise ValueError(f"metrics need a channel grid, got {type(grid).__name__}")
+    return grid.data
 
 
 def _psnr_db(mse: float) -> float:
@@ -33,7 +31,7 @@ def _psnr_db(mse: float) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid) -> float:
+def psnr(a: ChannelGrid, b: ChannelGrid) -> float:
     """PSNR in dB over every cell and channel; +inf for identical inputs."""
     pa, pb = _planes(a), _planes(b)
     if pa.shape != pb.shape:
@@ -41,11 +39,7 @@ def psnr(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid) -> float:
     return _psnr_db(float(np.mean((pa - pb) ** 2)))
 
 
-def psnr_masked(
-    a: ChannelGrid | ScalarGrid,
-    b: ChannelGrid | ScalarGrid,
-    mask: BinaryMask,
-) -> float:
+def psnr_masked(a: ChannelGrid, b: ChannelGrid, mask: BinaryMask) -> float:
     """PSNR restricted to cells where ``mask`` is True (every channel counts).
 
     An empty mask, like identical inputs, yields the +inf sentinel.
@@ -60,7 +54,7 @@ def psnr_masked(
     return _psnr_db(mse)
 
 
-def ssim_full(a: ChannelGrid | ScalarGrid, b: ChannelGrid | ScalarGrid) -> float:
+def ssim_full(a: ChannelGrid, b: ChannelGrid) -> float:
     """Mean SSIM over all STRUCTURE_WINDOW-sized windows, averaged across
     channels."""
     w = STRUCTURE_WINDOW

@@ -83,8 +83,12 @@ class SceneConfig:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.kind == "pan_cycle" and self.period < 1:
             raise ValueError("pan_cycle needs period >= 1")
-        if not all(map(math.isfinite, (self.start_y, self.start_x, self.delta_y, self.delta_x))):
-            raise ValueError("trajectory starts and deltas must be finite")
+        for name in ("start_y", "start_x", "delta_y", "delta_x"):
+            value = getattr(self, name)
+            # true is 1 to Python, yet no coordinate
+            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
     def origins(self, n_frames: int) -> list[tuple[float, float]]:
         """The camera's crop origin (y, x) in each of the first ``n_frames`` frames."""

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import ChannelGrid, ScalarGrid
+from .grids import ChannelGrid
 
 # BT.601 luma weights.
 _LUMA = (0.299, 0.587, 0.114)
@@ -56,14 +56,14 @@ class ReferenceChain:
         return len(self.indices)
 
 
-def to_grayscale(frame: ChannelGrid) -> ScalarGrid:
-    """BT.601 luma of an RGB frame with values in [0, 1]."""
+def to_grayscale(frame: ChannelGrid) -> np.ndarray:
+    """BT.601 luma of an RGB frame with values in [0, 1], as an (H, W) array."""
     if frame.channels != 3:
         raise ValueError(f"expected 3 channels, got {frame.channels}")
     if frame.data.min() < 0.0 or frame.data.max() > 1.0:
         raise ValueError("frame values must lie in [0, 1]")
     r, g, b = frame.data
-    return ScalarGrid(_LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b)
+    return _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
 
 
 def _window_sums(p: np.ndarray, axis: int) -> np.ndarray:
@@ -103,16 +103,19 @@ def _window_moments(a: np.ndarray, b: np.ndarray):
     return mean_a + s_x / n, mean_b + s_y / n, sd_a, sd_b, cov
 
 
-def ssim_structure_score(a: ScalarGrid, b: ScalarGrid) -> float:
+def ssim_structure_score(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structure term (cov + C3) / (sd_a * sd_b + C3) over all stride-1
-    STRUCTURE_WINDOW-sized patches.  Result lies in [-1, 1]; two constant
-    patches score 1 because the C3 regularizer dominates both moments."""
+    STRUCTURE_WINDOW-sized patches of two (H, W) planes, such as two
+    ``to_grayscale`` results.  Result lies in [-1, 1]; two constant patches
+    score 1 because the C3 regularizer dominates both moments."""
     w = STRUCTURE_WINDOW
-    if a.data.shape != b.data.shape:
-        raise ValueError("grids must share dimensions")
-    if a.height < w or a.width < w:
-        raise ValueError(f"grid smaller than the {w}x{w} local window")
-    _, _, sd_a, sd_b, cov = _window_moments(a.data, b.data)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"need two 2-D planes, got {a.ndim}-D and {b.ndim}-D")
+    if a.shape != b.shape:
+        raise ValueError("planes must share dimensions")
+    if a.shape[0] < w or a.shape[1] < w:
+        raise ValueError(f"plane smaller than the {w}x{w} local window")
+    _, _, sd_a, sd_b, cov = _window_moments(a, b)
     return float(np.mean((cov + _C3) / (sd_a * sd_b + _C3)))
 
 

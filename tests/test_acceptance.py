@@ -23,11 +23,11 @@ from outpaint.diffusion import (
     reverse_sample,
     windowed_epsilon,
 )
-from outpaint.flow import complete_flow_laplacian, compose_accumulated, backward_warp, warp_flow
+from outpaint.flow import complete_flow_laplacian, compose_accumulated, backward_warp
 from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, read_grid
 from outpaint.pipeline import PipelineConfig, SceneConfig, run_benchmark, run_pipeline
 from outpaint.propagation import propagate_sequence, required_flow_pairs
-from outpaint.refselect import ScalarGrid, build_reference_chain, ssim_structure_score
+from outpaint.refselect import build_reference_chain, ssim_structure_score
 from outpaint.seeding import seeded_generator
 from outpaint.synthetic import generate_scene, stand_in_encode
 from outpaint.grids import downscale_flow
@@ -87,11 +87,12 @@ def test_criterion_02_flow_composition():
     through = FlowField(
         rng.uniform(-3, 3, (64, 64)), rng.uniform(-3, 3, (64, 64)), np.ones((64, 64))
     )
-    warped = warp_flow(const, through)
-    valid = warped.valid == 1.0
+    # a flow warps through a flow as its stacked (u, v) planes
+    warped, ok = backward_warp(ChannelGrid(np.stack([const.u, const.v])), through)
+    valid = ok.data
     assert valid.any()
-    assert np.all(warped.u[valid] == 1.25)
-    assert np.all(warped.v[valid] == -2.5)
+    assert np.all(warped.data[0][valid] == 1.25)
+    assert np.all(warped.data[1][valid] == -2.5)
 
     report(2, "five constant hops accumulate within 1e-5; constant fields invariant", budget.check())
 
@@ -234,10 +235,10 @@ def test_criterion_06_ssim_structure_term():
     for _ in range(50):
         a = rng.random((8, 8))
         b = rng.random((8, 8))
-        got = ssim_structure_score(ScalarGrid(a), ScalarGrid(b))
+        got = ssim_structure_score(a, b)
         assert abs(got - structure_oracle(a, b)) < 1e-9
-        assert abs(ssim_structure_score(ScalarGrid(b), ScalarGrid(a)) - got) < 1e-9
-    a = ScalarGrid(rng.random((16, 16)))
+        assert abs(ssim_structure_score(b, a) - got) < 1e-9
+    a = rng.random((16, 16))
     assert abs(ssim_structure_score(a, a) - 1.0) < 1e-9
 
     report(6, "structure term matches brute-force covariance on 50 pairs within 1e-9", budget.check())

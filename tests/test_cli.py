@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ class TestPipelineCommands:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["propagate", "--config", str(cfg_path)]) == 2
 
-    def test_malformed_config_exits_2(self, tmp_path):
+    def test_malformed_config_exits_2(self, tmp_path, capsys):
         no_canvas = pipeline_config(tmp_path / "run")
         del no_canvas["canvas"]
         bad_sampler = pipeline_config(tmp_path / "run", mode_extra={"sampler_stride": 0})
@@ -292,6 +293,16 @@ class TestPipelineCommands:
             seed_flag = ["--seed", "13"] if command == "sample" else []
             assert main([command, "--config", str(cfg_path), *seed_flag]) == 2
             # rejected before any stage ran
+            assert not (tmp_path / "run").exists()
+        # true would pan 1 px, and a string or null is no coordinate; the
+        # message names the field
+        for name, value in (("delta_x", True), ("start_x", "16"), ("start_y", None)):
+            cfg = pipeline_config(tmp_path / "run")
+            cfg["scene"][name] = value
+            cfg_path.write_text(json.dumps(cfg))
+            capsys.readouterr()
+            assert main(["propagate", "--config", str(cfg_path)]) == 2
+            assert f"{name} must be a finite real number" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
     def test_stage_failure_exits_3(self, tmp_path):
@@ -385,7 +396,9 @@ class TestMetricsCommand:
         # a well-formed grid of a kind the metrics do not take
         write_grid(tmp_path / "flow.s2sg", FlowField.constant(8, 8, 0.0, 0.0))
         write_grid(tmp_path / "mask.s2sg", BinaryMask(np.zeros((8, 8))))
-        for other in ("flow.s2sg", "mask.s2sg"):
+        # kind 0 is no grid kind: a one-plane value grid is a one-channel ChannelGrid
+        (tmp_path / "kind0.s2sg").write_bytes(b"S2SG" + struct.pack("<HBIII", 1, 0, 1, 8, 8) + bytes(256))
+        for other in ("flow.s2sg", "mask.s2sg", "kind0.s2sg"):
             assert main(["metrics", "--ref", str(tmp_path / "a.s2sg"), "--test", str(tmp_path / other)]) == 2
 
 

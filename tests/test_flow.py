@@ -10,7 +10,6 @@ from outpaint.flow import (
     compose_accumulated,
     laplace_residual,
     map_flow_to_canvas,
-    warp_flow,
 )
 
 
@@ -112,17 +111,47 @@ class TestBackwardWarp:
         assert both.any()
 
 
+def stacked(f):
+    """A flow's (u, v) planes as a grid, the form in which a flow warps
+    through another flow."""
+    return ChannelGrid(np.stack([f.u, f.v]))
+
+
+def reference_warp_flow(f, through):
+    """Resample flow ``f`` at x + through(x) with the bilinear arithmetic of
+    ``backward_warp``, written out independently.  Output validity requires
+    ``through`` valid, the sample in bounds, and all four interpolation
+    corners of ``f`` valid.  On a complete hop, composition built on it must
+    equal ``compose_accumulated`` bit for bit."""
+    h, w = f.height, f.width
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    sy, sx = ys + through.v, xs + through.u
+    inb = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    sx, sy = np.where(inb, sx, 0.0), np.where(inb, sy, 0.0)
+    x0, y0 = np.floor(sx).astype(int), np.floor(sy).astype(int)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    fx, fy = sx - x0, sy - y0
+    corners_ok = f.valid[y0, x0] & f.valid[y0, x1] & f.valid[y1, x0] & f.valid[y1, x1]
+    ok = inb & through.valid & corners_ok
+    uv = np.where(f.valid, np.stack([f.u, f.v]), 0.0)
+    a, b, c, d = uv[:, y0, x0], uv[:, y0, x1], uv[:, y1, x0], uv[:, y1, x1]
+    u, v = np.where(ok, a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a), 0.0)
+    return FlowField(u, v, ok)
+
+
 class TestWarpFlow:
+    """A flow warped through another flow: ``backward_warp`` of its stacked
+    planes, as ``compose_accumulated`` resamples a hop."""
+
     def test_identity_through_zero(self):
         f = FlowField(
             np.random.default_rng(0).random((5, 5)),
             np.random.default_rng(1).random((5, 5)),
             np.ones((5, 5)),
         )
-        out = warp_flow(f, FlowField.constant(5, 5, 0.0, 0.0))
-        assert np.array_equal(out.u, f.u)
-        assert np.array_equal(out.v, f.v)
-        assert np.all(out.valid == 1.0)
+        out, ok = backward_warp(stacked(f), FlowField.constant(5, 5, 0.0, 0.0))
+        assert np.array_equal(out.data, stacked(f).data)
+        assert ok.data.all()
 
     def test_constant_field_invariant(self):
         f = FlowField.constant(6, 6, 2.5, -1.5)
@@ -131,27 +160,19 @@ class TestWarpFlow:
             np.random.default_rng(3).uniform(-2, 2, (6, 6)),
             np.ones((6, 6)),
         )
-        out = warp_flow(f, through)
-        ok = out.valid == 1.0
+        out, ok = backward_warp(stacked(f), through)
+        ok = ok.data
         assert ok.any()
-        assert np.allclose(out.u[ok], 2.5, atol=1e-12)
-        assert np.allclose(out.v[ok], -1.5, atol=1e-12)
+        assert np.allclose(out.data[0][ok], 2.5, atol=1e-12)
+        assert np.allclose(out.data[1][ok], -1.5, atol=1e-12)
 
     def test_ramp_through_constant(self):
         u = np.tile(np.arange(8.0), (6, 1))
         f = FlowField(u, np.zeros((6, 8)), np.ones((6, 8)))
-        out = warp_flow(f, FlowField.constant(6, 8, 2.0, 0.0))
-        ok = out.valid == 1.0
-        assert np.array_equal(out.u[ok], (u + 2.0)[ok])
-        assert np.all(out.valid[:, 6:] == 0.0)
-
-    def test_invalid_corner_blocks_output(self):
-        valid = np.ones((4, 4))
-        valid[1, 2] = 0.0
-        f = FlowField(np.ones((4, 4)), np.zeros((4, 4)), valid)
-        out = warp_flow(f, FlowField.constant(4, 4, 0.5, 0.0))
-        # sampling between columns 1 and 2 on row 1 touches the invalid corner
-        assert out.valid[1, 1] == 0.0
+        out, ok = backward_warp(stacked(f), FlowField.constant(6, 8, 2.0, 0.0))
+        ok = ok.data
+        assert np.array_equal(out.data[0][ok], (u + 2.0)[ok])
+        assert not ok[:, 6:].any()
 
 
 @pytest.mark.parametrize("plane", ["u", "v"])
@@ -174,15 +195,15 @@ def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
     assert np.array_equal(mask.data, want_mask.data)
     assert not mask.data[2, 3]
 
+    # as the accumulated flow of a composition, and as a hop, which must be complete
     f = FlowField(*rng.uniform(-1.0, 1.0, (2, 6, 8)), np.ones((6, 8)))
-    for got, want in (
-        (warp_flow(f, dirty), warp_flow(f, clean)),
-        (warp_flow(dirty, f), warp_flow(clean, f)),
-    ):
-        assert np.array_equal(got.u, want.u)
-        assert np.array_equal(got.v, want.v)
-        assert np.array_equal(got.valid, want.valid)
-    assert not warp_flow(f, dirty).valid[2, 3]
+    got, want = compose_accumulated(dirty, f), compose_accumulated(clean, f)
+    assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.v, want.v)
+    assert np.array_equal(got.valid, want.valid)
+    assert not got.valid[2, 3]
+    with pytest.raises(ValueError, match="completed"):
+        compose_accumulated(f, dirty)
 
 
 class TestComposeAccumulated:
@@ -218,6 +239,48 @@ class TestComposeAccumulated:
         assert np.all(out.valid[:, :2] == 1.0)
         assert np.all(out.valid[:, 2:] == 0.0)
         assert np.allclose(out.u[:, :2], 12.0, atol=1e-12)
+
+    def test_hop_with_an_invalid_cell_raises(self):
+        # propagation composes completed hops only; one invalid cell is refused
+        valid = np.ones((4, 4))
+        valid[1, 2] = 0.0
+        hop = FlowField(np.ones((4, 4)), np.zeros((4, 4)), valid)
+        with pytest.raises(ValueError, match="completed"):
+            compose_accumulated(FlowField.constant(4, 4, 0.5, 0.0), hop)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError):
+            compose_accumulated(self.base(), FlowField.constant(6, 7, 0.0, 0.0))
+
+    @given(
+        h=st.integers(1, 12),
+        w=st.integers(1, 16),
+        reach=st.sampled_from([0.5, 2.0, 6.0]),
+        invalid_frac=st.sampled_from([0.0, 0.3, 0.7]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_warp_flow(self, h, w, reach, invalid_frac, seed):
+        # complete hop; the accumulated flow is partly invalid, holds junk
+        # there, and partly samples outside the grid
+        rng = np.random.default_rng(seed)
+        acc_valid = rng.random((h, w)) >= invalid_frac
+        acc_u, acc_v = rng.uniform(-reach, reach, (2, h, w))
+        acc_u[~acc_valid] = rng.choice([np.nan, np.inf, 1e9], (~acc_valid).sum())
+        acc = FlowField(acc_u, acc_v, acc_valid)
+        hop = FlowField(*rng.uniform(-reach, reach, (2, h, w)), np.ones((h, w)))
+        warped = reference_warp_flow(hop, acc)
+        want_u, want_v = np.where(warped.valid, np.stack([acc.u + warped.u, acc.v + warped.v]), 0.0)
+        got = compose_accumulated(acc, hop)
+        assert np.array_equal(got.u, want_u)
+        assert np.array_equal(got.v, want_v)
+        assert np.array_equal(got.valid, warped.valid)
+
+        # the same hop with any one cell invalid is refused
+        dirty = np.ones((h, w), dtype=bool)
+        dirty[rng.integers(h), rng.integers(w)] = False
+        with pytest.raises(ValueError, match="completed"):
+            compose_accumulated(acc, FlowField(hop.u, hop.v, dirty))
 
 
 class TestMapFlowToCanvas:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from outpaint.grids import (
     ChannelGrid,
     FlowField,
     GridFormatError,
-    ScalarGrid,
     downscale_flow,
     downscale_mask,
     make_outpaint_mask,
@@ -20,9 +21,10 @@ from outpaint.grids import (
 )
 
 
-def test_scalar_grid_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        ScalarGrid(np.array([[1.0, np.nan]]))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_channel_grid_rejects_nonfinite(value):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelGrid(np.array([[[1.0, value]]]))
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan, 2.0])
@@ -71,9 +73,9 @@ def test_flow_allows_junk_on_invalid_cells():
 
 
 def test_grids_are_immutable():
-    g = ScalarGrid(np.zeros((2, 2)))
+    g = ChannelGrid(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
-        g.data[0, 0] = 1.0
+        g.data[0, 0, 0] = 1.0
 
 
 class TestCanvasSpec:
@@ -265,7 +267,7 @@ class TestGridFiles:
     @pytest.mark.parametrize(
         "grid",
         [
-            ScalarGrid(np.linspace(-3, 7, 12).reshape(3, 4)),
+            ChannelGrid(np.linspace(-3, 7, 12).reshape(1, 3, 4)),
             ChannelGrid(np.arange(24.0).reshape(2, 3, 4)),
             FlowField(np.full((2, 2), 0.5), np.full((2, 2), -1.25), np.ones((2, 2))),
             BinaryMask(np.eye(3)),
@@ -283,10 +285,17 @@ class TestGridFiles:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_values(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("grids") / "g.s2sg"
-        grid = ScalarGrid(np.array(values).reshape(2, 3))
+        grid = ChannelGrid(np.array(values).reshape(1, 2, 3))
         write_grid(path, grid)
         # float32-representable values survive exactly
-        assert np.array_equal(read_grid(path).data, np.array(values).reshape(2, 3))
+        assert np.array_equal(read_grid(path).data, np.array(values).reshape(1, 2, 3))
+
+    def test_kind_0_is_unknown(self, tmp_path):
+        # version 1, kind 0, one 2x2 plane, and a finite float32 payload
+        path = tmp_path / "k0.s2sg"
+        path.write_bytes(b"S2SG" + struct.pack("<HBIII", 1, 0, 1, 2, 2) + bytes(16))
+        with pytest.raises(GridFormatError, match="unknown kind 0"):
+            read_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.s2sg"
@@ -296,7 +305,7 @@ class TestGridFiles:
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.s2sg"
-        write_grid(path, ScalarGrid(np.ones((4, 4))))
+        write_grid(path, ChannelGrid(np.ones((1, 4, 4))))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(GridFormatError, match="truncated"):
@@ -304,7 +313,7 @@ class TestGridFiles:
 
     def test_trailing_data(self, tmp_path):
         path = tmp_path / "t.s2sg"
-        write_grid(path, ScalarGrid(np.ones((2, 2))))
+        write_grid(path, ChannelGrid(np.ones((1, 2, 2))))
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(GridFormatError, match="trailing"):
             read_grid(path)
@@ -319,8 +328,6 @@ class TestGridFiles:
             read_grid(path)
 
     def test_dimension_overflow(self, tmp_path):
-        import struct
-
         path = tmp_path / "o.s2sg"
         path.write_bytes(b"S2SG" + struct.pack("<HBIII", 1, 1, 2**20, 2**20, 4))
         with pytest.raises(GridFormatError, match="overflow"):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from outpaint import refselect
-from outpaint.grids import CanvasSpec, ChannelGrid, ScalarGrid
+from outpaint.grids import CanvasSpec, ChannelGrid
 from outpaint.refselect import (
     ReferenceChain,
     build_reference_chain,
@@ -68,15 +68,15 @@ def rgb(r, g, b, shape=(4, 4)):
 class TestGrayscale:
     def test_white_is_ones(self):
         gray = to_grayscale(rgb(1.0, 1.0, 1.0))
-        assert np.allclose(gray.data, 1.0, atol=1e-12)
+        assert np.allclose(gray, 1.0, atol=1e-12)
 
     def test_pure_red(self):
         gray = to_grayscale(rgb(1.0, 0.0, 0.0))
-        assert np.allclose(gray.data, 0.299, atol=1e-15)
+        assert np.allclose(gray, 0.299, atol=1e-15)
 
     def test_already_gray(self):
         gray = to_grayscale(rgb(0.4, 0.4, 0.4))
-        assert np.allclose(gray.data, 0.4, atol=1e-12)
+        assert np.allclose(gray, 0.4, atol=1e-12)
 
     def test_channel_count_checked(self):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestGrayscale:
 
 
 def random_gray(seed, h=10, w=10):
-    return ScalarGrid(np.random.default_rng(seed).random((h, w)))
+    return np.random.default_rng(seed).random((h, w))
 
 
 class TestStructureScore:
@@ -98,26 +98,26 @@ class TestStructureScore:
 
     def test_inverted_image_near_minus_one(self):
         a = random_gray(2)
-        b = ScalarGrid(1.0 - a.data)
+        b = 1.0 - a
         got = ssim_structure_score(a, b)
-        assert got == pytest.approx(structure_score_oracle(a.data, b.data), abs=1e-9)
+        assert got == pytest.approx(structure_score_oracle(a, b), abs=1e-9)
         assert got < -0.98  # -1 + O(C3)
 
     def test_single_window_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        a = ScalarGrid(rng.random((8, 8)))
-        b = ScalarGrid(rng.random((8, 8)))
+        a = rng.random((8, 8))
+        b = rng.random((8, 8))
         assert ssim_structure_score(a, b) == pytest.approx(
-            structure_score_oracle(a.data, b.data), abs=1e-12
+            structure_score_oracle(a, b), abs=1e-12
         )
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            a = ScalarGrid(rng.random((9, 11)))
-            b = ScalarGrid(rng.random((9, 11)))
+            a = rng.random((9, 11))
+            b = rng.random((9, 11))
             assert ssim_structure_score(a, b) == pytest.approx(
-                structure_score_oracle(a.data, b.data), abs=1e-9
+                structure_score_oracle(a, b), abs=1e-9
             )
 
     def test_too_small_grid(self):
@@ -127,13 +127,16 @@ class TestStructureScore:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             ssim_structure_score(random_gray(0, 8, 8), random_gray(1, 8, 9))
+        # two planes, not (C, H, W) stacks of one channel
+        with pytest.raises(ValueError, match="2-D"):
+            ssim_structure_score(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        a = ScalarGrid(rng.random((8, 9)))
-        b = ScalarGrid(rng.random((8, 9)))
+        a = rng.random((8, 9))
+        b = rng.random((8, 9))
         assert ssim_structure_score(a, b) == pytest.approx(
             ssim_structure_score(b, a), abs=1e-9
         )
@@ -142,12 +145,10 @@ class TestStructureScore:
     @settings(max_examples=25, deadline=None)
     def test_constant_shift_invariance(self, seed, shift):
         rng = np.random.default_rng(seed)
-        a = ScalarGrid(rng.random((9, 8)))
-        b = ScalarGrid(rng.random((9, 8)))
+        a = rng.random((9, 8))
+        b = rng.random((9, 8))
         base = ssim_structure_score(a, b)
-        shifted = ssim_structure_score(
-            ScalarGrid(a.data + shift), ScalarGrid(b.data + shift)
-        )
+        shifted = ssim_structure_score(a + shift, b + shift)
         assert shifted == pytest.approx(base, abs=1e-9)
 
     @given(
@@ -156,7 +157,7 @@ class TestStructureScore:
     )
     @settings(max_examples=30, deadline=None)
     def test_bounded(self, a, b):
-        s = ssim_structure_score(ScalarGrid(a), ScalarGrid(b))
+        s = ssim_structure_score(a, b)
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, ScalarGrid
+from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid
 from outpaint.metrics import psnr, psnr_masked, ssim_full
 from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import (
@@ -161,14 +161,14 @@ class TestMetrics:
         assert psnr_masked(a, b, BinaryMask(np.zeros((4, 6), dtype=bool))) == math.inf
 
     def test_ssim_identical_is_one(self):
-        g = ScalarGrid(np.random.default_rng(1).random((10, 10)))
+        g = ChannelGrid(np.random.default_rng(1).random((1, 10, 10)))
         assert ssim_full(g, g) == 1.0
 
     def test_ssim_matches_brute_force(self):
         rng = np.random.default_rng(2)
         a = rng.random((12, 12))
         b = rng.random((12, 12))
-        assert ssim_full(ScalarGrid(a), ScalarGrid(b)) == pytest.approx(
+        assert ssim_full(ChannelGrid(a[None]), ChannelGrid(b[None])) == pytest.approx(
             ssim_oracle(a, b), abs=1e-9
         )
 
@@ -178,15 +178,15 @@ class TestMetrics:
         flat = a.ravel().copy()
         rng.shuffle(flat)
         b = flat.reshape(16, 16)
-        got = ssim_full(ScalarGrid(a), ScalarGrid(b))
+        got = ssim_full(ChannelGrid(a[None]), ChannelGrid(b[None]))
         assert abs(got) < 0.35
         assert got == pytest.approx(ssim_oracle(a, b), abs=1e-9)
 
     def test_ssim_symmetric(self):
         rng = np.random.default_rng(4)
         a, b = rng.random((9, 9)), rng.random((9, 9))
-        assert ssim_full(ScalarGrid(a), ScalarGrid(b)) == pytest.approx(
-            ssim_full(ScalarGrid(b), ScalarGrid(a)), abs=1e-12
+        assert ssim_full(ChannelGrid(a[None]), ChannelGrid(b[None])) == pytest.approx(
+            ssim_full(ChannelGrid(b[None]), ChannelGrid(a[None])), abs=1e-12
         )
 
     def test_ssim_multichannel_averages(self):
@@ -194,7 +194,7 @@ class TestMetrics:
         a = rng.random((2, 9, 9))
         b = rng.random((2, 9, 9))
         per = [
-            ssim_full(ScalarGrid(a[c]), ScalarGrid(b[c])) for c in range(2)
+            ssim_full(ChannelGrid(a[c][None]), ChannelGrid(b[c][None])) for c in range(2)
         ]
         assert ssim_full(ChannelGrid(a), ChannelGrid(b)) == pytest.approx(
             np.mean(per), abs=1e-12
