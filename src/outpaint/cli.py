@@ -91,6 +91,15 @@ def _load_config(args, mode: str) -> PipelineConfig:
     return PipelineConfig.from_dict(raw)
 
 
+def _emit(payload, out: str | None) -> None:
+    """``payload`` as indented JSON in the file ``out``, or on one line on
+    stdout when ``out`` is None; keys are sorted either way."""
+    if out:
+        write_json(Path(out), payload)
+    else:
+        print(json.dumps(payload, sort_keys=True))
+
+
 def _cmd_synth(args) -> int:
     config = _load_config(args, "propagate")
     if config.scene is None:
@@ -117,11 +126,7 @@ def _cmd_chain(args) -> int:
     else:
         frames = _load_frames_from_dir(Path(args.frames_dir))
         window = PipelineConfig.window if args.window is None else args.window
-    payload = asdict(build_reference_chain(frames, window))
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    _emit(asdict(build_reference_chain(frames, window)), args.out)
     return 0
 
 
@@ -148,14 +153,7 @@ def _cmd_bench(args) -> int:
 def _cmd_metrics(args) -> int:
     ref = read_grid(args.ref)
     test = read_grid(args.test)
-    payload = _json_sanitize({
-        "psnr_db": psnr(ref, test),
-        "ssim": ssim_full(ref, test),
-    })
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    _emit(_json_sanitize({"psnr_db": psnr(ref, test), "ssim": ssim_full(ref, test)}), args.out)
     return 0
 
 

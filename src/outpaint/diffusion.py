@@ -135,12 +135,10 @@ class OracleDenoiser:
         return (noisy - np.sqrt(ab) * clean) / np.sqrt(1.0 - ab)
 
 
-def resolve_denoiser(
-    name: str,
-    clean: np.ndarray | None = None,
-    schedule: NoiseSchedule | None = None,
-) -> Denoiser:
-    """Look up a denoiser by registry name: "zero", "constant:<c>", "oracle"."""
+def resolve_denoiser(name: str) -> Denoiser:
+    """The denoiser a name alone describes: "zero" or "constant:<c>".  The
+    oracle also needs the clean sequence, so a pipeline run builds its
+    ``OracleDenoiser`` from the scene's ground truth instead."""
     if name == "zero":
         return ZeroDenoiser()
     if name.startswith("constant:"):
@@ -148,10 +146,6 @@ def resolve_denoiser(
             return ConstantDenoiser(float(name.split(":", 1)[1]))
         except ValueError:
             raise ValueError(f"bad constant denoiser spec {name!r}") from None
-    if name == "oracle":
-        if clean is None or schedule is None:
-            raise ValueError("oracle denoiser needs ground-truth latents and a schedule")
-        return OracleDenoiser(clean, schedule)
     raise ValueError(f"unknown denoiser {name!r}")
 
 

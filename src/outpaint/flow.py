@@ -6,8 +6,9 @@ target coordinate x on A, the displacement added to x to sample B, i.e.
 out(x) = B(x + F(x)) with bilinear interpolation.  Samples landing exactly
 on the array boundary are in-bounds (the far interpolation corner gets zero
 weight); anything outside invalidates the cell rather than clamping, so no
-content is ever fabricated.  A warp gathers its whole (..., H, W) stack, all
-channels of a grid or u and v of a flow, in one bilinear evaluation.
+content is ever fabricated.  ``_bilinear`` is the package's one bilinear
+sampler: it gathers a whole (..., H, W) stack, all channels of a grid or u
+and v of a flow, at sample positions of any shape, a list of cells too.
 
 Completion is the harmonic (5-point Laplace) fill of a flow's invalid
 cells, solved exactly: the operator depends only on which cells are valid,
@@ -25,12 +26,14 @@ import numpy as np
 from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField
 
 
-def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
-    """Bilinear machinery for sampling an (height, width) plane at (sy, sx):
-    corner indices, weights, and the in-bounds predicate."""
+def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (H, W) plane of ``stack`` (shape (..., H, W)) sampled at the
+    positions (sy, sx) of any one shape, and the in-bounds predicate of
+    that shape; each sample depends only on its own position, and one out
+    of bounds (NaN and inf among them) reads cell (0, 0)."""
+    height, width = stack.shape[-2:]
     inb = (sx >= 0.0) & (sx <= width - 1.0) & (sy >= 0.0) & (sy <= height - 1.0)
-    # out-of-bounds samples (NaN and inf among them) read cell (0, 0) with
-    # frac 0, so every floor lies in range and casts cleanly
+    # with frac 0 at cell (0, 0), every floor lies in range and casts cleanly
     sx = np.where(inb, sx, 0.0)
     sy = np.where(inb, sy, 0.0)
     # boundary-exact samples keep frac 0 (the far corner collapses onto the
@@ -41,21 +44,17 @@ def _corners(sy: np.ndarray, sx: np.ndarray, height: int, width: int):
     y1 = np.minimum(y0 + 1, height - 1)
     fx = sx - x0
     fy = sy - y0
-    return (y0, x0, y1, x1, fx, fy, inb)
-
-
-def _bilinear(stack: np.ndarray, y0, x0, y1, x1, fx, fy) -> np.ndarray:
-    """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at once."""
     # incremental form: exact on constant fields and at integer samples
     a = stack[..., y0, x0]
     b = stack[..., y0, x1]
     c = stack[..., y1, x0]
     d = stack[..., y1, x1]
-    return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a)
+    return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a), inb
 
 
 def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
-    """Warp ``src`` by sampling it at x + flow(x).
+    """Warp ``src`` by sampling all its channels at x + flow(x) in one
+    ``_bilinear`` call.
 
     Returns the warped grid and a mask that is True only where the flow is
     valid and the sample lies inside ``src``; invalid cells are zeroed.  A
@@ -65,10 +64,9 @@ def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, Binar
     if (src.height, src.width) != (flow.height, flow.width):
         raise ValueError("flow dims must match source spatial dims")
     ys, xs = np.mgrid[0:src.height, 0:src.width].astype(float)
-    y0, x0, y1, x1, fx, fy, inb = _corners(ys + flow.v, xs + flow.u, src.height, src.width)
+    samples, inb = _bilinear(src.data, ys + flow.v, xs + flow.u)
     ok = inb & flow.valid
-    out = np.where(ok, _bilinear(src.data, y0, x0, y1, x1, fx, fy), 0.0)
-    return ChannelGrid(out), BinaryMask(ok)
+    return ChannelGrid(np.where(ok, samples, 0.0)), BinaryMask(ok)
 
 
 def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:

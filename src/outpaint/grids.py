@@ -9,7 +9,9 @@ bool; the on-disk format stores every plane as 32-bit floats, masks as
 
 from __future__ import annotations
 
+import numbers
 import struct
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -138,12 +140,31 @@ class FlowField:
         )
 
 
-def check_integer_fields(obj, names) -> None:
-    """ValueError unless each named field of ``obj`` is an integer (48.0 and True are not)."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+# field annotation (a string: annotations are postponed) -> (accepts, name in messages)
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (
+        # false for NaN and inf, and exact for an int too large for a float
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+        "a finite real number",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the field unless each field of the config
+    dataclass ``obj`` holds the type it declares: int, float (finite), str,
+    bool or str | None.  True is neither an int nor a float, and 48.0 is
+    no int.  A field of another type, a nested config, checks itself."""
+    for f in fields(obj):
+        if f.type in _FIELD_TYPES:
+            accepts, want = _FIELD_TYPES[f.type]
+            value = getattr(obj, f.name)
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +185,7 @@ class CanvasSpec:
     downsample: int = 1
 
     def __post_init__(self):
-        check_integer_fields(self, [f.name for f in fields(self)])
+        check_field_types(self)
         s = self.downsample
         if min(self.orig_h, self.orig_w, self.canvas_h, self.canvas_w) <= 0:
             raise ValueError("canvas dimensions must be positive")

@@ -20,13 +20,13 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .diffusion import make_schedule, plan_windows, resolve_denoiser, reverse_sample
+from .diffusion import OracleDenoiser, make_schedule, plan_windows, resolve_denoiser, reverse_sample
 from . import flow as _flow
 from .flow import FlowField, map_flow_to_canvas
 from .grids import (
     CanvasSpec,
     ChannelGrid,
-    check_integer_fields,
+    check_field_types,
     downscale_flow,
     read_grid,
     write_grid,
@@ -78,17 +78,11 @@ class SceneConfig:
     period: int = 4
 
     def __post_init__(self):
-        check_integer_fields(self, ("world_h", "world_w", "n_frames", "period"))
+        check_field_types(self)
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.kind == "pan_cycle" and self.period < 1:
             raise ValueError("pan_cycle needs period >= 1")
-        for name in ("start_y", "start_x", "delta_y", "delta_x"):
-            value = getattr(self, name)
-            # true is 1 to Python, yet no coordinate
-            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
     def origins(self, n_frames: int) -> list[tuple[float, float]]:
         """The camera's crop origin (y, x) in each of the first ``n_frames`` frames."""
@@ -114,19 +108,6 @@ class SceneConfig:
         )
 
 
-_TYPE_NAMES = {str: "a string", bool: "true or false", type(None): "null"}
-
-
-def _check_field_types(obj, types: dict[str, tuple[type, ...]]) -> None:
-    """ConfigError unless each named field of ``obj`` is an instance of one
-    of its types (1 is not a bool, None is not a string)."""
-    for name, allowed in types.items():
-        value = getattr(obj, name)
-        if not isinstance(value, allowed):
-            want = " or ".join(_TYPE_NAMES[t] for t in allowed)
-            raise ConfigError(f"{name} must be {want}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class InputPaths:
     frames_dir: str
@@ -134,9 +115,7 @@ class InputPaths:
     gt_dir: str | None = None
 
     def __post_init__(self):
-        _check_field_types(
-            self, {"frames_dir": (str,), "flows_dir": (str,), "gt_dir": (str, type(None))}
-        )
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -157,18 +136,15 @@ class PipelineConfig:
     write_timings: bool = False
 
     def __post_init__(self):
-        _check_field_types(
-            self, {"denoiser": (str,), "out_dir": (str,), "write_timings": (bool,)}
-        )
-        if self.mode not in ("propagate", "sample"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if (self.scene is None) == (self.inputs is None):
-            raise ConfigError("exactly one of scene/inputs must be given")
-        if self.denoiser == "oracle" and self.scene is None:
-            raise ConfigError("oracle denoiser needs a synthetic scene")
-        # the checks the stages would make, so a bad value fails before any work
+        # every check, the stages' own included, so a bad value fails before any work
         try:
-            check_integer_fields(self, ("seed", "window"))
+            check_field_types(self)
+            if self.mode not in ("propagate", "sample"):
+                raise ValueError(f"unknown mode {self.mode!r}")
+            if (self.scene is None) == (self.inputs is None):
+                raise ValueError("exactly one of scene/inputs must be given")
+            if self.denoiser == "oracle" and self.scene is None:
+                raise ValueError("oracle denoiser needs a synthetic scene")
             if self.seed < 0 or self.window < 1:
                 raise ValueError(f"need seed >= 0 and window >= 1, got {self.seed} and {self.window}")
             if self.denoiser != "oracle":
@@ -178,7 +154,6 @@ class PipelineConfig:
                 origins = scene.origins(scene.n_frames)
                 check_in_world(origins, self.canvas, scene.world_h, scene.world_w)
             if self.mode == "sample":
-                check_integer_fields(self, ("timesteps", "sampler_window", "sampler_stride"))
                 make_schedule(self.timesteps)
                 plan_windows(1, self.sampler_window, self.sampler_stride)
         except (TypeError, ValueError) as exc:
@@ -483,7 +458,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 condition = np.stack([r.latent.data for r in results])
                 if config.denoiser == "oracle":
                     clean = np.stack([stand_in_encode(g, s).data for g in gt_expanded])
-                    denoiser = resolve_denoiser("oracle", clean=clean, schedule=schedule)
+                    denoiser = OracleDenoiser(clean, schedule)
                 else:
                     denoiser = resolve_denoiser(config.denoiser)
                 z = reverse_sample(denoiser, condition, schedule, config.seed, plan=plan)

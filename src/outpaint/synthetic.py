@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _bilinear, _corners
+from .flow import _bilinear
 from .grids import CanvasSpec, ChannelGrid, FlowField
 from .seeding import seeded_generator
 
@@ -34,22 +34,16 @@ def check_in_world(origins, spec: CanvasSpec, world_h: int, world_w: int) -> Non
             )
 
 
-def _bilinear_sample(stack: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # every (H, W) plane of ``stack`` at once; callers sample inside the
-    # planes only, so every cell is in bounds
-    y0, x0, y1, x1, fx, fy, _ = _corners(ys, xs, *stack.shape[-2:])
-    return _bilinear(stack, y0, x0, y1, x1, fx, fy)
-
-
 def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
-    """Multi-octave value noise in [0, 1] with per-pixel variance."""
+    """Multi-octave value noise in [0, 1] with per-pixel variance; every
+    lattice sample lies inside its lattice."""
     acc = np.zeros((h, w))
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
     for scale, weight in ((16, 0.5), (8, 0.3), (4, 0.2)):
         lat_h = math.ceil(h / scale) + 1
         lat_w = math.ceil(w / scale) + 1
         lattice = rng.random((lat_h, lat_w))
-        acc += weight * _bilinear_sample(lattice, ys / scale, xs / scale)
+        acc += weight * _bilinear(lattice, ys / scale, xs / scale)[0]
     acc += 0.10 * rng.random((h, w))
     lo, hi = acc.min(), acc.max()
     return (acc - lo) / (hi - lo)
@@ -77,7 +71,8 @@ class SyntheticScene:
             iy, ix = int(oy), int(ox)
             return ChannelGrid(self.world.data[:, iy : iy + h, ix : ix + w])
         ys, xs = np.mgrid[0:h, 0:w].astype(float)
-        return ChannelGrid(_bilinear_sample(self.world.data, ys + oy, xs + ox))
+        # check_in_world keeps every sample inside the world
+        return ChannelGrid(_bilinear(self.world.data, ys + oy, xs + ox)[0])
 
     def frame(self, i: int) -> ChannelGrid:
         oy, ox = self.origins[i]

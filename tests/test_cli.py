@@ -261,6 +261,8 @@ class TestPipelineCommands:
         escaping_scene["scene"] = {}
         no_frames = pipeline_config(tmp_path / "run")
         no_frames["scene"]["n_frames"] = 0
+        int_kind = pipeline_config(tmp_path / "run")
+        int_kind["scene"]["kind"] = 5
         cfg_path = tmp_path / "config.json"
         integer_edits = [
             ("propagate", {"window": 4.0}),
@@ -271,7 +273,11 @@ class TestPipelineCommands:
             ("sample", {"sampler_window": 25.0}),
             ("sample", {"sampler_stride": 12.0}),
         ]
-        type_edits = [{"denoiser": 5}, {"out_dir": 5}, {"write_timings": "no"}]
+        # propagate mode ignores the sampler fields' ranges, not their types
+        type_edits = [
+            {"denoiser": 5}, {"out_dir": 5}, {"write_timings": "no"},
+            {"timesteps": "abc"}, {"sampler_window": 2.5}, {"sampler_stride": None},
+        ]
         for command, cfg in (
             ("propagate", no_canvas),
             ("propagate", [pipeline_config(tmp_path / "run")]),
@@ -285,6 +291,7 @@ class TestPipelineCommands:
             ("propagate", nan_start),
             ("propagate", escaping_scene),
             ("propagate", no_frames),
+            ("propagate", int_kind),
             *[(command, pipeline_config(tmp_path / "run", mode_extra=edit)) for command, edit in integer_edits],
             *[("propagate", pipeline_config(tmp_path / "run", mode_extra=edit)) for edit in type_edits],
         ):
@@ -294,9 +301,9 @@ class TestPipelineCommands:
             assert main([command, "--config", str(cfg_path), *seed_flag]) == 2
             # rejected before any stage ran
             assert not (tmp_path / "run").exists()
-        # true would pan 1 px, and a string or null is no coordinate; the
-        # message names the field
-        for name, value in (("delta_x", True), ("start_x", "16"), ("start_y", None)):
+        # true would pan 1 px, a string or null is no coordinate, and 10**400
+        # fits no float; the message names the field
+        for name, value in (("delta_x", True), ("start_x", "16"), ("start_y", None), ("delta_y", 10**400)):
             cfg = pipeline_config(tmp_path / "run")
             cfg["scene"][name] = value
             cfg_path.write_text(json.dumps(cfg))

@@ -219,9 +219,8 @@ class TestReverseSample:
             "constant:0.3": lambda z, i, t: np.full_like(z, 0.3),
             "oracle": oracle,
         }[name]
-        got = reverse_sample(
-            resolve_denoiser(name, clean=clean, schedule=sched), cond, sched, seed=23, plan=plan
-        )
+        denoiser = OracleDenoiser(clean, sched) if name == "oracle" else resolve_denoiser(name)
+        got = reverse_sample(denoiser, cond, sched, seed=23, plan=plan)
         want = reference_reverse_sample(predict_frame, n, shape, sched, 23, plan)
         assert np.array_equal(got, np.stack(want))
 
@@ -352,8 +351,9 @@ class TestDenoiserRegistry:
         den = resolve_denoiser("constant:0.25")
         assert isinstance(den, ConstantDenoiser) and den.value == 0.25
 
-    def test_oracle_requires_context(self):
-        with pytest.raises(ValueError):
+    def test_oracle_is_not_a_registry_name(self):
+        # the pipeline builds the oracle from the scene's ground truth
+        with pytest.raises(ValueError, match="unknown denoiser"):
             resolve_denoiser("oracle")
 
     def test_unknown(self):

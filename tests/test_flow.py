@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.flow import (
+    _bilinear,
     backward_warp,
     complete_flow_laplacian,
     compose_accumulated,
@@ -44,6 +45,26 @@ def dense_completion(flow, known):
     if cells:
         out[:, ~known] = np.linalg.solve(a, rhs).T
     return out
+
+
+@given(h=st.integers(1, 8), w=st.integers(1, 8), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_bilinear_on_a_cell_list_matches_the_whole_grid(h, w, seed):
+    # positions mix boundary-exact, just-outside, out-of-bounds, NaN and inf
+    # values with random ones; cells repeat, and the list may be empty
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((2, h, w))
+    sy = rng.uniform(-1.0, h, (h, w))
+    sx = rng.uniform(-1.0, w, (h, w))
+    for pos, n in ((sy, h), (sx, w)):
+        special = [0.0, n - 1.0, n - 1.0 + 1e-9, n - 0.5, -0.5, np.nan, np.inf, -np.inf]
+        pick = rng.random((h, w)) < 0.5
+        pos[pick] = rng.choice(special, pick.sum())
+    cells = rng.choice(h * w, rng.integers(0, 2 * h * w))
+    whole, whole_inb = _bilinear(stack, sy, sx)
+    got, inb = _bilinear(stack, sy.ravel()[cells], sx.ravel()[cells])
+    assert np.array_equal(got, whole.reshape(2, -1)[:, cells])
+    assert np.array_equal(inb, whole_inb.ravel()[cells])
 
 
 class TestBackwardWarp:

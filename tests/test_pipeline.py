@@ -2,12 +2,13 @@ import gc
 import hashlib
 import json
 import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outpaint import pipeline, propagation
+from outpaint import grids, pipeline, propagation
 from outpaint.grids import CanvasSpec, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
@@ -131,6 +132,21 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=key):
                 PipelineConfig.from_dict({**raw, key: value})
+
+    def test_every_field_is_checked_against_its_declared_type(self):
+        canvas = CanvasSpec(4, 4, 4, 8, 0, 0)
+        inputs = InputPaths(frames_dir="frames", flows_dir="flows")
+        configs = [canvas, SceneConfig(), inputs, PipelineConfig(seed=1, canvas=canvas, inputs=inputs)]
+        # a field of a type the checker does not know must be a nested config
+        nested = {"CanvasSpec", "SceneConfig | None", "InputPaths | None"}
+        wrong = {"int": (True, 1.5), "float": (True,), "str": (5,), "bool": ("no",), "str | None": (5,)}
+        assert set(wrong) == set(grids._FIELD_TYPES)
+        for config in configs:
+            for f in fields(config):
+                assert f.type in wrong or f.type in nested, f"{type(config).__name__}.{f.name}: {f.type}"
+                for value in wrong.get(f.type, ()):
+                    with pytest.raises(ValueError, match=rf"^{f.name} must be "):
+                        replace(config, **{f.name: value})
 
     def test_dict_round_trip(self):
         cfg = pan_config("/tmp/nowhere")
