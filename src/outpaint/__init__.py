@@ -37,6 +37,7 @@ from .propagation import (
     fuse_directions,
     propagate_direction,
     propagate_sequence,
+    pull_stacks,
     required_flow_pairs,
 )
 from .diffusion import (

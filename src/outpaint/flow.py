@@ -8,7 +8,9 @@ on the array boundary are in-bounds (the far interpolation corner gets zero
 weight); anything outside invalidates the cell rather than clamping, so no
 content is ever fabricated.  ``_bilinear`` is the package's one bilinear
 sampler: it gathers a whole (..., H, W) stack, all channels of a grid or u
-and v of a flow, at sample positions of any shape, a list of cells too.
+and v of a flow, at sample positions of any shape.  Both warps take a list
+of cells, flat indices into the grid, with the flow given at those cells
+only: propagation samples the cells it can still fill and nothing else.
 
 Completion is the harmonic (5-point Laplace) fill of a flow's invalid
 cells, solved exactly: the operator depends only on which cells are valid,
@@ -23,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField
+from .grids import CanvasSpec, FlowField
 
 
 def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,35 +54,41 @@ def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.nda
     return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a), inb
 
 
-def backward_warp(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
-    """Warp ``src`` by sampling all its channels at x + flow(x) in one
-    ``_bilinear`` call.
+def backward_warp(
+    stack: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at the
+    listed cells moved by their flow, in one ``_bilinear`` call.
 
-    Returns the warped grid and a mask that is True only where the flow is
-    valid and the sample lies inside ``src``; invalid cells are zeroed.  A
-    flow warps through another flow as the grid of its stacked (u, v)
-    planes (see ``compose_accumulated``).
+    ``cells`` are flat indices into the (H, W) plane, and ``u``, ``v`` and
+    ``valid`` the flow at those cells, one entry per cell.  Returns the
+    samples, shape (..., n), and ``ok``, True only where the flow is valid
+    and the sample lies inside ``stack``; samples that are not ok are zeroed.
+    A flow warps through another flow as its (u, v) stack (see
+    ``compose_accumulated``).
     """
-    if (src.height, src.width) != (flow.height, flow.width):
-        raise ValueError("flow dims must match source spatial dims")
-    ys, xs = np.mgrid[0:src.height, 0:src.width].astype(float)
-    samples, inb = _bilinear(src.data, ys + flow.v, xs + flow.u)
-    ok = inb & flow.valid
-    return ChannelGrid(np.where(ok, samples, 0.0)), BinaryMask(ok)
+    ys, xs = np.divmod(cells, stack.shape[-1])
+    samples, inb = _bilinear(stack, ys + v, xs + u)
+    ok = inb & valid
+    return np.where(ok, samples, 0.0), ok
 
 
-def compose_accumulated(acc: FlowField, hop: FlowField) -> FlowField:
-    """Extend an accumulated flow i->r by a hop r->r' into i->r'.
+def compose_accumulated(
+    hop: FlowField, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend an accumulated flow i->r, given at the listed cells as in
+    ``backward_warp``, by a hop r->r' into i->r' at those cells.
 
-    The hop must be a completed flow (valid everywhere): its (u, v) planes
-    are backward-warped through the accumulated flow and added.  The result
-    is valid where the accumulated flow is valid and its sample lies inside
-    the hop.
+    The hop must be a completed flow (valid everywhere): its (u, v) stack is
+    backward-warped through the accumulated flow and added.  Returns the new
+    (u, v, valid) at the cells; a cell stays valid where the accumulated
+    flow is valid and its sample lies inside the hop, and holds 0 elsewhere.
     """
     if not hop.valid.all():
         raise ValueError("hop must be a completed flow, valid everywhere")
-    warped, ok = backward_warp(ChannelGrid(np.stack([hop.u, hop.v])), acc)
-    return FlowField(*np.where(ok.data, np.stack([acc.u, acc.v]) + warped.data, 0.0), ok.data)
+    warped, ok = backward_warp(hop.uv, cells, u, v, valid)
+    acc_u, acc_v = np.where(ok, np.stack([u, v]) + warped, 0.0)
+    return acc_u, acc_v, ok
 
 
 def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:

@@ -9,6 +9,7 @@ bool; the on-disk format stores every plane as 32-bit floats, masks as
 
 from __future__ import annotations
 
+import functools
 import numbers
 import struct
 import sys
@@ -130,6 +131,13 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.u.shape[1]
+
+    @functools.cached_property
+    def uv(self) -> np.ndarray:
+        """The read-only (2, H, W) stack of u and v, built on first use."""
+        uv = np.stack([self.u, self.v])
+        uv.flags.writeable = False
+        return uv
 
     @classmethod
     def constant(cls, height: int, width: int, du: float, dv: float) -> "FlowField":

@@ -2,33 +2,37 @@
 
 Every frame shares one outpaint mask, that of the latent canvas.  Each frame
 pulls content from chain references, nearest first: a reference's latent and
-its source mask are stacked and warped to the target in one bilinear
-evaluation, and only cells that are still uncovered and whose warped source
-mask is (near) saturated get filled.  Farther references therefore only fill
-holes the nearer ones could not reach, and the frame's own source region is
-never overwritten.  Pulling runs independently toward the past and the
-future, and ``fuse_directions`` merges the two results: doubly covered cells
-blend by inverse temporal distance and credit the nearer direction, the past
-one on a tie.  A result's provenance map is its one record of coverage: a
-cell is covered exactly when the frame that supplied it is >= 0.
+its source mask, stacked once per run by ``pull_stacks``, are sampled in one
+bilinear evaluation, and only cells that are still uncovered and whose
+warped source mask is (near) saturated get filled.  Farther references
+therefore only fill holes the nearer ones could not reach, and the frame's
+own source region is never overwritten.  Pulling runs independently toward
+the past and the future, and ``fuse_directions`` merges the two results:
+doubly covered cells blend by inverse temporal distance and credit the
+nearer direction, the past one on a tie.  A result's provenance map is its
+one record of coverage: a cell is covered exactly when the frame that
+supplied it is >= 0.
 
-Flows are a plain dict keyed by (src, dst) and arrive completed, valid on
-the whole latent canvas; this module never fills them in.  The flow from a
-frame to a farther reference is a ``FlowField`` grown hop by hop with
-``compose_accumulated``.
+Pulling works on the frontier only: the flat indices of the outpaint cells
+no pull has filled yet.  The flow from a frame to its references is held as
+1-D (u, v, valid) arrays over those cells; a pull samples the reference's
+stack there, a farther reference's flow is grown hop by hop with
+``compose_accumulated``, which resamples the hop there too, and a cell
+leaves the frontier as soon as it is filled.  Flows are a plain dict keyed
+by (src, dst) and arrive completed, valid on the whole latent canvas; this
+module never fills them in.
 
 Pulling toward one direction stops early, and exactly, once the
-accumulated flow is invalid on every uncovered cell: composition only
+accumulated flow is invalid on every frontier cell: composition only
 intersects validity and a pull fills only cells where that flow is valid,
 so no farther reference could fill anything.
 
 Warp accounting: ``warp_count`` is the number of reference pulls made (one
-stacked grid-warp per (frame, reference) pair) and ``useful_pull_count`` the
+stacked warp per (frame, reference) pair) and ``useful_pull_count`` the
 number of those that filled at least one cell.  Flow-composition resampling
 is tracked separately as ``compose_count``; the complexity comparison
 against dense schemes counts content pulls on both sides.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -106,59 +110,72 @@ def _completed(flows: dict[tuple[int, int], FlowField], src: int, dst: int) -> F
     return flow
 
 
+def pull_stacks(latents: Sequence[ChannelGrid], mask: BinaryMask) -> list[np.ndarray]:
+    """Each canvas-placed latent with the source mask all frames share
+    stacked beneath it as a last plane: 1 on the source region, 0 on the
+    outpaint band ``mask``.  A pull gathers one such stack in one bilinear
+    evaluation."""
+    # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
+    source = (1.0 - mask.data)[None]
+    return [np.concatenate([z.data, source]) for z in latents]
+
+
 def propagate_direction(
     i: int,
     chain: ReferenceChain,
-    latents: Sequence[ChannelGrid],
-    mask: BinaryMask,
+    stacks: Sequence[np.ndarray],
     flows: dict[tuple[int, int], FlowField],
     direction: Direction,
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
-    ``latents`` are canvas-placed latent grids and ``mask`` the outpaint
-    mask all frames share, both at latent resolution; ``flows`` maps
-    (src, dst) to completed (everywhere-valid) hop and nearest-ref flows,
-    and a missing pair raises KeyError.  Pulling stops once the accumulated
-    flow is invalid on every uncovered cell.
+    ``stacks`` are the frames' ``pull_stacks`` at latent resolution;
+    ``flows`` maps (src, dst) to completed (everywhere-valid) hop and
+    nearest-ref flows, and a missing pair raises KeyError.  Only the
+    frontier, the outpaint cells no pull has filled yet, is tracked: the
+    accumulated flow is held there alone, and a cell leaves the frontier as
+    soon as it is filled.  Pulling stops once the accumulated flow is
+    invalid on every frontier cell.
     """
     n = chain.num_frames
     if not 0 <= i < n:
         raise ValueError(f"frame index {i} out of range")
-    if len(latents) != n:
+    if len(stacks) != n:
         raise ValueError("need one latent per frame")
     if direction not in ("past", "future"):
         raise ValueError(f"unknown direction {direction!r}")
 
-    out = latents[i].data.copy()
-    # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
-    source_mask = 1.0 - mask.data
-    prov = np.full(mask.data.shape, -1, dtype=np.int32)
-    prov[~mask.data] = i
+    own = stacks[i]
+    out = own[:-1].copy()
+    band = own[-1] == 0.0  # the source plane is 0 exactly on the outpaint band
+    prov = np.where(band, -1, i).astype(np.int32)
+    cells = np.flatnonzero(band)
     warp_count = 0
     compose_count = 0
     useful_pull_count = 0
 
     refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
-        uncovered = prov < 0
         if k == 0:
-            acc = _completed(flows, i, r)
+            flow = _completed(flows, i, r)
+            u, v, valid = (p.ravel()[cells] for p in (flow.u, flow.v, flow.valid))
         else:
-            acc = compose_accumulated(acc, _completed(flows, refs[k - 1], r))
+            u, v, valid = compose_accumulated(_completed(flows, refs[k - 1], r), cells, u, v, valid)
             compose_count += 1
             # validity only shrinks under composition: no farther pull can fill a cell
-            if not acc.valid[uncovered].any():
+            if not valid.any():
                 break
-        stacked = ChannelGrid(np.concatenate([latents[r].data, source_mask[None]]))
-        warped, _ = backward_warp(stacked, acc)
+        warped, _ = backward_warp(stacks[r], cells, u, v, valid)
         warp_count += 1
         # a cell the warp cannot sample is zeroed, so it fails the threshold
-        covering = uncovered & (warped.data[-1] >= COVERAGE_THRESHOLD)
+        covering = warped[-1] >= COVERAGE_THRESHOLD
         if covering.any():
-            out[:, covering] = warped.data[:-1, covering]
-            prov[covering] = r
+            filled = cells[covering]
+            out.reshape(len(out), -1)[:, filled] = warped[:-1, covering]
+            prov.flat[filled] = r
             useful_pull_count += 1
+            left = ~covering
+            cells, u, v, valid = cells[left], u[left], v[left], valid[left]
 
     return PropagationResult(
         latent=ChannelGrid(out),
@@ -231,8 +248,7 @@ def propagate_sequence(
     if chain.num_frames != n:
         raise ValueError("chain and latents must agree on frame count")
     lat_spec = spec.latent()
-    mask = make_outpaint_mask(lat_spec)
-    placed = [place_on_canvas(z, lat_spec) for z in latents]
+    stacks = pull_stacks([place_on_canvas(z, lat_spec) for z in latents], make_outpaint_mask(lat_spec))
 
     results = []
     for i in range(n):
@@ -240,7 +256,7 @@ def propagate_sequence(
         pulled = {}
         for direction in ("past", "future"):
             try:
-                pulled[direction] = propagate_direction(i, chain, placed, mask, flows, direction)
+                pulled[direction] = propagate_direction(i, chain, stacks, flows, direction)
             except Exception as exc:
                 raise RuntimeError(f"frame {i} {direction}: {exc}") from exc
         results.append(

@@ -5,6 +5,16 @@ reference the next one is the candidate with the LOWEST structure-term
 score (least redundant content), ties broken toward the largest index so
 the window advances as far as possible.  When fewer than a full window of
 candidates remains, the final frame is appended and the chain is done.
+
+The windowed moments split into a per-frame part and a per-pair part: a
+plane's mean, its centred values x, their window sums s_x and the window
+std deviations depend on that plane alone (``_frame_moments``); only the
+covariance's window sum of x * y needs both (``_window_cov``).  The chain
+builds each frame's gray plane and moments once, when the frame is first
+scored, and drops them once the chain has moved past the frame, so a
+candidate pair costs one window-sum plane.  ``ssim_structure_score`` and the
+``_window_moments`` that ``metrics.ssim_full`` reads are built from the
+same two helpers.
 """
 
 from __future__ import annotations
@@ -80,27 +90,52 @@ def _window_sums(p: np.ndarray, axis: int) -> np.ndarray:
     return p
 
 
-def _window_moments(a: np.ndarray, b: np.ndarray):
-    """Per-window means, std deviations and covariance (unbiased, N-1) over
-    every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW window.
+def _frame_moments(a: np.ndarray):
+    """Per-frame moments of an (H, W) plane: its mean, the centred plane
+    x = a - mean, and over every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW
+    window the sum s_x of x and the unbiased (N-1) std deviation.
 
-    Each plane's mean is subtracted first, so the one-pass forms
-    var = (sum x^2 - (sum x)^2 / n) / (n - 1) and
-    cov = (sum xy - sum x sum y / n) / (n - 1) cancel only window-sized
+    Subtracting the plane's mean first lets the one-pass form
+    var = (sum x^2 - (sum x)^2 / n) / (n - 1) cancel only window-sized
     terms; a constant window gets zero variance exactly.
     """
+    if a.shape[0] < STRUCTURE_WINDOW or a.shape[1] < STRUCTURE_WINDOW:
+        raise ValueError(f"plane smaller than the {STRUCTURE_WINDOW}x{STRUCTURE_WINDOW} local window")
     n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
-    mean_a, mean_b = a.mean(), b.mean()
-    x = a - mean_a
-    y = b - mean_b
-    sums = _window_sums(_window_sums(np.stack([x, y, x * x, y * y, x * y]), 2), 1)
-    s_x, s_y, s_xx, s_yy, s_xy = sums
-    var_a = (s_xx - s_x * s_x / n) / (n - 1)
-    var_b = (s_yy - s_y * s_y / n) / (n - 1)
-    cov = (s_xy - s_x * s_y / n) / (n - 1)
-    sd_a = np.sqrt(np.maximum(var_a, 0.0))
-    sd_b = np.sqrt(np.maximum(var_b, 0.0))
+    mean = a.mean()
+    x = a - mean
+    s_x, s_xx = _window_sums(_window_sums(np.stack([x, x * x]), 2), 1)
+    var = (s_xx - s_x * s_x / n) / (n - 1)
+    return mean, x, s_x, np.sqrt(np.maximum(var, 0.0))
+
+
+def _window_cov(ma, mb) -> np.ndarray:
+    """Per-window unbiased covariance of two planes from their
+    ``_frame_moments``: the one moment that needs both, one window-sum plane."""
+    n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
+    _, x, s_x, _ = ma
+    _, y, s_y, _ = mb
+    if x.shape != y.shape:
+        raise ValueError("planes must share dimensions")
+    s_xy = _window_sums(_window_sums(x * y, 1), 0)
+    return (s_xy - s_x * s_y / n) / (n - 1)
+
+
+def _window_moments(a: np.ndarray, b: np.ndarray):
+    """Per-window means, std deviations and covariance (unbiased, N-1) of
+    two planes over every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW
+    window, from their ``_frame_moments`` and ``_window_cov``."""
+    n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
+    ma, mb = _frame_moments(a), _frame_moments(b)
+    cov = _window_cov(ma, mb)
+    (mean_a, _, s_x, sd_a), (mean_b, _, s_y, sd_b) = ma, mb
     return mean_a + s_x / n, mean_b + s_y / n, sd_a, sd_b, cov
+
+
+def _structure_score(ma, mb) -> float:
+    """Mean structure term of two planes from their ``_frame_moments``."""
+    sd_a, sd_b = ma[3], mb[3]
+    return float(np.mean((_window_cov(ma, mb) + _C3) / (sd_a * sd_b + _C3)))
 
 
 def ssim_structure_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,15 +143,11 @@ def ssim_structure_score(a: np.ndarray, b: np.ndarray) -> float:
     STRUCTURE_WINDOW-sized patches of two (H, W) planes, such as two
     ``to_grayscale`` results.  Result lies in [-1, 1]; two constant patches
     score 1 because the C3 regularizer dominates both moments."""
-    w = STRUCTURE_WINDOW
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"need two 2-D planes, got {a.ndim}-D and {b.ndim}-D")
     if a.shape != b.shape:
         raise ValueError("planes must share dimensions")
-    if a.shape[0] < w or a.shape[1] < w:
-        raise ValueError(f"plane smaller than the {w}x{w} local window")
-    _, _, sd_a, sd_b, cov = _window_moments(a, b)
-    return float(np.mean((cov + _C3) / (sd_a * sd_b + _C3)))
+    return _structure_score(_frame_moments(a), _frame_moments(b))
 
 
 def build_reference_chain(frames: Sequence[ChannelGrid], m: int) -> ReferenceChain:
@@ -125,27 +156,41 @@ def build_reference_chain(frames: Sequence[ChannelGrid], m: int) -> ReferenceCha
     Scores are computed on grayscale frames; each step picks the candidate
     with the minimum structure score against the current reference
     (largest index on ties).  Once fewer than ``m`` candidates remain the
-    last frame is appended.
+    last frame is appended.  Each frame's gray plane and moments are built
+    once, when it is first scored, and dropped once the chain has passed
+    it, so a candidate pair costs one covariance window-sum plane.
     """
     n = len(frames)
     if n == 0:
         raise ValueError("empty frame sequence")
     if m < 1:
         raise ValueError("window must be >= 1")
-    grays = [to_grayscale(f) for f in frames]
+    moments = {}
+
+    def of(j):
+        if j not in moments:
+            moments[j] = _frame_moments(to_grayscale(frames[j]))
+        return moments[j]
+
     indices = [0]
     current = 0
+    scored = 0  # frames 0 .. scored - 1 have been scored
     while current < n - 1:
         if n - 1 - current < m:
             indices.append(n - 1)
             break
         candidates = range(current + 1, min(current + m, n - 1) + 1)
-        scores = [ssim_structure_score(grays[current], grays[j]) for j in candidates]
+        scores = [_structure_score(of(current), of(j)) for j in candidates]
+        scored = candidates[-1] + 1
         best = min(scores)
         # ties break toward the largest candidate index
         chosen = max(j for j, s in zip(candidates, scores) if s == best)
         indices.append(chosen)
         current = chosen
+        moments = {j: mo for j, mo in moments.items() if j >= current}
+    # the frames no window scored are checked all the same
+    for j in range(scored, n):
+        to_grayscale(frames[j])
     return ReferenceChain(tuple(indices), window=m, num_frames=n)
 
 

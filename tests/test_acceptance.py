@@ -23,7 +23,7 @@ from outpaint.diffusion import (
     reverse_sample,
     windowed_epsilon,
 )
-from outpaint.flow import complete_flow_laplacian, compose_accumulated, backward_warp
+from outpaint.flow import complete_flow_laplacian
 from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, read_grid
 from outpaint.pipeline import PipelineConfig, SceneConfig, run_benchmark, run_pipeline
 from outpaint.propagation import propagate_sequence, required_flow_pairs
@@ -32,6 +32,7 @@ from outpaint.seeding import seeded_generator
 from outpaint.synthetic import generate_scene, stand_in_encode
 from outpaint.grids import downscale_flow
 from outpaint.flow import map_flow_to_canvas
+from whole_canvas import compose_grid, warp_grid
 
 
 class Budget:
@@ -54,14 +55,14 @@ def test_criterion_01_warp_identity_and_inverse():
     rng = seeded_generator(1, "acc1")
     src = ChannelGrid(rng.random((3, 128, 128)))
 
-    out, mask = backward_warp(src, FlowField.constant(128, 128, 0.0, 0.0))
+    out, mask = warp_grid(src, FlowField.constant(128, 128, 0.0, 0.0))
     assert np.max(np.abs(out.data - src.data)) == 0.0
     assert np.all(mask.data == 1.0)
 
     du, dv = 3, -2
-    fwd, m1 = backward_warp(src, FlowField.constant(128, 128, du, dv))
-    back, m2 = backward_warp(fwd, FlowField.constant(128, 128, -du, -dv))
-    m1_back, _ = backward_warp(
+    fwd, m1 = warp_grid(src, FlowField.constant(128, 128, du, dv))
+    back, m2 = warp_grid(fwd, FlowField.constant(128, 128, -du, -dv))
+    m1_back, _ = warp_grid(
         ChannelGrid(m1.data[None]), FlowField.constant(128, 128, -du, -dv)
     )
     both = (m2.data == 1.0) & (m1_back.data[0] == 1.0)
@@ -76,7 +77,7 @@ def test_criterion_02_flow_composition():
     hops = [(1.0, 0.5), (0.5, -0.25), (-0.75, 1.0), (0.25, 0.25), (0.5, -0.5)]
     acc = FlowField.constant(64, 64, *hops[0])
     for du, dv in hops[1:]:
-        acc = compose_accumulated(acc, FlowField.constant(64, 64, du, dv))
+        acc = compose_grid(acc, FlowField.constant(64, 64, du, dv))
     ok = acc.valid == 1.0
     assert ok.any()
     assert np.max(np.abs(acc.u[ok] - sum(h[0] for h in hops))) < 1e-5
@@ -88,7 +89,7 @@ def test_criterion_02_flow_composition():
         rng.uniform(-3, 3, (64, 64)), rng.uniform(-3, 3, (64, 64)), np.ones((64, 64))
     )
     # a flow warps through a flow as its stacked (u, v) planes
-    warped, ok = backward_warp(ChannelGrid(np.stack([const.u, const.v])), through)
+    warped, ok = warp_grid(ChannelGrid(np.stack([const.u, const.v])), through)
     valid = ok.data
     assert valid.any()
     assert np.all(warped.data[0][valid] == 1.25)

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.flow import (
     _bilinear,
-    backward_warp,
     complete_flow_laplacian,
-    compose_accumulated,
     laplace_residual,
     map_flow_to_canvas,
 )
+from whole_canvas import compose_grid, warp_grid
 
 
 def ramp_grid(h=6, w=8):
@@ -70,13 +69,13 @@ def test_bilinear_on_a_cell_list_matches_the_whole_grid(h, w, seed):
 class TestBackwardWarp:
     def test_zero_flow_is_identity(self):
         src = rand_grid(0)
-        out, mask = backward_warp(src, FlowField.constant(6, 8, 0.0, 0.0))
+        out, mask = warp_grid(src, FlowField.constant(6, 8, 0.0, 0.0))
         assert np.array_equal(out.data, src.data)
         assert np.all(mask.data == 1.0)
 
     def test_integer_shift(self):
         src = rand_grid(1)
-        out, mask = backward_warp(src, FlowField.constant(6, 8, 1.0, 0.0))
+        out, mask = warp_grid(src, FlowField.constant(6, 8, 1.0, 0.0))
         assert np.array_equal(out.data[:, :, :7], src.data[:, :, 1:])
         assert np.all(mask.data[:, :7] == 1.0)
         assert np.all(mask.data[:, 7] == 0.0)
@@ -84,7 +83,7 @@ class TestBackwardWarp:
     def test_half_pixel_on_ramp(self):
         # bilinear by hand: sampling a ramp at x+0.5 gives x+0.5
         src = ramp_grid()
-        out, mask = backward_warp(src, FlowField.constant(6, 8, 0.5, 0.0))
+        out, mask = warp_grid(src, FlowField.constant(6, 8, 0.5, 0.0))
         expect = np.arange(8.0) + 0.5
         valid = mask.data[0] == 1.0
         assert np.allclose(out.data[0, 0, valid[: out.width]], expect[valid], atol=1e-12)
@@ -94,13 +93,13 @@ class TestBackwardWarp:
         src = rand_grid(2)
         valid = np.ones((6, 8))
         valid[2, 3] = 0.0
-        out, mask = backward_warp(src, FlowField(np.zeros((6, 8)), np.zeros((6, 8)), valid))
+        out, mask = warp_grid(src, FlowField(np.zeros((6, 8)), np.zeros((6, 8)), valid))
         assert mask.data[2, 3] == 0.0
         assert out.data[0, 2, 3] == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            backward_warp(rand_grid(0), FlowField.constant(5, 8, 0.0, 0.0))
+            warp_grid(rand_grid(0), FlowField.constant(5, 8, 0.0, 0.0))
 
     def test_channels_warp_as_one_stack(self):
         # fractional, varying flow with invalid cells and out-of-bounds samples
@@ -109,8 +108,8 @@ class TestBackwardWarp:
             rng.uniform(-2.5, 2.5, (6, 8)), rng.uniform(-2.5, 2.5, (6, 8)), rng.random((6, 8)) > 0.2
         )
         src = rand_grid(5, c=4)
-        out, mask = backward_warp(src, flow)
-        singles = [backward_warp(ChannelGrid(plane[None]), flow) for plane in src.data]
+        out, mask = warp_grid(src, flow)
+        singles = [warp_grid(ChannelGrid(plane[None]), flow) for plane in src.data]
         assert np.array_equal(out.data, np.concatenate([o.data for o, _ in singles]))
         for _, m in singles:
             assert np.array_equal(mask.data, m.data)
@@ -120,10 +119,10 @@ class TestBackwardWarp:
     @settings(max_examples=30, deadline=None)
     def test_integer_inverse_consistency(self, du, dv):
         src = rand_grid(9, c=1, h=7, w=7)
-        fwd, m1 = backward_warp(src, FlowField.constant(7, 7, du, dv))
-        back, m2 = backward_warp(fwd, FlowField.constant(7, 7, -du, -dv))
+        fwd, m1 = warp_grid(src, FlowField.constant(7, 7, du, dv))
+        back, m2 = warp_grid(fwd, FlowField.constant(7, 7, -du, -dv))
         both = (m2.data == 1.0) & (
-            backward_warp(
+            warp_grid(
                 ChannelGrid(m1.data[None]), FlowField.constant(7, 7, -du, -dv)
             )[0].data[0]
             == 1.0
@@ -170,7 +169,7 @@ class TestWarpFlow:
             np.random.default_rng(1).random((5, 5)),
             np.ones((5, 5)),
         )
-        out, ok = backward_warp(stacked(f), FlowField.constant(5, 5, 0.0, 0.0))
+        out, ok = warp_grid(stacked(f), FlowField.constant(5, 5, 0.0, 0.0))
         assert np.array_equal(out.data, stacked(f).data)
         assert ok.data.all()
 
@@ -181,7 +180,7 @@ class TestWarpFlow:
             np.random.default_rng(3).uniform(-2, 2, (6, 6)),
             np.ones((6, 6)),
         )
-        out, ok = backward_warp(stacked(f), through)
+        out, ok = warp_grid(stacked(f), through)
         ok = ok.data
         assert ok.any()
         assert np.allclose(out.data[0][ok], 2.5, atol=1e-12)
@@ -190,7 +189,7 @@ class TestWarpFlow:
     def test_ramp_through_constant(self):
         u = np.tile(np.arange(8.0), (6, 1))
         f = FlowField(u, np.zeros((6, 8)), np.ones((6, 8)))
-        out, ok = backward_warp(stacked(f), FlowField.constant(6, 8, 2.0, 0.0))
+        out, ok = warp_grid(stacked(f), FlowField.constant(6, 8, 2.0, 0.0))
         ok = ok.data
         assert np.array_equal(out.data[0][ok], (u + 2.0)[ok])
         assert not ok[:, 6:].any()
@@ -211,20 +210,20 @@ def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
     dirty = FlowField(planes["u"], planes["v"], valid)
 
     src = rand_grid(3)
-    (out, mask), (want_out, want_mask) = backward_warp(src, dirty), backward_warp(src, clean)
+    (out, mask), (want_out, want_mask) = warp_grid(src, dirty), warp_grid(src, clean)
     assert np.array_equal(out.data, want_out.data)
     assert np.array_equal(mask.data, want_mask.data)
     assert not mask.data[2, 3]
 
     # as the accumulated flow of a composition, and as a hop, which must be complete
     f = FlowField(*rng.uniform(-1.0, 1.0, (2, 6, 8)), np.ones((6, 8)))
-    got, want = compose_accumulated(dirty, f), compose_accumulated(clean, f)
+    got, want = compose_grid(dirty, f), compose_grid(clean, f)
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.v, want.v)
     assert np.array_equal(got.valid, want.valid)
     assert not got.valid[2, 3]
     with pytest.raises(ValueError, match="completed"):
-        compose_accumulated(f, dirty)
+        compose_grid(f, dirty)
 
 
 class TestComposeAccumulated:
@@ -233,12 +232,12 @@ class TestComposeAccumulated:
 
     def test_zero_hop_keeps_flow(self):
         base = self.base()
-        out = compose_accumulated(base, FlowField.constant(6, 8, 0.0, 0.0))
+        out = compose_grid(base, FlowField.constant(6, 8, 0.0, 0.0))
         ok = out.valid == 1.0
         assert np.array_equal(out.u[ok], base.u[ok])
 
     def test_constant_hops_add(self):
-        out = compose_accumulated(self.base(3.0, 0.0), FlowField.constant(6, 8, 2.0, 1.0))
+        out = compose_grid(self.base(3.0, 0.0), FlowField.constant(6, 8, 2.0, 1.0))
         ok = out.valid == 1.0
         assert ok.any()
         assert np.allclose(out.u[ok], 5.0, atol=1e-12)
@@ -248,14 +247,14 @@ class TestComposeAccumulated:
         hops = [(0.5, -0.25), (1.0, 0.5), (-0.75, 0.25), (0.25, 0.5), (0.5, -0.5)]
         acc = FlowField.constant(12, 12, *hops[0])
         for du, dv in hops[1:]:
-            acc = compose_accumulated(acc, FlowField.constant(12, 12, du, dv))
+            acc = compose_grid(acc, FlowField.constant(12, 12, du, dv))
         ok = acc.valid == 1.0
         assert ok.any()
         assert np.allclose(acc.u[ok], sum(h[0] for h in hops), atol=1e-5)
         assert np.allclose(acc.v[ok], sum(h[1] for h in hops), atol=1e-5)
 
     def test_validity_shrinks_with_motion(self):
-        out = compose_accumulated(self.base(6.0, 0.0), FlowField.constant(6, 8, 6.0, 0.0))
+        out = compose_grid(self.base(6.0, 0.0), FlowField.constant(6, 8, 6.0, 0.0))
         # only columns whose sample x+6 stays inside an 8-wide grid survive
         assert np.all(out.valid[:, :2] == 1.0)
         assert np.all(out.valid[:, 2:] == 0.0)
@@ -267,11 +266,11 @@ class TestComposeAccumulated:
         valid[1, 2] = 0.0
         hop = FlowField(np.ones((4, 4)), np.zeros((4, 4)), valid)
         with pytest.raises(ValueError, match="completed"):
-            compose_accumulated(FlowField.constant(4, 4, 0.5, 0.0), hop)
+            compose_grid(FlowField.constant(4, 4, 0.5, 0.0), hop)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            compose_accumulated(self.base(), FlowField.constant(6, 7, 0.0, 0.0))
+            compose_grid(self.base(), FlowField.constant(6, 7, 0.0, 0.0))
 
     @given(
         h=st.integers(1, 12),
@@ -292,7 +291,7 @@ class TestComposeAccumulated:
         hop = FlowField(*rng.uniform(-reach, reach, (2, h, w)), np.ones((h, w)))
         warped = reference_warp_flow(hop, acc)
         want_u, want_v = np.where(warped.valid, np.stack([acc.u + warped.u, acc.v + warped.v]), 0.0)
-        got = compose_accumulated(acc, hop)
+        got = compose_grid(acc, hop)
         assert np.array_equal(got.u, want_u)
         assert np.array_equal(got.v, want_v)
         assert np.array_equal(got.valid, warped.valid)
@@ -301,7 +300,7 @@ class TestComposeAccumulated:
         dirty = np.ones((h, w), dtype=bool)
         dirty[rng.integers(h), rng.integers(w)] = False
         with pytest.raises(ValueError, match="completed"):
-            compose_accumulated(acc, FlowField(hop.u, hop.v, dirty))
+            compose_grid(acc, FlowField(hop.u, hop.v, dirty))
 
 
 class TestMapFlowToCanvas:

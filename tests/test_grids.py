@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outpaint.flow import backward_warp, map_flow_to_canvas
+from outpaint.flow import map_flow_to_canvas
 from outpaint.grids import (
     BinaryMask,
     CanvasSpec,
@@ -19,6 +19,7 @@ from outpaint.grids import (
     read_grid,
     write_grid,
 )
+from whole_canvas import warp_grid
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -41,7 +42,7 @@ def test_mask_rejects_fractions(build, value):
 def test_masks_are_readonly_bool(tmp_path):
     mask = make_outpaint_mask(CanvasSpec(2, 2, 4, 4, 1, 1))
     flow = FlowField(np.full((4, 4), 0.5), np.full((4, 4), -1.25), ~mask.data)
-    _, warped = backward_warp(ChannelGrid(np.ones((1, 4, 4))), flow)
+    _, warped = warp_grid(ChannelGrid(np.ones((1, 4, 4))), flow)
     write_grid(tmp_path / "m.s2sg", mask)
     write_grid(tmp_path / "f.s2sg", flow)
     read_mask, read_flow = read_grid(tmp_path / "m.s2sg"), read_grid(tmp_path / "f.s2sg")

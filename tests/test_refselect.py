@@ -222,9 +222,37 @@ def test_chain_matches_reference_scored_chain(monkeypatch):
     rng = np.random.default_rng(99)
     base = ChannelGrid(rng.random((3, 12, 12)))
     sequences = [[base] * 10] + list(criterion_04_scenes(20))
-    got = [[build_reference_chain(f, m).indices for m in range(2, 8)] for f in sequences]
-    monkeypatch.setattr(refselect, "_window_moments", reference_window_moments)
+
+    frame_moments = refselect._frame_moments
+    moment_calls = []
+
+    def counted_frame_moments(a):
+        moment_calls.append(a.shape)
+        return frame_moments(a)
+
+    monkeypatch.setattr(refselect, "_frame_moments", counted_frame_moments)
+    got = []
+    for frames in sequences:
+        got.append([])
+        for m in range(2, 8):
+            moment_calls.clear()
+            got[-1].append(build_reference_chain(frames, m).indices)
+            # each frame's moments are built at most once per chain
+            assert len(moment_calls) <= len(frames)
+
+    # the reference chain scores every pair from the two-pass moments of
+    # the two gray planes, through the helpers the chain calls
+    scored_pairs = []
+
+    def reference_structure_score(a, b):
+        scored_pairs.append((a.shape, b.shape))
+        _, _, sd_a, sd_b, cov = reference_window_moments(a, b, 8)
+        return float(np.mean((cov + C3) / (sd_a * sd_b + C3)))
+
+    monkeypatch.setattr(refselect, "_frame_moments", lambda a: a)
+    monkeypatch.setattr(refselect, "_structure_score", reference_structure_score)
     want = [[build_reference_chain(f, m).indices for m in range(2, 8)] for f in sequences]
+    assert scored_pairs
     assert got == want
     assert got[0][2] == (0, 4, 8, 9)
 

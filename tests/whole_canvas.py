@@ -1,0 +1,35 @@
+"""Whole-canvas forms of the package's cell-list warps, for the tests.
+
+``backward_warp`` and ``compose_accumulated`` take a list of cells; these
+evaluate them on every cell of the grid and reshape the result, with the
+dimension check a whole-grid call implies.
+"""
+
+import numpy as np
+
+from outpaint.flow import backward_warp, compose_accumulated
+from outpaint.grids import BinaryMask, ChannelGrid, FlowField
+
+
+def _every_cell(flow: FlowField):
+    cells = np.arange(flow.height * flow.width)
+    return cells, flow.u.ravel(), flow.v.ravel(), flow.valid.ravel()
+
+
+def warp_grid(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
+    """``src`` sampled at x + flow(x) on every cell, and the cells where that
+    sample is valid."""
+    if (src.height, src.width) != (flow.height, flow.width):
+        raise ValueError("flow dims must match source spatial dims")
+    samples, ok = backward_warp(src.data, *_every_cell(flow))
+    return ChannelGrid(samples.reshape(src.data.shape)), BinaryMask(ok.reshape(flow.valid.shape))
+
+
+def compose_grid(acc: FlowField, hop: FlowField) -> FlowField:
+    """The accumulated flow ``acc`` extended by the completed ``hop`` on
+    every cell."""
+    if (acc.height, acc.width) != (hop.height, hop.width):
+        raise ValueError("flow dims must match")
+    u, v, ok = compose_accumulated(hop, *_every_cell(acc))
+    shape = acc.valid.shape
+    return FlowField(u.reshape(shape), v.reshape(shape), ok.reshape(shape))
