@@ -7,7 +7,8 @@ sampling), bench (operation-count benchmark grid), metrics (compare two
 grid files).  synth, chain, propagate and sample read one pipeline config,
 the only description of a run's inputs; their flags override its fields.
 
-Exit codes: 0 success, 2 configuration/input error, 3 stage failure.
+Exit codes: 0 success, 2 configuration/input error, 3 stage failure (a
+failed artifact write included).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .pipeline import (
     _load_inputs,
     run_benchmark,
     run_pipeline,
+    write_benchmark_csv,
     write_json,
 )
 from .refselect import build_reference_chain
@@ -68,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--n", type=int, nargs="+", default=list(BENCH_N_VALUES))
     p_bench.add_argument("--m", type=int, nargs="+", default=list(BENCH_M_VALUES))
-    p_bench.add_argument("--scene-kind", choices=("static", "pan"), default="static")
 
     p_metrics = sub.add_parser("metrics", help="PSNR/SSIM between two grid files, values on [0, 1]")
     p_metrics.add_argument("--ref", required=True)
@@ -138,13 +139,8 @@ def _cmd_pipeline(args, mode: str) -> int:
 
 def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
-    reports = run_benchmark(
-        seed=args.seed,
-        n_values=tuple(args.n),
-        m_values=tuple(args.m),
-        scene_kind=args.scene_kind,
-        out_csv=out_dir / "benchmark.csv",
-    )
+    reports = run_benchmark(args.seed, tuple(args.n), tuple(args.m))
+    write_benchmark_csv(out_dir / "benchmark.csv", reports)
     write_json(out_dir / "benchmark.json", [asdict(r) for r in reports])
     print(f"{len(reports)} benchmark cells written to {out_dir}")
     return 0

@@ -309,7 +309,9 @@ def write_grid(path, grid: Grid) -> None:
     Parent directories are created as needed.
     """
     kind, channels, planes = _payload_planes(grid)
-    payload = planes.astype("<f4")
+    # a value beyond float32 range casts to inf, which the check below rejects
+    with np.errstate(over="ignore"):
+        payload = planes.astype("<f4")
     if not np.all(np.isfinite(payload)):
         raise ValueError("grid payload must be finite (and fit float32 range)")
     h, w = planes.shape[1], planes.shape[2]

@@ -1,6 +1,10 @@
 """Pipeline driver: configuration, stage orchestration, artifacts, and the
 operation-count benchmark.
 
+A run is a sequence of timed stages; the artifact writes between them add up
+as one more, ``write``.  A stage that raises, a write included, ends the run
+with a StageError naming it and an "incomplete" summary.json.
+
 A run is fully determined by its config (including the mandatory seed); all
 artifact files are byte-identical across repeated runs.  Stage wall times are
 inherently volatile, so they are only written when ``write_timings`` is set,
@@ -16,7 +20,7 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -32,8 +36,8 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
-from .refselect import ReferenceChain, build_reference_chain
+from .propagation import propagate_sequence, required_flow_pairs
+from .refselect import build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
 )
@@ -308,6 +312,9 @@ def _load_inputs(config: PipelineConfig):
 
 
 class _StageClock:
+    """Runs stages, adding up the wall time of each name; a stage that
+    raises becomes a StageError naming it."""
+
     def __init__(self):
         self.times: dict[str, float] = {}
 
@@ -317,48 +324,17 @@ class _StageClock:
             result = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
-        self.times[name] = time.perf_counter() - start
+        self.times[name] = self.times.get(name, 0.0) + time.perf_counter() - start
         return result
 
 
-class _Propagated(NamedTuple):
-    """What the shared stages leave for the rest of a run: only what a later
-    stage reads, and ``shared_bytes``, the grid bytes they held at their
-    widest point."""
-
-    gt_expanded: list[ChannelGrid] | None
-    chain: ReferenceChain
-    completion_max_residual: float
-    results: list[PropagationResult]
-    shared_bytes: int
-
-    def report(self, later_bytes: int, wall_time_s: dict[str, float]) -> BenchmarkReport:
-        """Operation counts of the run, checked for the warp-count ordering.
-
-        The peak estimate is the larger of ``shared_bytes`` and
-        ``later_bytes``, the grid bytes the caller's later stages hold."""
-        n = len(self.results)
-        report = BenchmarkReport(
-            n_frames=n,
-            window=self.chain.window,
-            chain_len=len(self.chain),
-            warp_count_guided=sum(r.warp_count for r in self.results),
-            # dense per-frame accumulation pulls every other frame
-            warp_count_sequential=n * (n - 1),
-            compose_count=sum(r.compose_count for r in self.results),
-            peak_live_bytes=max(self.shared_bytes, later_bytes),
-            useful_pull_count=sum(r.useful_pull_count for r in self.results),
-            completion_max_residual=self.completion_max_residual,
-            wall_time_s=dict(wall_time_s),
-        )
-        report.verify()
-        return report
-
-
-def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated:
+def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
-    completed on the latent canvas, encode, propagate.  The frames, flows
-    and unplaced latents are freed when it returns."""
+    completed on the latent canvas, encode, propagate.  Returns the ground
+    truth (or None), the chain, the propagation results and the verified
+    report, whose ``peak_live_bytes`` is the grid bytes these stages held at
+    their widest point.  The frames, flows and unplaced latents are freed
+    when it returns."""
     spec = config.canvas
     s = spec.downsample
     latent = spec.latent()
@@ -383,8 +359,21 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock) -> _Propagated
     latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
     results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
     held = frames + (gt_expanded or []) + list(flows.values()) + latents
-    shared_bytes = _nbytes(held + [r.latent for r in results])
-    return _Propagated(gt_expanded, chain, residual, results, shared_bytes)
+    report = BenchmarkReport(
+        n_frames=n,
+        window=chain.window,
+        chain_len=len(chain),
+        warp_count_guided=sum(r.warp_count for r in results),
+        # dense per-frame accumulation pulls every other frame
+        warp_count_sequential=n * (n - 1),
+        compose_count=sum(r.compose_count for r in results),
+        peak_live_bytes=_nbytes(held + [r.latent for r in results]),
+        useful_pull_count=sum(r.useful_pull_count for r in results),
+        completion_max_residual=residual,
+        wall_time_s=clock.times,
+    )
+    report.verify()
+    return gt_expanded, chain, results, report
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -414,13 +403,21 @@ def _run_artifacts(out: Path) -> list[str]:
     return sorted(names)
 
 
+def _write_grids(directory: Path, name: str, grids) -> None:
+    """Each grid as ``{name}_0000.s2sg``, ``{name}_0001.s2sg``, ... in ``directory``."""
+    for i, grid in enumerate(grids):
+        write_grid(directory / f"{name}_{i:04d}.s2sg", grid)
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     """Execute the configured pipeline and write artifacts under out_dir.
 
     Artifacts of an earlier run in out_dir are removed first; files the
-    pipeline does not write are left alone.  Returns the summary dict (also
-    written to summary.json).  On stage failure a summary with status
-    "incomplete" is written before the StageError propagates.
+    pipeline does not write are left alone.  Every artifact write after
+    config.json and before summary.json runs as the stage ``write``.
+    Returns the summary dict (also written to summary.json).  On stage
+    failure, a failed write included, a summary with status "incomplete" is
+    written before the StageError propagates.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -430,24 +427,27 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
 
     write_json(out / "config.json", config.to_dict())
     try:
-        staged = _propagate_stages(config, clock)
-        gt_expanded, chain, results = staged.gt_expanded, staged.chain, staged.results
+        gt_expanded, chain, results, report = _propagate_stages(config, clock)
         n = len(results)
-        write_json(out / "chain.json", asdict(chain))
-        prop_dir = out / "propagated"
-        for i, res in enumerate(results):
-            write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
-            write_grid(prop_dir / f"coverage_{i:04d}.s2sg", res.coverage)
-            write_json(
-                prop_dir / f"provenance_{i:04d}.json",
-                {
-                    "frame": i,
-                    "warp_count": res.warp_count,
-                    "compose_count": res.compose_count,
-                    "chain": list(chain.indices),
-                    "provenance": res.provenance.tolist(),
-                },
-            )
+
+        def write_propagated():
+            write_json(out / "chain.json", asdict(chain))
+            prop_dir = out / "propagated"
+            for i, res in enumerate(results):
+                write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
+                write_grid(prop_dir / f"coverage_{i:04d}.s2sg", res.coverage)
+                write_json(
+                    prop_dir / f"provenance_{i:04d}.json",
+                    {
+                        "frame": i,
+                        "warp_count": res.warp_count,
+                        "compose_count": res.compose_count,
+                        "chain": list(chain.indices),
+                        "provenance": res.provenance.tolist(),
+                    },
+                )
+
+        clock.run("write", write_propagated)
 
         # optional diffusion sampling
         sampled = None
@@ -466,17 +466,14 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 return [ChannelGrid(frame) for frame in z]
 
             sampled = clock.run("sample", sample)
-            for i, grid in enumerate(sampled):
-                write_grid(out / "sampled" / f"latent_{i:04d}.s2sg", grid)
+            clock.run("write", lambda: _write_grids(out / "sampled", "latent", sampled))
 
         # decode
         decode_src = sampled if sampled is not None else [r.latent for r in results]
         decoded = clock.run("decode", lambda: [stand_in_decode(z, s) for z in decode_src])
-        for i, grid in enumerate(decoded):
-            write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", grid)
+        clock.run("write", lambda: _write_grids(out / "decoded", "frame", decoded))
 
         # metrics against ground truth, when available
-        metrics = None
         if gt_expanded is not None:
             def compute_metrics():
                 per_frame = []
@@ -500,13 +497,17 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 }
 
             metrics = clock.run("metrics", compute_metrics)
-            write_json(out / "metrics.json", _json_sanitize(metrics))
+            clock.run("write", lambda: write_json(out / "metrics.json", _json_sanitize(metrics)))
 
         later = (gt_expanded or []) + [r.latent for r in results] + (sampled or []) + decoded
-        report = staged.report(_nbytes(later), clock.times)
-        write_json(out / "report.json", report.to_dict())
-        if config.write_timings:
-            write_json(out / "timings.json", {"wall_time_s": clock.times})
+        report.peak_live_bytes = max(report.peak_live_bytes, _nbytes(later))
+
+        def write_report():
+            write_json(out / "report.json", report.to_dict())
+            if config.write_timings:
+                write_json(out / "timings.json", {"wall_time_s": clock.times})
+
+        clock.run("write", write_report)
 
         summary = {
             "status": "complete",
@@ -531,19 +532,11 @@ BENCH_M_VALUES = (2, 3, 4, 5, 6, 7)
 
 
 def run_benchmark(
-    seed: int,
-    n_values=BENCH_N_VALUES,
-    m_values=BENCH_M_VALUES,
-    scene_kind: str = "static",
-    out_csv: str | Path | None = None,
+    seed: int, n_values=BENCH_N_VALUES, m_values=BENCH_M_VALUES
 ) -> list[BenchmarkReport]:
     """Run the stages up to propagation over an (N, m) grid of small
-    synthetic scenes, verifying the warp-count ordering on every cell.
-    ``scene_kind`` "static" films them with a still camera, "pan" with one
-    panning 1 px per frame."""
-    if scene_kind not in ("static", "pan"):
-        raise ConfigError(f"unknown benchmark scene kind {scene_kind!r}")
-    pan = scene_kind == "pan"
+    synthetic scenes filmed by a still camera, and return each cell's
+    report, verified for the warp-count ordering."""
     reports = []
     for n in n_values:
         for m in m_values:
@@ -551,20 +544,9 @@ def run_benchmark(
                 seed=seed,
                 canvas=CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2),
                 window=m,
-                scene=SceneConfig(
-                    world_h=48,
-                    # a 1 px/frame pan moves the crop n columns
-                    world_w=48 + n if pan else 48,
-                    n_frames=n,
-                    start_y=8.0,
-                    start_x=8.0,
-                    delta_x=1.0 if pan else 0.0,
-                ),
+                scene=SceneConfig(world_h=48, world_w=48, n_frames=n, start_y=8.0, start_x=8.0),
             )
-            clock = _StageClock()
-            reports.append(_propagate_stages(config, clock).report(0, clock.times))
-    if out_csv is not None:
-        write_benchmark_csv(Path(out_csv), reports)
+            reports.append(_propagate_stages(config, _StageClock())[3])
     return reports
 
 

@@ -179,7 +179,7 @@ def build_reference_chain(frames: Sequence[ChannelGrid], m: int) -> ReferenceCha
         if n - 1 - current < m:
             indices.append(n - 1)
             break
-        candidates = range(current + 1, min(current + m, n - 1) + 1)
+        candidates = range(current + 1, current + m + 1)
         scores = [_structure_score(of(current), of(j)) for j in candidates]
         scored = candidates[-1] + 1
         best = min(scores)

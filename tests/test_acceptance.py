@@ -206,7 +206,7 @@ def test_criterion_05_complexity_claim():
     assert pulls == chain_len * (n - 1)
 
     # ordering invariant on every benchmark cell of the full grid
-    reports = run_benchmark(seed=5, scene_kind="static")
+    reports = run_benchmark(seed=5)
     assert len(reports) == 24
     for r in reports:
         r.verify()

@@ -333,6 +333,16 @@ class TestPipelineCommands:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "incomplete"
 
+    def test_failed_write_exits_3(self, tmp_path):
+        cfg = pipeline_config(
+            tmp_path / "run", mode_extra={"denoiser": "constant:1e300", "timesteps": 5}
+        )
+        cfg_path = write_config(tmp_path / "config.json", cfg)
+        assert main(["sample", "--config", cfg_path, "--seed", "13"]) == 3
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["status"] == "incomplete"
+        assert summary["failed_stage"] == "write"
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(pipeline_config(tmp_path / "run", seed=1)))

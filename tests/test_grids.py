@@ -338,3 +338,10 @@ class TestGridFiles:
         f = FlowField(np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):
             write_grid(tmp_path / "f.s2sg", f)
+
+    def test_write_rejects_values_beyond_float32(self, tmp_path):
+        # finite in float64, infinite once narrowed to the file's float32
+        path = tmp_path / "big" / "g.s2sg"
+        with pytest.raises(ValueError, match="float32 range"):
+            write_grid(path, ChannelGrid(np.full((1, 2, 2), 1e39)))
+        assert not path.exists()

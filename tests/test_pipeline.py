@@ -19,6 +19,7 @@ from outpaint.pipeline import (
     StageError,
     run_benchmark,
     run_pipeline,
+    write_benchmark_csv,
     write_json,
 )
 from outpaint.propagation import required_flow_pairs
@@ -298,7 +299,21 @@ class TestRunPipeline:
         run_pipeline(pan_config(tmp_path / "a", n_frames=4))
         assert not (tmp_path / "a" / "timings.json").exists()
         run_pipeline(pan_config(tmp_path / "b", n_frames=4, write_timings=True))
-        assert (tmp_path / "b" / "timings.json").exists()
+        timings = json.loads((tmp_path / "b" / "timings.json").read_text())["wall_time_s"]
+        # the artifact writes are timed as a stage of their own
+        assert "write" in timings
+
+    def test_failed_write_is_a_stage_failure(self, tmp_path):
+        # finite in float64, the sampled latents overflow float32 on disk
+        cfg = pan_config(tmp_path / "run", n_frames=6, mode="sample",
+                         denoiser="constant:1e300", timesteps=5)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "write"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["status"] == "incomplete"
+        assert summary["failed_stage"] == "write"
+        assert "float32 range" in summary["error"]
 
     def test_stage_failure_marks_incomplete(self, tmp_path):
         frames_dir = tmp_path / "frames"
@@ -414,10 +429,8 @@ class TestRunPipeline:
 
 class TestBenchmark:
     def test_small_grid_ordering_and_trend(self, tmp_path):
-        reports = run_benchmark(
-            seed=5, n_values=(8, 12), m_values=(2, 3, 4), scene_kind="static",
-            out_csv=tmp_path / "bench.csv",
-        )
+        reports = run_benchmark(seed=5, n_values=(8, 12), m_values=(2, 3, 4))
+        write_benchmark_csv(tmp_path / "bench.csv", reports)
         assert len(reports) == 6
         for r in reports:
             r.verify()
@@ -430,7 +443,7 @@ class TestBenchmark:
         assert header.startswith("n_frames,window,chain_len,warp_count_guided")
 
     def test_m1_guided_equals_sequential(self):
-        reports = run_benchmark(seed=5, n_values=(6,), m_values=(1,), scene_kind="static")
+        reports = run_benchmark(seed=5, n_values=(6,), m_values=(1,))
         r = reports[0]
         assert r.chain_len == 6
         assert r.warp_count_guided == r.warp_count_sequential == 6 * 5
@@ -450,13 +463,13 @@ class TestBenchmark:
         monkeypatch.setattr(
             pipeline, "_propagate_stages", lambda *args: staged.append(shared(*args)) or staged[-1]
         )
-        [report] = run_benchmark(seed=5, n_values=(6,), m_values=(3,), scene_kind="pan")
-        [held] = staged
+        [report] = run_benchmark(seed=5, n_values=(6,), m_values=(3,))
+        [(_, chain, _, _)] = staged
         # 16x16 frames on a 16x32 canvas at s=2: frames, ground truth,
         # latents and placed latents (3 float64 planes), and flows on the
         # latent canvas (float64 u and v, bool valid)
         grid_bytes = 6 * 3 * 8 * (16 * 16 + 16 * 32 + 8 * 8 + 8 * 16)
-        flow_bytes = len(required_flow_pairs(held.chain, 6)) * 8 * 16 * (8 + 8 + 1)
+        flow_bytes = len(required_flow_pairs(chain, 6)) * 8 * 16 * (8 + 8 + 1)
         assert report.peak_live_bytes == grid_bytes + flow_bytes
 
     def test_shared_stages_free_what_no_later_stage_reads(self, tmp_path, monkeypatch):
@@ -474,12 +487,14 @@ class TestBenchmark:
         monkeypatch.setattr(pipeline, "stand_in_encode", track(pipeline.stand_in_encode))
         completion = pipeline._flow.complete_flow_laplacian
         monkeypatch.setattr(pipeline._flow, "complete_flow_laplacian", track(completion))
-        staged = pipeline._propagate_stages(pan_config(tmp_path, n_frames=6), pipeline._StageClock())
+        _, chain, results, _ = pipeline._propagate_stages(
+            pan_config(tmp_path, n_frames=6), pipeline._StageClock()
+        )
         gc.collect()
         # the frames, the unplaced latents and the completed flows
-        assert len(refs) == 6 + 6 + len(required_flow_pairs(staged.chain, 6))
+        assert len(refs) == 6 + 6 + len(required_flow_pairs(chain, 6))
         assert [ref for ref in refs if ref() is not None] == []
-        assert len(staged.results) == 6
+        assert len(results) == 6
 
     @pytest.mark.parametrize(
         "mode, n_frames, later_wins", [("propagate", 16, False), ("sample", 6, True)]
