@@ -28,8 +28,8 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
+    _frame_files,
     _json_sanitize,
-    _load_frames_from_dir,
     _load_inputs,
     run_benchmark,
     run_pipeline,
@@ -123,11 +123,13 @@ def _cmd_synth(args) -> int:
 def _cmd_chain(args) -> int:
     if args.config:
         config = _load_config(args, "propagate")
-        frames, window = _load_inputs(config)[0], config.window
+        n, frame = _load_inputs(config)[:2]
+        window = config.window
     else:
-        frames = _load_frames_from_dir(Path(args.frames_dir))
+        n, frame = _frame_files(Path(args.frames_dir))
         window = PipelineConfig.window if args.window is None else args.window
-    _emit(asdict(build_reference_chain(frames, window)), args.out)
+    # each frame is read as the chain reaches it
+    _emit(asdict(build_reference_chain(map(frame, range(n)), window)), args.out)
     return 0
 
 

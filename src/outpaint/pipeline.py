@@ -5,6 +5,16 @@ A run is a sequence of timed stages; the artifact writes between them add up
 as one more, ``write``.  A stage that raises, a write included, ends the run
 with a StageError naming it and an "incomplete" summary.json.
 
+Frames stream through the stages.  Each input frame is read once, in index
+order, when the reference chain reaches it: its latent is encoded, the chain
+takes its gray plane, and the frame is dropped.  After propagation (and
+sampling), each frame is decoded, written and scored in turn, its ground
+truth built or read for that frame alone.  So what a run holds for its whole
+length is latent-sized (latents, completed flows, propagated and sampled
+latents), plus one frame's full-size grids at a time.  A stage run inside another,
+such as a frame's read inside ``chain``, counts toward its own time only, so
+the stage times add up.
+
 A run is fully determined by its config (including the mandatory seed); all
 artifact files are byte-identical across repeated runs.  Stage wall times are
 inherently volatile, so they are only written when ``write_timings`` is set,
@@ -14,8 +24,10 @@ to a separate timings.json outside the deterministic artifact set.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import resource
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -36,7 +48,7 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import propagate_sequence, required_flow_pairs
+from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
 from .refselect import build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
@@ -192,6 +204,13 @@ class PipelineConfig:
 class BenchmarkReport:
     """Operation counts and working-set estimate for one run.
 
+    ``peak_live_bytes`` is the most grid bytes the run holds at once: the
+    frame being read beside the latents during ``chain``; the latents,
+    completed flows and propagated latents during ``propagate``; afterwards
+    the propagated and sampled latents beside one frame's decoded canvas and
+    ground truth.  Temporaries inside a stage (the chain's moments, the pull
+    stacks) are not counted.
+
     ``warp_count_sequential`` is N(N-1), the pulls of dense per-frame
     accumulation; ``verify`` checks that the guided pulls do not exceed it.
     ``useful_pull_count`` counts the guided pulls that filled at least one
@@ -264,43 +283,44 @@ def _read_input(path: Path, kind: str, shape: tuple[int, int] | None):
     return grid
 
 
-def _load_frames_from_dir(
+def _frame_files(
     frames_dir: Path, prefix: str = "frame", shape: tuple[int, int] | None = None
-) -> list[ChannelGrid]:
-    """Channel grids named ``{prefix}_0000.s2sg``, ``{prefix}_0001.s2sg``, ...:
-    the number in a name is the frame index, and N files must hold indices
-    0..N-1.  With ``shape``, every grid must be that (height, width)."""
+):
+    """The number N of channel grids named ``{prefix}_0000.s2sg``,
+    ``{prefix}_0001.s2sg``, ... in ``frames_dir``, and a function reading
+    the one with index i: the number in a name is the frame index, and N
+    files must hold indices 0..N-1.  With ``shape``, every grid must be that
+    (height, width)."""
     count = len(list(frames_dir.glob(f"{prefix}_*.s2sg")))
     if not count:
         raise FileNotFoundError(f"no {prefix}_*.s2sg files in {frames_dir}")
-    frames = []
-    for i in range(count):
+
+    def read(i: int) -> ChannelGrid:
         p = frames_dir / f"{prefix}_{i:04d}.s2sg"
         try:
-            frames.append(_read_input(p, "channel", shape))
+            return _read_input(p, "channel", shape)
         except FileNotFoundError as exc:
             raise ValueError(f"{frames_dir} has {count} {prefix} files but no {p.name}") from exc
-    return frames
+
+    return count, read
 
 
 def _load_inputs(config: PipelineConfig):
-    """Frames, ground-truth expanded frames (None without ground truth), and
-    a function giving the pixel flow for a pair (a, b)."""
+    """The frame count N and functions giving one grid per call: frame i,
+    the ground truth of frame i's expanded canvas (None without ground
+    truth), and the pixel flow for a pair (a, b)."""
     spec = config.canvas
     if config.scene is not None:
         scene = config.scene.build(config.seed, spec)
-        gt = [scene.gt_expanded(i) for i in range(scene.num_frames)]
-        return scene.frames(), gt, scene.gt_flow
+        return scene.num_frames, scene.frame, scene.gt_expanded, scene.gt_flow
 
-    frames = _load_frames_from_dir(
-        Path(config.inputs.frames_dir), shape=(spec.orig_h, spec.orig_w)
-    )
+    n, frame = _frame_files(Path(config.inputs.frames_dir), shape=(spec.orig_h, spec.orig_w))
     gt = None
     if config.inputs.gt_dir:
-        gt = _load_frames_from_dir(
+        n_gt, gt = _frame_files(
             Path(config.inputs.gt_dir), prefix="gt", shape=(spec.canvas_h, spec.canvas_w)
         )
-        if len(gt) != len(frames):
+        if n_gt != n:
             raise ValueError("ground-truth frame count does not match inputs")
     flows_dir = Path(config.inputs.flows_dir)
 
@@ -308,39 +328,93 @@ def _load_inputs(config: PipelineConfig):
         path = flows_dir / f"flow_{a:04d}_to_{b:04d}.s2sg"
         return _read_input(path, "flow", (spec.orig_h, spec.orig_w))
 
-    return frames, gt, load_flow
+    return n, frame, gt, load_flow
 
 
 class _StageClock:
-    """Runs stages, adding up the wall time of each name; a stage that
-    raises becomes a StageError naming it."""
+    """Runs stages, adding up the wall time of each name and recording the
+    process's peak resident set size, in MB, when each name last finished.
+    A stage run inside another counts toward its own name only.  A stage
+    that raises becomes a StageError naming it, the innermost one when
+    stages nest."""
 
     def __init__(self):
         self.times: dict[str, float] = {}
+        self.max_rss_mb: dict[str, float] = {}
+        self._nested: list[float] = []  # per running stage, the time of stages inside it
 
     def run(self, name: str, fn):
         start = time.perf_counter()
+        self._nested.append(0.0)
         try:
             result = fn()
+        except StageError:
+            raise
         except Exception as exc:
             raise StageError(name, exc) from exc
-        self.times[name] = self.times.get(name, 0.0) + time.perf_counter() - start
+        finally:
+            nested = self._nested.pop()
+        elapsed = time.perf_counter() - start
+        if self._nested:
+            self._nested[-1] += elapsed
+        self.times[name] = self.times.get(name, 0.0) + elapsed - nested
+        # ru_maxrss is in KiB on Linux
+        self.max_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return result
+
+
+# glibc's mallopt parameters (malloc.h) and the values its own dynamic
+# adjustment reaches at most on 64-bit: a 32 MB mmap threshold, twice that
+# for trimming
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _reuse_freed_memory() -> None:
+    """Have the C allocator keep freed memory for the next frame.
+
+    A streamed run allocates and frees the same few MB once per frame (a
+    frame or flow read, a decoded canvas).  With glibc's start-up
+    thresholds each such block is handed back to the system when freed and
+    faulted in again, page by page, for the next frame; this sets the
+    thresholds glibc would otherwise reach only after freeing a 32 MB
+    block.  Where the C library has no ``mallopt``, nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
-    completed on the latent canvas, encode, propagate.  Returns the ground
-    truth (or None), the chain, the propagation results and the verified
-    report, whose ``peak_live_bytes`` is the grid bytes these stages held at
-    their widest point.  The frames, flows and unplaced latents are freed
-    when it returns."""
+    completed on the latent canvas, encode, propagate.  Frames stream through
+    ``chain``: each is read (``inputs``) and encoded (``encode``) when the
+    chain reaches it, and dropped once the chain has its gray plane.
+    Returns the function giving frame i's ground truth (or None), the chain,
+    the propagation results and the verified report, whose
+    ``peak_live_bytes`` is the grid bytes these stages held at their widest
+    point.  The flows and unplaced latents are freed when it returns."""
+    _reuse_freed_memory()
     spec = config.canvas
     s = spec.downsample
     latent = spec.latent()
-    frames, gt_expanded, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
-    n = len(frames)
-    chain = clock.run("chain", lambda: build_reference_chain(frames, config.window))
+    n, read_frame, gt_frame, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
+    latents = []
+    frame_bytes = 0
+
+    def read(i: int) -> ChannelGrid:
+        nonlocal frame_bytes
+        frame = clock.run("inputs", lambda: read_frame(i))
+        latents.append(clock.run("encode", lambda: stand_in_encode(frame, s)))
+        frame_bytes = _nbytes([frame])
+        return frame
+
+    # map keeps no reference to a frame, so each is freed once the chain has its gray plane
+    chain = clock.run(
+        "chain", lambda: build_reference_chain(map(read, range(n)), config.window)
+    )
 
     def build_flows():
         flows, residual = {}, 0.0
@@ -356,9 +430,8 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         return flows, residual
 
     flows, residual = clock.run("flows", build_flows)
-    latents = clock.run("encode", lambda: [stand_in_encode(f, s) for f in frames])
     results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
-    held = frames + (gt_expanded or []) + list(flows.values()) + latents
+    placed = [r.latent for r in results]
     report = BenchmarkReport(
         n_frames=n,
         window=chain.window,
@@ -367,13 +440,16 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         # dense per-frame accumulation pulls every other frame
         warp_count_sequential=n * (n - 1),
         compose_count=sum(r.compose_count for r in results),
-        peak_live_bytes=_nbytes(held + [r.latent for r in results]),
+        # the last frame read beside every latent, then propagation's inputs and outputs
+        peak_live_bytes=max(
+            frame_bytes + _nbytes(latents), _nbytes(latents + list(flows.values()) + placed)
+        ),
         useful_pull_count=sum(r.useful_pull_count for r in results),
         completion_max_residual=residual,
         wall_time_s=clock.times,
     )
     report.verify()
-    return gt_expanded, chain, results, report
+    return gt_frame, chain, results, report
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -409,6 +485,21 @@ def _write_grids(directory: Path, name: str, grids) -> None:
         write_grid(directory / f"{name}_{i:04d}.s2sg", grid)
 
 
+def _frame_metrics(
+    i: int, res: PropagationResult, decoded: ChannelGrid, truth: ChannelGrid, s: int
+) -> dict:
+    """Frame i's entry in metrics.json: its coverage, the PSNR of its covered
+    latent cells, and the PSNR and SSIM of its decoded canvas."""
+    gt_latent = stand_in_encode(truth, s)
+    return {
+        "frame": i,
+        "coverage_fraction": float(res.coverage.data.mean()),
+        "covered_psnr": psnr_masked(res.latent, gt_latent, res.coverage),
+        "decoded_psnr": psnr(decoded, truth),
+        "decoded_ssim": ssim_full(decoded, truth),
+    }
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     """Execute the configured pipeline and write artifacts under out_dir.
 
@@ -427,8 +518,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
 
     write_json(out / "config.json", config.to_dict())
     try:
-        gt_expanded, chain, results, report = _propagate_stages(config, clock)
+        gt_frame, chain, results, report = _propagate_stages(config, clock)
         n = len(results)
+        placed = [r.latent for r in results]
+
+        def ground_truth(i: int) -> ChannelGrid:
+            return clock.run("inputs", lambda: gt_frame(i))
 
         def write_propagated():
             write_json(out / "chain.json", asdict(chain))
@@ -455,9 +550,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             def sample():
                 schedule = make_schedule(config.timesteps)
                 plan = plan_windows(n, config.sampler_window, config.sampler_stride)
-                condition = np.stack([r.latent.data for r in results])
+                condition = np.stack([z.data for z in placed])
                 if config.denoiser == "oracle":
-                    clean = np.stack([stand_in_encode(g, s).data for g in gt_expanded])
+                    clean = np.stack([stand_in_encode(ground_truth(i), s).data for i in range(n)])
                     denoiser = OracleDenoiser(clean, schedule)
                 else:
                     denoiser = resolve_denoiser(config.denoiser)
@@ -468,25 +563,28 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             sampled = clock.run("sample", sample)
             clock.run("write", lambda: _write_grids(out / "sampled", "latent", sampled))
 
-        # decode
-        decode_src = sampled if sampled is not None else [r.latent for r in results]
-        decoded = clock.run("decode", lambda: [stand_in_decode(z, s) for z in decode_src])
-        clock.run("write", lambda: _write_grids(out / "decoded", "frame", decoded))
+        per_frame = []
 
-        # metrics against ground truth, when available
-        if gt_expanded is not None:
-            def compute_metrics():
-                per_frame = []
-                for i, res in enumerate(results):
-                    gt_latent = stand_in_encode(gt_expanded[i], s)
-                    entry = {
-                        "frame": i,
-                        "coverage_fraction": float(res.coverage.data.mean()),
-                        "covered_psnr": psnr_masked(res.latent, gt_latent, res.coverage),
-                        "decoded_psnr": psnr(decoded[i], gt_expanded[i]),
-                        "decoded_ssim": ssim_full(decoded[i], gt_expanded[i]),
-                    }
-                    per_frame.append(entry)
+        def finish_frame(i: int) -> int:
+            """Decode, write and score frame i; returns the grid bytes it held,
+            all freed on return."""
+            z = placed[i] if sampled is None else sampled[i]
+            decoded = clock.run("decode", lambda: stand_in_decode(z, s))
+            clock.run("write", lambda: write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", decoded))
+            if gt_frame is None:
+                return _nbytes([decoded])
+            truth = ground_truth(i)
+            per_frame.append(
+                clock.run("metrics", lambda: _frame_metrics(i, results[i], decoded, truth, s))
+            )
+            return _nbytes([decoded, truth])
+
+        held = _nbytes(placed + (sampled or []))
+        for i in range(n):
+            report.peak_live_bytes = max(report.peak_live_bytes, held + finish_frame(i))
+
+        if gt_frame is not None:
+            def summarize():
                 finite = [e["decoded_psnr"] for e in per_frame if math.isfinite(e["decoded_psnr"])]
                 return {
                     "per_frame": per_frame,
@@ -496,16 +594,16 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                     "mean_decoded_psnr": float(np.mean(finite)) if finite else math.inf,
                 }
 
-            metrics = clock.run("metrics", compute_metrics)
+            metrics = clock.run("metrics", summarize)
             clock.run("write", lambda: write_json(out / "metrics.json", _json_sanitize(metrics)))
-
-        later = (gt_expanded or []) + [r.latent for r in results] + (sampled or []) + decoded
-        report.peak_live_bytes = max(report.peak_live_bytes, _nbytes(later))
 
         def write_report():
             write_json(out / "report.json", report.to_dict())
             if config.write_timings:
-                write_json(out / "timings.json", {"wall_time_s": clock.times})
+                write_json(
+                    out / "timings.json",
+                    {"wall_time_s": clock.times, "max_rss_mb": clock.max_rss_mb},
+                )
 
         clock.run("write", write_report)
 

@@ -10,8 +10,9 @@ The windowed moments split into a per-frame part and a per-pair part: a
 plane's mean, its centred values x, their window sums s_x and the window
 std deviations depend on that plane alone (``_frame_moments``); only the
 covariance's window sum of x * y needs both (``_window_cov``).  The chain
-builds each frame's gray plane and moments once, when the frame is first
-scored, and drops them once the chain has moved past the frame, so a
+reads its frames once, in order and only as far as the next window; it
+builds each frame's gray plane when reading it and its moments when first
+scoring it, and drops them once the chain has moved past the frame, so a
 candidate pair costs one window-sum plane.  ``ssim_structure_score`` and the
 ``_window_moments`` that ``metrics.ssim_full`` reads are built from the
 same two helpers.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count
+from typing import Iterable
 
 import numpy as np
 
@@ -74,6 +76,14 @@ def to_grayscale(frame: ChannelGrid) -> np.ndarray:
         raise ValueError("frame values must lie in [0, 1]")
     r, g, b = frame.data
     return _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
+
+
+def _gray(j: int, frame: ChannelGrid) -> np.ndarray:
+    """``to_grayscale`` of frame ``j``; a ValueError names the frame."""
+    try:
+        return to_grayscale(frame)
+    except ValueError as exc:
+        raise ValueError(f"frame {j}: {exc}") from exc
 
 
 def _window_sums(p: np.ndarray, axis: int) -> np.ndarray:
@@ -150,47 +160,59 @@ def ssim_structure_score(a: np.ndarray, b: np.ndarray) -> float:
     return _structure_score(_frame_moments(a), _frame_moments(b))
 
 
-def build_reference_chain(frames: Sequence[ChannelGrid], m: int) -> ReferenceChain:
+def build_reference_chain(frames: Iterable[ChannelGrid], m: int) -> ReferenceChain:
     """Greedy chain over ``frames`` with window size ``m``.
 
     Scores are computed on grayscale frames; each step picks the candidate
     with the minimum structure score against the current reference
     (largest index on ties).  Once fewer than ``m`` candidates remain the
-    last frame is appended.  Each frame's gray plane and moments are built
-    once, when it is first scored, and dropped once the chain has passed
-    it, so a candidate pair costs one covariance window-sum plane.
+    last frame is appended.  ``frames`` is read once, in order, and only as
+    far as the next window: a frame is kept as its gray plane until it is
+    scored, then as its moments until the chain has passed it, so the chain
+    holds at most the current reference and its ``m`` candidates, and a
+    candidate pair costs one covariance window-sum plane.  An invalid frame
+    raises ValueError naming its index.
     """
-    n = len(frames)
-    if n == 0:
-        raise ValueError("empty frame sequence")
     if m < 1:
         raise ValueError("window must be >= 1")
-    moments = {}
+    # no name is bound to a frame, so each is freed once its gray plane is built
+    planes = map(_gray, count(), frames)
+    gray = {}  # frames read but not yet scored
+    moments = {}  # frames scored and not yet passed by the chain
+    n = 0  # frames read so far
+
+    def read_through(j: int) -> bool:
+        """Read frames up to index ``j``; False once ``frames`` runs out first."""
+        nonlocal n
+        while n <= j:
+            plane = next(planes, None)
+            if plane is None:
+                return False
+            gray[n] = plane
+            n += 1
+        return True
 
     def of(j):
         if j not in moments:
-            moments[j] = _frame_moments(to_grayscale(frames[j]))
+            moments[j] = _frame_moments(gray.pop(j))
         return moments[j]
 
+    if not read_through(0):
+        raise ValueError("empty frame sequence")
     indices = [0]
     current = 0
-    scored = 0  # frames 0 .. scored - 1 have been scored
-    while current < n - 1:
-        if n - 1 - current < m:
-            indices.append(n - 1)
-            break
+    while read_through(current + m):
         candidates = range(current + 1, current + m + 1)
         scores = [_structure_score(of(current), of(j)) for j in candidates]
-        scored = candidates[-1] + 1
         best = min(scores)
         # ties break toward the largest candidate index
         chosen = max(j for j, s in zip(candidates, scores) if s == best)
         indices.append(chosen)
         current = chosen
         moments = {j: mo for j, mo in moments.items() if j >= current}
-    # the frames no window scored are checked all the same
-    for j in range(scored, n):
-        to_grayscale(frames[j])
+    # fewer than m candidates remain, and every frame has been read
+    if current < n - 1:
+        indices.append(n - 1)
     return ReferenceChain(tuple(indices), window=m, num_frames=n)
 
 

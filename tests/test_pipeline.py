@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import resource
+import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from outpaint import grids, pipeline, propagation
-from outpaint.grids import CanvasSpec, FlowField, read_grid, write_grid
+from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
     ConfigError,
@@ -48,6 +51,26 @@ def tree_digest(root: Path, exclude=()) -> dict[str, str]:
         if p.is_file() and p.name not in exclude:
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def write_file_scene(root: Path, cfg: PipelineConfig, gt: bool = False) -> PipelineConfig:
+    """Write ``cfg``'s scene under ``root`` as frame files, the flow files its
+    chain needs (exact flows) and, with ``gt``, ground-truth files; return
+    the file-driven config of the same run."""
+    scene = cfg.scene.build(cfg.seed, cfg.canvas)
+    for i in range(scene.num_frames):
+        write_grid(root / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
+        if gt:
+            write_grid(root / "gt" / f"gt_{i:04d}.s2sg", scene.gt_expanded(i))
+    chain = build_reference_chain(scene.frames(), cfg.window)
+    for a, b in required_flow_pairs(chain, scene.num_frames):
+        write_grid(root / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
+    inputs = InputPaths(
+        frames_dir=str(root / "frames"),
+        flows_dir=str(root / "flows"),
+        gt_dir=str(root / "gt") if gt else None,
+    )
+    return replace(cfg, scene=None, inputs=inputs)
 
 
 def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
@@ -303,6 +326,52 @@ class TestRunPipeline:
         # the artifact writes are timed as a stage of their own
         assert "write" in timings
 
+    def test_timings_record_each_stages_peak_rss(self, tmp_path):
+        run_pipeline(pan_config(tmp_path, n_frames=4, write_timings=True))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        stages = {"inputs", "chain", "encode", "flows", "propagate", "decode", "metrics", "write"}
+        assert set(timings["wall_time_s"]) == set(timings["max_rss_mb"]) == stages
+        assert all(mb > 0 for mb in timings["max_rss_mb"].values())
+
+    def test_nested_stage_counts_toward_its_own_name_only(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: now[0])
+
+        def spend(seconds, inner=None):
+            def stage():
+                now[0] += seconds
+                if inner is not None:
+                    clock.run(*inner)
+            return stage
+
+        clock = pipeline._StageClock()
+        clock.run("chain", spend(1.0, inner=("inputs", spend(2.0))))
+        clock.run("inputs", spend(4.0))
+        assert clock.times == {"chain": 1.0, "inputs": 6.0}
+        # a failure names the innermost stage, not the one around it
+        with pytest.raises(StageError) as err:
+            clock.run("chain", spend(1.0, inner=("inputs", lambda: 1 / 0)))
+        assert err.value.stage == "inputs"
+        assert isinstance(err.value.cause, ZeroDivisionError)
+
+    def test_each_input_file_is_read_once(self, tmp_path, monkeypatch):
+        cfg = write_file_scene(tmp_path, pan_config(tmp_path / "run", n_frames=8), gt=True)
+        reads = Counter()
+        read = pipeline.read_grid
+
+        def counted(path):
+            reads[Path(path).relative_to(tmp_path).as_posix()] += 1
+            return read(path)
+
+        monkeypatch.setattr(pipeline, "read_grid", counted)
+        run_pipeline(cfg)
+        written = {
+            p.relative_to(tmp_path).as_posix()
+            for name in ("frames", "flows", "gt") for p in (tmp_path / name).iterdir()
+        }
+        assert set(reads) == written
+        assert set(reads.values()) == {1}
+
     def test_failed_write_is_a_stage_failure(self, tmp_path):
         # finite in float64, the sampled latents overflow float32 on disk
         cfg = pan_config(tmp_path / "run", n_frames=6, mode="sample",
@@ -389,6 +458,19 @@ class TestRunPipeline:
         assert summary["failed_stage"] == "inputs"
         assert "frame_0002.s2sg" in summary["error"]
 
+    def test_out_of_range_frame_is_named(self, tmp_path):
+        cfg = write_file_scene(tmp_path, pan_config(tmp_path / "run", n_frames=6))
+        path = tmp_path / "frames" / "frame_0003.s2sg"
+        bright = read_grid(path).data.copy()
+        bright[1, 5, 7] = 1.5
+        write_grid(path, ChannelGrid(bright))
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "chain"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["failed_stage"] == "chain"
+        assert summary["error"] == "frame 3: frame values must lie in [0, 1]"
+
     def test_wrong_size_flow_error_names_the_file(self, tmp_path):
         err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.constant(40, 48, 0.0, 0.0))
         assert err.stage == "flows"
@@ -463,27 +545,48 @@ class TestBenchmark:
         monkeypatch.setattr(
             pipeline, "_propagate_stages", lambda *args: staged.append(shared(*args)) or staged[-1]
         )
-        [report] = run_benchmark(seed=5, n_values=(6,), m_values=(3,))
-        [(_, chain, _, _)] = staged
-        # 16x16 frames on a 16x32 canvas at s=2: frames, ground truth,
-        # latents and placed latents (3 float64 planes), and flows on the
-        # latent canvas (float64 u and v, bool valid)
-        grid_bytes = 6 * 3 * 8 * (16 * 16 + 16 * 32 + 8 * 8 + 8 * 16)
-        flow_bytes = len(required_flow_pairs(chain, 6)) * 8 * 16 * (8 + 8 + 1)
-        assert report.peak_live_bytes == grid_bytes + flow_bytes
+        reports = run_benchmark(seed=5, n_values=(6, 1), m_values=(3,))
+        for report, (_, chain, _, _) in zip(reports, staged, strict=True):
+            n = report.n_frames
+            # 16x16 frames on a 16x32 canvas at s=2: frames, latents and
+            # placed latents (3 float64 planes), and flows on the latent
+            # canvas (float64 u and v, bool valid)
+            frame = 3 * 8 * 16 * 16
+            latents, placed = (n * 3 * 8 * cells for cells in (8 * 8, 8 * 16))
+            flows = len(required_flow_pairs(chain, n)) * 8 * 16 * (8 + 8 + 1)
+            # chain holds the frame being read beside the latents; propagate
+            # holds the latents, the completed flows and the placed latents
+            in_chain, in_propagate = frame + latents, latents + flows + placed
+            # a single frame has no flows, and its frame outweighs its latents
+            assert (in_chain > in_propagate) == (n == 1)
+            assert report.peak_live_bytes == max(in_chain, in_propagate)
 
     def test_shared_stages_free_what_no_later_stage_reads(self, tmp_path, monkeypatch):
-        refs = []
+        frames, refs = [], []
 
         def track(fn):
             def tracked(*args):
                 out = fn(*args)
-                # _load_inputs returns the frames first; the others one grid
-                refs.extend(map(weakref.ref, out[0] if isinstance(out, tuple) else [out]))
+                refs.append(weakref.ref(out))
                 return out
             return tracked
 
-        monkeypatch.setattr(pipeline, "_load_inputs", track(pipeline._load_inputs))
+        def read_tracked(frame):
+            def read(i):
+                # every frame read before has been freed
+                assert [ref for ref in frames if ref() is not None] == []
+                grid = frame(i)
+                frames.append(weakref.ref(grid))
+                return grid
+            return read
+
+        load = pipeline._load_inputs
+
+        def load_tracked(config):
+            n, frame, gt, flow = load(config)
+            return n, read_tracked(frame), gt, flow
+
+        monkeypatch.setattr(pipeline, "_load_inputs", load_tracked)
         monkeypatch.setattr(pipeline, "stand_in_encode", track(pipeline.stand_in_encode))
         completion = pipeline._flow.complete_flow_laplacian
         monkeypatch.setattr(pipeline._flow, "complete_flow_laplacian", track(completion))
@@ -492,8 +595,9 @@ class TestBenchmark:
         )
         gc.collect()
         # the frames, the unplaced latents and the completed flows
-        assert len(refs) == 6 + 6 + len(required_flow_pairs(chain, 6))
-        assert [ref for ref in refs if ref() is not None] == []
+        assert len(frames) == 6
+        assert len(refs) == 6 + len(required_flow_pairs(chain, 6))
+        assert [ref for ref in frames + refs if ref() is not None] == []
         assert len(results) == 6
 
     @pytest.mark.parametrize(
@@ -505,14 +609,65 @@ class TestBenchmark:
         chain = ReferenceChain(**json.loads((tmp_path / "chain.json").read_text()))
         # 48x48 frames on a 48x64 canvas at s=2, 3 float64 planes per grid
         frame, canvas, latent, placed = (
-            n_frames * 3 * 8 * cells for cells in (48 * 48, 48 * 64, 24 * 24, 24 * 32)
+            3 * 8 * cells for cells in (48 * 48, 48 * 64, 24 * 24, 24 * 32)
         )
         flows = len(required_flow_pairs(chain, n_frames)) * 24 * 32 * (8 + 8 + 1)
-        shared = frame + canvas + flows + latent + placed
-        # ground truth, placed latents, sampled latents, decoded frames
-        later = canvas + placed + (placed if mode == "sample" else 0) + canvas
+        # chain: the frame being read and the latents; propagate: the
+        # latents, flows and placed latents
+        shared = max(frame + n_frames * latent, n_frames * (latent + placed) + flows)
+        # placed and sampled latents, one decoded frame and its ground truth
+        later = n_frames * placed * (2 if mode == "sample" else 1) + canvas + canvas
         assert (later > shared) == later_wins
         assert report["peak_live_bytes"] == max(shared, later)
+
+    def test_peak_grows_by_each_frames_latents_and_flows(self, tmp_path):
+        peaks, pairs = {}, {}
+        for n in (6, 12):
+            out = tmp_path / str(n)
+            run_pipeline(pan_config(out, n_frames=n))
+            peaks[n] = json.loads((out / "report.json").read_text())["peak_live_bytes"]
+            chain = ReferenceChain(**json.loads((out / "chain.json").read_text()))
+            pairs[n] = len(required_flow_pairs(chain, n))
+        # six more latents (24x24) and placed latents (24x32) of 3 float64
+        # planes, and the extra flows on the 24x32 latent canvas
+        latents = 6 * 3 * 8 * (24 * 24 + 24 * 32)
+        flows = (pairs[12] - pairs[6]) * 24 * 32 * (8 + 8 + 1)
+        assert peaks[12] - peaks[6] == latents + flows
+
+    def test_freed_blocks_are_reused_not_faulted_in_again(self):
+        # a streamed frame's reads and decode: a few MB allocated, then freed together
+        def churn():
+            return [float(block[0]) for block in [np.ones(1 << 18) for _ in range(3)]]
+
+        pipeline._reuse_freed_memory()
+        churn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            churn()
+        # 30 blocks of 2 MB: fewer page faults than one block has pages
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < (2 << 20) // 4096
+
+    def test_traced_peak_does_not_grow_by_whole_frames(self, tmp_path):
+        # 96x96 frames on a 96x128 canvas at s=4, read from files
+        peaks = {}
+        for n in (8, 24):
+            cfg = pan_config(
+                tmp_path / f"run{n}",
+                canvas=CanvasSpec(96, 96, 96, 128, 0, 16, downsample=4),
+                scene=SceneConfig(
+                    world_h=96, world_w=128 + 2 * 23, n_frames=n, kind="pan",
+                    start_y=0.0, start_x=16.0, delta_x=2.0,
+                ),
+            )
+            cfg = write_file_scene(tmp_path / f"in{n}", cfg)
+            tracemalloc.start()
+            try:
+                run_pipeline(cfg)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        added_frames = 16 * 3 * 8 * 96 * 96
+        assert peaks[24] - peaks[8] < added_frames
 
 
 class TestWriteJson:

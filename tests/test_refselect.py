@@ -279,6 +279,27 @@ class TestBuildChain:
         with pytest.raises(ValueError):
             build_reference_chain([], 4)
 
+    def test_reads_each_frame_once_in_order(self):
+        frames = identical_frames(10)
+        read = []
+
+        def reader():
+            for i, frame in enumerate(frames):
+                read.append(i)
+                yield frame
+
+        assert build_reference_chain(reader(), 4) == build_reference_chain(frames, 4)
+        assert read == list(range(10))
+
+    def test_invalid_frame_error_names_it(self):
+        frames = identical_frames(6)
+        frames[3] = ChannelGrid(np.full((3, 12, 12), 1.5))
+        with pytest.raises(ValueError, match=r"^frame 3: frame values must lie in \[0, 1\]$"):
+            build_reference_chain(frames, 4)
+        frames[3] = ChannelGrid(np.full((1, 12, 12), 0.5))
+        with pytest.raises(ValueError, match="^frame 3: expected 3 channels, got 1$"):
+            build_reference_chain(frames, 4)
+
     def test_chain_prefers_least_similar_candidate(self):
         # frame 2 is structurally unrelated to frame 0; frames 1 and 3 are
         # near-copies of 0, so the chain should pick 2 first.
