@@ -348,7 +348,8 @@ def read_grid(path) -> Grid:
         raise GridFormatError(f"truncated payload: {len(body)} bytes, expected {expected}")
     if len(body) > expected:
         raise GridFormatError(f"trailing data: {len(body)} bytes, expected {expected}")
-    planes = np.frombuffer(body, dtype="<f4").reshape(channels, h, w).astype(np.float64)
+    # the grid types copy float32 to float64 once, exactly
+    planes = np.frombuffer(body, dtype="<f4").reshape(channels, h, w)
     try:
         if kind == KIND_CHANNEL:
             return ChannelGrid(planes)

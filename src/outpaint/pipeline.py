@@ -1,7 +1,8 @@
 """Pipeline driver: configuration, stage orchestration, artifacts, and the
 operation-count benchmark.
 
-A run is a sequence of timed stages; the artifact writes between them add up
+A run is a sequence of timed stages, each a ``with clock(name):`` block of
+straight-line code (``_StageClock``); the artifact writes between them add up
 as one more, ``write``.  A stage that raises, a write included, ends the run
 with a StageError naming it and an "incomplete" summary.json.
 
@@ -23,6 +24,7 @@ to a separate timings.json outside the deterministic artifact set.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import json
@@ -332,22 +334,23 @@ def _load_inputs(config: PipelineConfig):
 
 
 class _StageClock:
-    """Runs stages, adding up the wall time of each name and recording the
-    process's peak resident set size, in MB, when each name last finished.
-    A stage run inside another counts toward its own name only.  A stage
-    that raises becomes a StageError naming it, the innermost one when
-    stages nest."""
+    """Times stages: ``with clock("flows"):`` adds the block's wall time to
+    that name and records the process's peak resident set size, in MB, when
+    the name last finished.  A stage run inside another counts toward its
+    own name only.  A block that raises becomes a StageError naming the
+    stage, the innermost one when stages nest."""
 
     def __init__(self):
         self.times: dict[str, float] = {}
         self.max_rss_mb: dict[str, float] = {}
         self._nested: list[float] = []  # per running stage, the time of stages inside it
 
-    def run(self, name: str, fn):
+    @contextlib.contextmanager
+    def __call__(self, name: str):
         start = time.perf_counter()
         self._nested.append(0.0)
         try:
-            result = fn()
+            yield
         except StageError:
             raise
         except Exception as exc:
@@ -360,7 +363,6 @@ class _StageClock:
         self.times[name] = self.times.get(name, 0.0) + elapsed - nested
         # ru_maxrss is in KiB on Linux
         self.max_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return result
 
 
 # glibc's mallopt parameters (malloc.h) and the values its own dynamic
@@ -400,24 +402,26 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     spec = config.canvas
     s = spec.downsample
     latent = spec.latent()
-    n, read_frame, gt_frame, pixel_flow = clock.run("inputs", lambda: _load_inputs(config))
+    with clock("inputs"):
+        n, read_frame, gt_frame, pixel_flow = _load_inputs(config)
     latents = []
     frame_bytes = 0
 
     def read(i: int) -> ChannelGrid:
         nonlocal frame_bytes
-        frame = clock.run("inputs", lambda: read_frame(i))
-        latents.append(clock.run("encode", lambda: stand_in_encode(frame, s)))
+        with clock("inputs"):
+            frame = read_frame(i)
+        with clock("encode"):
+            latents.append(stand_in_encode(frame, s))
         frame_bytes = _nbytes([frame])
         return frame
 
     # map keeps no reference to a frame, so each is freed once the chain has its gray plane
-    chain = clock.run(
-        "chain", lambda: build_reference_chain(map(read, range(n)), config.window)
-    )
+    with clock("chain"):
+        chain = build_reference_chain(map(read, range(n)), config.window)
 
-    def build_flows():
-        flows, residual = {}, 0.0
+    flows, residual = {}, 0.0
+    with clock("flows"):
         for a, b in sorted(required_flow_pairs(chain, n)):
             try:
                 on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
@@ -427,10 +431,8 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
                 raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
             residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
             flows[(a, b)] = flow
-        return flows, residual
-
-    flows, residual = clock.run("flows", build_flows)
-    results = clock.run("propagate", lambda: propagate_sequence(latents, spec, chain, flows))
+    with clock("propagate"):
+        results = propagate_sequence(latents, spec, chain, flows)
     placed = [r.latent for r in results]
     report = BenchmarkReport(
         n_frames=n,
@@ -479,12 +481,6 @@ def _run_artifacts(out: Path) -> list[str]:
     return sorted(names)
 
 
-def _write_grids(directory: Path, name: str, grids) -> None:
-    """Each grid as ``{name}_0000.s2sg``, ``{name}_0001.s2sg``, ... in ``directory``."""
-    for i, grid in enumerate(grids):
-        write_grid(directory / f"{name}_{i:04d}.s2sg", grid)
-
-
 def _frame_metrics(
     i: int, res: PropagationResult, decoded: ChannelGrid, truth: ChannelGrid, s: int
 ) -> dict:
@@ -523,9 +519,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
         placed = [r.latent for r in results]
 
         def ground_truth(i: int) -> ChannelGrid:
-            return clock.run("inputs", lambda: gt_frame(i))
+            with clock("inputs"):
+                return gt_frame(i)
 
-        def write_propagated():
+        with clock("write"):
             write_json(out / "chain.json", asdict(chain))
             prop_dir = out / "propagated"
             for i, res in enumerate(results):
@@ -541,8 +538,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                         "provenance": res.provenance.tolist(),
                     },
                 )
-
-        clock.run("write", write_propagated)
 
         # optional diffusion sampling
         sampled = None
@@ -560,8 +555,11 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 # as grids inside the stage, so non-finite output fails at `sample`
                 return [ChannelGrid(frame) for frame in z]
 
-            sampled = clock.run("sample", sample)
-            clock.run("write", lambda: _write_grids(out / "sampled", "latent", sampled))
+            with clock("sample"):
+                sampled = sample()
+            with clock("write"):
+                for i, grid in enumerate(sampled):
+                    write_grid(out / "sampled" / f"latent_{i:04d}.s2sg", grid)
 
         per_frame = []
 
@@ -569,14 +567,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             """Decode, write and score frame i; returns the grid bytes it held,
             all freed on return."""
             z = placed[i] if sampled is None else sampled[i]
-            decoded = clock.run("decode", lambda: stand_in_decode(z, s))
-            clock.run("write", lambda: write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", decoded))
+            with clock("decode"):
+                decoded = stand_in_decode(z, s)
+            with clock("write"):
+                write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", decoded)
             if gt_frame is None:
                 return _nbytes([decoded])
             truth = ground_truth(i)
-            per_frame.append(
-                clock.run("metrics", lambda: _frame_metrics(i, results[i], decoded, truth, s))
-            )
+            with clock("metrics"):
+                per_frame.append(_frame_metrics(i, results[i], decoded, truth, s))
             return _nbytes([decoded, truth])
 
         held = _nbytes(placed + (sampled or []))
@@ -584,28 +583,22 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             report.peak_live_bytes = max(report.peak_live_bytes, held + finish_frame(i))
 
         if gt_frame is not None:
-            def summarize():
+            with clock("metrics"):
                 finite = [e["decoded_psnr"] for e in per_frame if math.isfinite(e["decoded_psnr"])]
-                return {
+                metrics = {
                     "per_frame": per_frame,
-                    "mean_decoded_ssim": float(
-                        np.mean([e["decoded_ssim"] for e in per_frame])
-                    ),
+                    "mean_decoded_ssim": float(np.mean([e["decoded_ssim"] for e in per_frame])),
                     "mean_decoded_psnr": float(np.mean(finite)) if finite else math.inf,
                 }
-
-            metrics = clock.run("metrics", summarize)
-            clock.run("write", lambda: write_json(out / "metrics.json", _json_sanitize(metrics)))
-
-        def write_report():
+        with clock("write"):
+            if gt_frame is not None:
+                write_json(out / "metrics.json", _json_sanitize(metrics))
             write_json(out / "report.json", report.to_dict())
             if config.write_timings:
                 write_json(
                     out / "timings.json",
                     {"wall_time_s": clock.times, "max_rss_mb": clock.max_rss_mb},
                 )
-
-        clock.run("write", write_report)
 
         summary = {
             "status": "complete",

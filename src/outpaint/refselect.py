@@ -10,12 +10,15 @@ The windowed moments split into a per-frame part and a per-pair part: a
 plane's mean, its centred values x, their window sums s_x and the window
 std deviations depend on that plane alone (``_frame_moments``); only the
 covariance's window sum of x * y needs both (``_window_cov``).  The chain
-reads its frames once, in order and only as far as the next window; it
-builds each frame's gray plane when reading it and its moments when first
-scoring it, and drops them once the chain has moved past the frame, so a
-candidate pair costs one window-sum plane.  ``ssim_structure_score`` and the
-``_window_moments`` that ``metrics.ssim_full`` reads are built from the
-same two helpers.
+reads its frames once, in order, into one sliding window: the current
+reference and the frames read after it, each held as its gray plane until
+first scored and as its moments from then on.  When the window holds m + 1
+frames, its gray planes are turned into moments one at a time, so only the
+frame being converted is ever held in both forms; the candidates are
+scored, and the entries before the chosen one are dropped.  The chain thus
+holds at most m + 1 frames, and a candidate pair costs one window-sum
+plane.  ``ssim_structure_score`` and the ``_window_moments`` that
+``metrics.ssim_full`` reads are built from the same two helpers.
 """
 
 from __future__ import annotations
@@ -166,51 +169,47 @@ def build_reference_chain(frames: Iterable[ChannelGrid], m: int) -> ReferenceCha
     Scores are computed on grayscale frames; each step picks the candidate
     with the minimum structure score against the current reference
     (largest index on ties).  Once fewer than ``m`` candidates remain the
-    last frame is appended.  ``frames`` is read once, in order, and only as
-    far as the next window: a frame is kept as its gray plane until it is
-    scored, then as its moments until the chain has passed it, so the chain
-    holds at most the current reference and its ``m`` candidates, and a
+    last frame is appended.  ``frames`` is read once, in order, into a
+    window holding the current reference and the frames read after it, as
+    gray planes until scored and as moments afterwards.  When it holds
+    ``m + 1`` frames, its gray planes become moments one at a time, the
+    candidates are scored, and the entries before the chosen one are
+    dropped.  So the chain holds at most ``m + 1`` frames' planes, and a
     candidate pair costs one covariance window-sum plane.  An invalid frame
     raises ValueError naming its index.
     """
     if m < 1:
         raise ValueError("window must be >= 1")
-    # no name is bound to a frame, so each is freed once its gray plane is built
-    planes = map(_gray, count(), frames)
-    gray = {}  # frames read but not yet scored
-    moments = {}  # frames scored and not yet passed by the chain
-    n = 0  # frames read so far
-
-    def read_through(j: int) -> bool:
-        """Read frames up to index ``j``; False once ``frames`` runs out first."""
-        nonlocal n
-        while n <= j:
-            plane = next(planes, None)
-            if plane is None:
-                return False
-            gray[n] = plane
-            n += 1
-        return True
-
-    def of(j):
-        if j not in moments:
-            moments[j] = _frame_moments(gray.pop(j))
-        return moments[j]
-
-    if not read_through(0):
-        raise ValueError("empty frame sequence")
+    window = []  # frame `current` and those after it: moments, then gray planes
+    scored = 0  # entries of `window` that are moments
     indices = [0]
     current = 0
-    while read_through(current + m):
-        candidates = range(current + 1, current + m + 1)
-        scores = [_structure_score(of(current), of(j)) for j in candidates]
+    # map() binds no name to a frame, so each is freed once its gray plane
+    # is built.  The loop unbinds each plane once the window has it, and
+    # counts frames by `current` and the window's length: enumerate() would
+    # keep the newest gray plane in its reused result tuple, beside that
+    # plane's moments.
+    for plane in map(_gray, count(), frames):
+        window.append(plane)
+        del plane
+        if len(window) <= m:
+            continue
+        # one frame at a time: a slice assignment would build every moments
+        # tuple while the window still holds all the gray planes
+        for k in range(scored, m + 1):
+            window[k] = _frame_moments(window[k])
+        scores = [_structure_score(window[0], mo) for mo in window[1:]]
         best = min(scores)
         # ties break toward the largest candidate index
-        chosen = max(j for j, s in zip(candidates, scores) if s == best)
-        indices.append(chosen)
-        current = chosen
-        moments = {j: mo for j, mo in moments.items() if j >= current}
+        step = max(k for k, s in enumerate(scores, 1) if s == best)
+        current += step
+        indices.append(current)
+        del window[:step]
+        scored = len(window)
+    if not window:
+        raise ValueError("empty frame sequence")
     # fewer than m candidates remain, and every frame has been read
+    n = current + len(window)
     if current < n - 1:
         indices.append(n - 1)
     return ReferenceChain(tuple(indices), window=m, num_frames=n)

@@ -38,7 +38,7 @@ def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Multi-octave value noise in [0, 1] with per-pixel variance; every
     lattice sample lies inside its lattice."""
     acc = np.zeros((h, w))
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    ys, xs = np.ogrid[0:h, 0:w]
     for scale, weight in ((16, 0.5), (8, 0.3), (4, 0.2)):
         lat_h = math.ceil(h / scale) + 1
         lat_w = math.ceil(w / scale) + 1
@@ -70,7 +70,7 @@ class SyntheticScene:
         if float(oy).is_integer() and float(ox).is_integer():
             iy, ix = int(oy), int(ox)
             return ChannelGrid(self.world.data[:, iy : iy + h, ix : ix + w])
-        ys, xs = np.mgrid[0:h, 0:w].astype(float)
+        ys, xs = np.ogrid[0:h, 0:w]
         # check_in_world keeps every sample inside the world
         return ChannelGrid(_bilinear(self.world.data, ys + oy, xs + ox)[0])
 

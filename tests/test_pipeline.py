@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -337,20 +340,20 @@ class TestRunPipeline:
         now = [0.0]
         monkeypatch.setattr(pipeline.time, "perf_counter", lambda: now[0])
 
-        def spend(seconds, inner=None):
-            def stage():
-                now[0] += seconds
-                if inner is not None:
-                    clock.run(*inner)
-            return stage
-
         clock = pipeline._StageClock()
-        clock.run("chain", spend(1.0, inner=("inputs", spend(2.0))))
-        clock.run("inputs", spend(4.0))
+        with clock("chain"):
+            now[0] += 1.0
+            with clock("inputs"):
+                now[0] += 2.0
+        with clock("inputs"):
+            now[0] += 4.0
         assert clock.times == {"chain": 1.0, "inputs": 6.0}
         # a failure names the innermost stage, not the one around it
         with pytest.raises(StageError) as err:
-            clock.run("chain", spend(1.0, inner=("inputs", lambda: 1 / 0)))
+            with clock("chain"):
+                now[0] += 1.0
+                with clock("inputs"):
+                    1 / 0
         assert err.value.stage == "inputs"
         assert isinstance(err.value.cause, ZeroDivisionError)
 
@@ -646,6 +649,40 @@ class TestBenchmark:
             churn()
         # 30 blocks of 2 MB: fewer page faults than one block has pages
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < (2 << 20) // 4096
+
+    def test_run_reuses_freed_blocks_across_frames(self, tmp_path):
+        # page faults a fresh process takes inside run_pipeline, per frame count
+        script = (
+            "import json, resource, sys\n"
+            "from outpaint.pipeline import PipelineConfig, run_pipeline\n"
+            "config = PipelineConfig.from_dict(json.loads(sys.argv[1]))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_pipeline(config)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        faults = {}
+        for n in (8, 16):
+            # 240x320 frames on a 240x448 canvas at s=8, read from files
+            cfg = pan_config(
+                tmp_path / f"run{n}",
+                canvas=CanvasSpec(240, 320, 240, 448, 0, 64, downsample=8),
+                scene=SceneConfig(
+                    world_h=240, world_w=448 + 4 * 15, n_frames=n, kind="pan",
+                    start_y=0.0, start_x=64.0, delta_x=4.0,
+                ),
+            )
+            cfg = write_file_scene(tmp_path / f"in{n}", cfg)
+            out = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(cfg.to_dict())],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            faults[n] = int(out.stdout)
+        # each frame's and flow's freed blocks serve the next one: eight more
+        # 1.8 MB frames would fault in over 3,600 pages if they were not reused
+        assert faults[16] - faults[8] < 3000
 
     def test_traced_peak_does_not_grow_by_whole_frames(self, tmp_path):
         # 96x96 frames on a 96x128 canvas at s=4, read from files

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,51 @@ class TestBuildChain:
 
         assert build_reference_chain(reader(), 4) == build_reference_chain(frames, 4)
         assert read == list(range(10))
+
+    @pytest.mark.parametrize("scene", ["random", "pan"])
+    def test_holds_at_most_a_window_of_planes(self, monkeypatch, scene):
+        m, n = 4, 16
+        if scene == "random":
+            rng = np.random.default_rng(11)
+            frames = [ChannelGrid(rng.random((3, 24, 32))) for _ in range(n)]
+        else:
+            # a slow pan: neighbours are near-copies, so the chain skips frames
+            spec = CanvasSpec(24, 32, 24, 40, 0, 4)
+            traj = SceneConfig(start_y=8.0, start_x=8.0, delta_x=1.0)
+            frames = generate_scene(5, 48, 72, 24, 32, n, traj, spec).frames()
+        # weak references to every gray plane and every moments tuple's x plane
+        refs, held = [], []
+        gray, moments, score = refselect._gray, refselect._frame_moments, refselect._structure_score
+
+        def check():
+            held.append(sum(ref() is not None for ref in refs))
+            assert held[-1] <= m + 1
+
+        def tracked_gray(j, frame):
+            plane = gray(j, frame)
+            refs.append(weakref.ref(plane))
+            return plane
+
+        def tracked_moments(a):
+            check()
+            mo = moments(a)
+            refs.append(weakref.ref(mo[1]))
+            return mo
+
+        def tracked_score(ma, mb):
+            check()
+            return score(ma, mb)
+
+        monkeypatch.setattr(refselect, "_gray", tracked_gray)
+        monkeypatch.setattr(refselect, "_frame_moments", tracked_moments)
+        monkeypatch.setattr(refselect, "_structure_score", tracked_score)
+        chain = build_reference_chain(iter(frames), m)
+        # the current reference and its m candidates, each in one form only
+        assert max(held) == m + 1
+        # random frames step by 1 to 4, the pan by whole windows
+        assert chain.indices == (
+            (0, 3, 4, 6, 8, 10, 14, 15) if scene == "random" else (0, 4, 8, 12, 15)
+        )
 
     def test_invalid_frame_error_names_it(self):
         frames = identical_frames(6)
