@@ -1,11 +1,12 @@
 """Command-line driver.
 
 Subcommands: synth (write a config's synthetic scene to disk), chain (emit
-the reference chain of a frame directory or of a config's input frames),
-propagate (propagation-only pipeline), sample (pipeline with diffusion
-sampling), bench (operation-count benchmark grid), metrics (compare two
-grid files).  synth, chain, propagate and sample read one pipeline config,
-the only description of a run's inputs; their flags override its fields.
+the reference chain of a config's input frames), propagate
+(propagation-only pipeline), sample (pipeline with diffusion sampling),
+bench (operation-count benchmark grid), metrics (compare two grid files).
+synth, chain, propagate and sample read one pipeline config, the only
+description of a run's inputs; a --seed flag overrides its seed, and --out
+of propagate and sample its out_dir.
 
 Exit codes: 0 success, 2 configuration/input error, 3 stage failure (a
 failed artifact write included).
@@ -28,7 +29,6 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
-    _frame_files,
     _json_sanitize,
     _load_inputs,
     run_benchmark,
@@ -49,10 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int)
 
     p_chain = sub.add_parser("chain", help="emit the reference chain as JSON")
-    src = p_chain.add_mutually_exclusive_group(required=True)
-    src.add_argument("--frames-dir", help="directory of frame_*.s2sg files")
-    src.add_argument("--config", help="pipeline config whose input frames to read")
-    p_chain.add_argument("--window", type=int, help="overrides the config's (default 4)")
+    p_chain.add_argument("--config", required=True, help="pipeline config whose frames to read")
     p_chain.add_argument("--out", help="output file (stdout when omitted)")
 
     p_prop = sub.add_parser("propagate", help="run the propagation-only pipeline")
@@ -80,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, mode: str) -> PipelineConfig:
-    """The config file ``args.config`` in ``mode``, with the ``seed``,
-    ``window`` and ``out_dir`` the command's flags set."""
+    """The config file ``args.config`` in ``mode``, with the ``seed`` and
+    ``out_dir`` the command's flags set."""
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config} does not hold a JSON object")
     raw["mode"] = mode
-    for key in ("seed", "window", "out_dir"):
+    for key in ("seed", "out_dir"):
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
     return PipelineConfig.from_dict(raw)
@@ -121,21 +118,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    if args.config:
-        config = _load_config(args, "propagate")
-        n, frame = _load_inputs(config)[:2]
-        window = config.window
-    else:
-        n, frame = _frame_files(Path(args.frames_dir))
-        window = PipelineConfig.window if args.window is None else args.window
+    config = _load_config(args, "propagate")
+    n, frame = _load_inputs(config)[:2]
     # each frame is read as the chain reaches it
-    _emit(asdict(build_reference_chain(map(frame, range(n)), window)), args.out)
+    _emit(asdict(build_reference_chain(map(frame, range(n)), config.window)), args.out)
     return 0
 
 
 def _cmd_pipeline(args, mode: str) -> int:
     summary = run_pipeline(_load_config(args, mode))
-    print(json.dumps({k: summary[k] for k in ("status", "mode", "n_frames", "chain")}))
+    _emit({k: summary[k] for k in ("status", "mode", "n_frames", "chain")}, None)
     return 0
 
 
@@ -169,9 +161,7 @@ def main(argv=None) -> int:
             return _cmd_pipeline(args, "sample")
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        parser.error(f"unknown command {args.command}")
+        return _cmd_metrics(args)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -179,7 +169,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

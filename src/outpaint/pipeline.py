@@ -272,27 +272,24 @@ def write_json(path: Path, payload) -> None:
 _INPUT_KINDS = {"channel": ChannelGrid, "flow": FlowField}
 
 
-def _read_input(path: Path, kind: str, shape: tuple[int, int] | None):
-    """The ``kind`` ("channel" or "flow") grid at ``path``; with ``shape``,
-    it must be that (height, width).  Every error names the file."""
+def _read_input(path: Path, kind: str, shape: tuple[int, int]):
+    """The ``kind`` ("channel" or "flow") grid at ``path``, which must be
+    ``shape`` (height, width).  Every error names the file."""
     if not path.exists():
         raise FileNotFoundError(f"missing {kind} file {path}")
     grid = read_grid(path)
     if not isinstance(grid, _INPUT_KINDS[kind]):
         raise ValueError(f"{path} is not a {kind} grid")
-    if shape is not None and (grid.height, grid.width) != shape:
+    if (grid.height, grid.width) != shape:
         raise ValueError(f"{path} is {grid.height}x{grid.width}, expected {shape[0]}x{shape[1]}")
     return grid
 
 
-def _frame_files(
-    frames_dir: Path, prefix: str = "frame", shape: tuple[int, int] | None = None
-):
+def _frame_files(frames_dir: Path, prefix: str, shape: tuple[int, int]):
     """The number N of channel grids named ``{prefix}_0000.s2sg``,
     ``{prefix}_0001.s2sg``, ... in ``frames_dir``, and a function reading
     the one with index i: the number in a name is the frame index, and N
-    files must hold indices 0..N-1.  With ``shape``, every grid must be that
-    (height, width)."""
+    files must hold indices 0..N-1, each ``shape`` (height, width)."""
     count = len(list(frames_dir.glob(f"{prefix}_*.s2sg")))
     if not count:
         raise FileNotFoundError(f"no {prefix}_*.s2sg files in {frames_dir}")
@@ -316,12 +313,10 @@ def _load_inputs(config: PipelineConfig):
         scene = config.scene.build(config.seed, spec)
         return scene.num_frames, scene.frame, scene.gt_expanded, scene.gt_flow
 
-    n, frame = _frame_files(Path(config.inputs.frames_dir), shape=(spec.orig_h, spec.orig_w))
+    n, frame = _frame_files(Path(config.inputs.frames_dir), "frame", (spec.orig_h, spec.orig_w))
     gt = None
     if config.inputs.gt_dir:
-        n_gt, gt = _frame_files(
-            Path(config.inputs.gt_dir), prefix="gt", shape=(spec.canvas_h, spec.canvas_w)
-        )
+        n_gt, gt = _frame_files(Path(config.inputs.gt_dir), "gt", (spec.canvas_h, spec.canvas_w))
         if n_gt != n:
             raise ValueError("ground-truth frame count does not match inputs")
     flows_dir = Path(config.inputs.flows_dir)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from outpaint.cli import main
-from outpaint.grids import BinaryMask, ChannelGrid, FlowField, write_grid
+from outpaint.grids import BinaryMask, ChannelGrid, FlowField, read_grid, write_grid
 from outpaint.pipeline import PipelineConfig
 
 
@@ -41,6 +41,15 @@ def synth_args(tmp_path, out):
     return ["synth", "--config", cfg, "--out", str(out)]
 
 
+def files_config(frames_dir, flows_dir, out_dir, window=4):
+    """``pipeline_config`` reading its frames and flows from files; chain
+    reads no flows, so for chain ``flows_dir`` need not exist."""
+    cfg = pipeline_config(out_dir, mode_extra={"window": window})
+    del cfg["scene"]
+    cfg["inputs"] = {"frames_dir": str(frames_dir), "flows_dir": str(flows_dir)}
+    return cfg
+
+
 def inputs_config(scene_dir, out_dir):
     """A config reading the frames synth wrote to ``scene_dir``, with the
     scene's true flow for every ordered pair written to ``scene_dir/flows``."""
@@ -50,10 +59,7 @@ def inputs_config(scene_dir, out_dir):
         for b in range(scene.num_frames):
             if a != b:
                 write_grid(scene_dir / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
-    cfg = pipeline_config(out_dir)
-    del cfg["scene"]
-    cfg["inputs"] = {"frames_dir": str(scene_dir / "frames"), "flows_dir": str(scene_dir / "flows")}
-    return cfg
+    return files_config(scene_dir / "frames", scene_dir / "flows", out_dir)
 
 
 class TestSynthAndChain:
@@ -109,13 +115,15 @@ class TestSynthAndChain:
         assert len(list((out / "gt").iterdir())) == 6
         assert (out / "notes.txt").read_text() == "kept"
         capsys.readouterr()
-        assert main(["chain", "--frames-dir", str(out / "frames")]) == 0
+        frames_cfg = files_config(out / "frames", tmp_path / "no-flows", tmp_path / "run")
+        assert main(["chain", "--config", write_config(tmp_path / "frames.json", frames_cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["num_frames"] == 6
 
     def test_chain_from_synth_config(self, tmp_path, capsys):
         main(synth_args(tmp_path, tmp_path / "scene"))
-        assert main(["chain", "--config", str(tmp_path / "scene" / "config.json"), "--window", "4"]) == 0
+        assert main(["chain", "--config", str(tmp_path / "scene" / "config.json")]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["window"] == 4
         assert payload["indices"][0] == 0
         assert payload["indices"][-1] == 5
 
@@ -134,28 +142,26 @@ class TestSynthAndChain:
             assert json.loads(capsys.readouterr().out) == json.loads(chain_json.read_text())
             assert main(["chain", "--config", cfg_path, "--out", str(tmp_path / f"{name}-chain.json")]) == 0
             assert (tmp_path / f"{name}-chain.json").read_bytes() == chain_json.read_bytes()
-        assert main([
-            "chain", "--frames-dir", str(tmp_path / "scene" / "frames"), "--window", "3",
-            "--out", str(tmp_path / "dir-chain.json"),
-        ]) == 0
-        assert (tmp_path / "dir-chain.json").read_bytes() == (tmp_path / "files-chain.json").read_bytes()
 
     def test_chain_window_flag(self, tmp_path, capsys):
-        # --window overrides the config's; a frame directory defaults to 4
-        main(synth_args(tmp_path, tmp_path / "scene"))
+        # the window is the config's: chain has no --window, and no frame
+        # reader without a config
         cfg_path = write_config(
             tmp_path / "config.json", pipeline_config(tmp_path / "run", mode_extra={"window": 3})
         )
-        frames_dir = str(tmp_path / "scene" / "frames")
-        for argv, window in (
-            (["--config", cfg_path], 3),
-            (["--config", cfg_path, "--window", "2"], 2),
-            (["--frames-dir", frames_dir], 4),
+        assert main(["chain", "--config", cfg_path]) == 0
+        assert json.loads(capsys.readouterr().out)["window"] == 3
+        for argv in (
+            ["--config", cfg_path, "--window", "2"],
+            ["--frames-dir", str(tmp_path)],
         ):
-            capsys.readouterr()
-            assert main(["chain", *argv]) == 0
-            assert json.loads(capsys.readouterr().out)["window"] == window
-        assert main(["chain", "--config", cfg_path, "--window", "0"]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["chain", *argv])
+            assert exc.value.code == 2
+        zero_window = write_config(
+            tmp_path / "zero.json", pipeline_config(tmp_path / "run", mode_extra={"window": 0})
+        )
+        assert main(["chain", "--config", zero_window]) == 2
 
     def test_synth_malformed_config_exits_2(self, tmp_path, capsys):
         float_size = pipeline_config(tmp_path / "run")
@@ -180,25 +186,49 @@ class TestSynthAndChain:
 
     def test_chain_from_frames_dir(self, tmp_path, capsys):
         main(synth_args(tmp_path, tmp_path / "scene"))
+        cfg = files_config(
+            tmp_path / "scene" / "frames", tmp_path / "no-flows", tmp_path / "run", window=3
+        )
+        cfg_path = write_config(tmp_path / "config.json", cfg)
         out_file = tmp_path / "chain.json"
-        code = main([
-            "chain", "--frames-dir", str(tmp_path / "scene" / "frames"),
-            "--window", "3", "--out", str(out_file),
-        ])
-        assert code == 0
+        assert main(["chain", "--config", cfg_path, "--out", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
         assert payload["window"] == 3
+        assert payload["num_frames"] == 6
 
-    def test_chain_empty_dir_is_config_error(self, tmp_path):
-        assert main(["chain", "--frames-dir", str(tmp_path), "--window", "3"]) == 2
+    def chain_frames(self, tmp_path, frames_dir, capsys):
+        """Exit code and stderr of chain on a config reading ``frames_dir``."""
+        cfg = files_config(frames_dir, tmp_path / "no-flows", tmp_path / "run", window=3)
+        capsys.readouterr()
+        code = main(["chain", "--config", write_config(tmp_path / "config.json", cfg)])
+        return code, capsys.readouterr().err
 
-    def test_chain_flow_grid_in_frames_dir_is_config_error(self, tmp_path):
-        write_grid(tmp_path / "flow" / "frame_0000.s2sg", FlowField.constant(8, 8, 1.0, 0.0))
+    def test_chain_empty_dir_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code, err = self.chain_frames(tmp_path, tmp_path / "empty", capsys)
+        assert code == 2
+        assert err == f"error: no frame_*.s2sg files in {tmp_path / 'empty'}\n"
+
+    def test_chain_flow_grid_in_frames_dir_is_config_error(self, tmp_path, capsys):
+        write_grid(tmp_path / "flow" / "frame_0000.s2sg", FlowField.constant(48, 48, 1.0, 0.0))
         # frame_0001 is missing
         for i in (0, 2):
-            write_grid(tmp_path / "gap" / f"frame_{i:04d}.s2sg", ChannelGrid(np.zeros((3, 8, 8))))
-        for bad in ("flow", "gap"):
-            assert main(["chain", "--frames-dir", str(tmp_path / bad), "--window", "3"]) == 2
+            write_grid(tmp_path / "gap" / f"frame_{i:04d}.s2sg", ChannelGrid(np.zeros((3, 48, 48))))
+        for bad, message in (
+            ("flow", f"{tmp_path / 'flow' / 'frame_0000.s2sg'} is not a channel grid"),
+            ("gap", f"{tmp_path / 'gap'} has 2 frame files but no frame_0001.s2sg"),
+        ):
+            code, err = self.chain_frames(tmp_path, tmp_path / bad, capsys)
+            assert code == 2
+            assert err == f"error: {message}\n"
+
+    def test_chain_names_a_mis_sized_frame(self, tmp_path, capsys):
+        main(synth_args(tmp_path, tmp_path / "scene"))
+        path = tmp_path / "scene" / "frames" / "frame_0003.s2sg"
+        write_grid(path, ChannelGrid(read_grid(path).data[:, :40]))
+        code, err = self.chain_frames(tmp_path, tmp_path / "scene" / "frames", capsys)
+        assert code == 2
+        assert err == f"error: {path} is 40x48, expected 48x48\n"
 
 
 class TestPipelineCommands:
@@ -437,7 +467,7 @@ def test_readme_cli_walkthrough(tmp_path, monkeypatch, capsys):
         if line.startswith("outpaint ")
     ]
     run = [argv for argv in commands if argv[0] != "bench"]
-    assert [argv[0] for argv in run] == ["synth", "chain", "chain", "propagate", "sample", "metrics"]
+    assert [argv[0] for argv in run] == ["synth", "chain", "propagate", "sample", "metrics"]
     monkeypatch.chdir(tmp_path)
     for argv in run:
         assert main(argv) == 0, argv

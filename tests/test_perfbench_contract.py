@@ -109,3 +109,37 @@ def test_traced_counts_match_the_report(tracing, tmp_path):
     assert traced["propagation.useful_pulls"] == report["useful_pull_count"] > 0
     assert traced["flow.backward_warp.calls"] == report["warp_count_guided"]
     assert traced["flow.compose_accumulated.calls"] == report["compose_count"] > 0
+
+
+# (chain_len, warp_count_guided, compose_count, useful_pull_count) of each
+# workload at seed 5; a change that moves one on purpose updates it here
+SEED_5_COUNTS = {
+    "paper_pan": (20, 244, 233, 244),
+    "files_sample": (19, 637, 593, 339),
+    "hires_files": (7, 161, 115, 91),
+}
+
+
+def test_seed_5_workload_counts(tmp_path, monkeypatch):
+    # pulls and composes are deterministic, so a change to them shows here
+    # rather than only in a perfbench run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import workloads
+
+    assert set(workloads.WORKLOADS) == set(SEED_5_COUNTS)
+    counts = {}
+    for name, workload in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        request = {"seed": 5, "config": workload.config(5), "scene": workload.scene}
+        if workload.from_files:
+            child.prepare(request)
+        run_pipeline(PipelineConfig.from_dict(request["config"]))
+        report = json.loads((work / workloads.OUT_DIR / "report.json").read_text())
+        counts[name] = tuple(
+            report[key]
+            for key in ("chain_len", "warp_count_guided", "compose_count", "useful_pull_count")
+        )
+    assert counts == SEED_5_COUNTS

@@ -461,6 +461,17 @@ class TestRunPipeline:
         assert summary["failed_stage"] == "inputs"
         assert "frame_0002.s2sg" in summary["error"]
 
+    def test_mis_sized_frame_fails_at_inputs(self, tmp_path):
+        cfg = write_file_scene(tmp_path, pan_config(tmp_path / "run", n_frames=6))
+        path = tmp_path / "frames" / "frame_0003.s2sg"
+        write_grid(path, ChannelGrid(read_grid(path).data[:, :40]))
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "inputs"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["failed_stage"] == "inputs"
+        assert summary["error"] == f"{path} is 40x48, expected 48x48"
+
     def test_out_of_range_frame_is_named(self, tmp_path):
         cfg = write_file_scene(tmp_path, pan_config(tmp_path / "run", n_frames=6))
         path = tmp_path / "frames" / "frame_0003.s2sg"
