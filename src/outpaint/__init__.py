@@ -1,9 +1,10 @@
 """Video-outpainting propagation engine and diffusion harness.
 
 Reference-frame selection, flow completion and composition on an expanded
-canvas, one-shot bidirectional latent propagation, and a pluggable DDPM
-sampler with sliding-window noise averaging — all deterministic and
-verifiable against analytic oracles.
+canvas, one-shot bidirectional latent propagation, and a deterministic
+(DDIM) sampler for a pluggable denoiser, with sliding-window noise averaging
+and one noise draw per run — all deterministic and verifiable against
+analytic oracles.
 """
 
 from .grids import (

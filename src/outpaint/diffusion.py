@@ -1,5 +1,5 @@
-"""Noise schedule, forward diffusion, ancestral sampling, and the
-sliding-window averaged-noise sampler.
+"""Noise schedule, forward diffusion, and the deterministic (DDIM, eta = 0)
+sampler with sliding-window averaged noise predictions.
 
 Two different "t"s appear in this module and are kept apart by name:
 ``timestep`` is the diffusion step (1-based, 1..T) and ``start`` is a
@@ -62,13 +62,6 @@ class NoiseSchedule:
         """Cumulative product one step earlier; 1 for the first step."""
         i = self._check(timestep)
         return 1.0 if i == 0 else float(self.alpha_bar[i - 1])
-
-    def sigma_at(self, timestep: int) -> float:
-        """Posterior std dev: beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""
-        ab = self.alpha_bar_at(timestep)
-        return float(
-            np.sqrt(self.beta_at(timestep) * (1.0 - self.alpha_bar_before(timestep)) / (1.0 - ab))
-        )
 
 
 BETA_FIRST = 1e-4
@@ -181,7 +174,8 @@ def windowed_epsilon(
     ``(start, end)`` of ``plan`` containing the frame.  Each window must lie
     inside [0, N) and every frame must be in one.  Windows are evaluated in
     plan order so the floating-point sum is deterministic; each ``predict``
-    gets the position of its window's first frame as ``start``."""
+    gets the position of its window's first frame as ``start``.  The result
+    is a new array, which the caller may update in place."""
     if noisy.shape != condition.shape:
         raise ValueError(f"noisy {noisy.shape} and condition {condition.shape} differ")
     n = len(noisy)
@@ -199,7 +193,8 @@ def windowed_epsilon(
         if pred.shape != sums[start:end].shape:
             raise ValueError(f"denoiser returned {pred.shape} for window [{start}, {end})")
         sums[start:end] += pred
-    return sums / counts[:, None, None, None]
+    sums /= counts[:, None, None, None]
+    return sums
 
 
 def reverse_sample(
@@ -209,30 +204,33 @@ def reverse_sample(
     seed: int,
     plan: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
-    """Ancestral reverse sampling from seeded Gaussian noise.
+    """Deterministic reverse sampling (DDIM, eta = 0) from seeded Gaussian
+    noise.
 
-    Z_{t-1} = (Z_t - beta_t / sqrt(1-abar_t) * eps) / sqrt(alpha_t) + sigma_t * n,
-    with no noise injected at the final step.  ``condition`` and the result
-    are (N, C, h, w) arrays.  The noise estimate is windowed_epsilon over
-    the windows of ``plan`` (see plan_windows).
+    At each timestep t = T..1, with eps the windowed_epsilon estimate over
+    the windows of ``plan`` (see plan_windows):
+    X0 = (Z_t - sqrt(1-abar_t) * eps) / sqrt(abar_t), then
+    Z_{t-1} = sqrt(abar_{t-1}) * X0 + sqrt(1-abar_{t-1}) * eps, with
+    abar_0 = 1, so the result is the last step's X0.  ``condition`` and the
+    result are (N, C, h, w) arrays.
 
-    Draw order is fixed: the initial state, then one draw per step, each a
-    single ``standard_normal`` of shape (N, C, h, w).  Such a draw equals N
-    per-frame draws in frame order, so the output is the same as drawing
-    frame by frame, and identical (seed, schedule, denoiser, condition, plan)
-    reproduce it bit for bit.
+    The only draw is the initial state: one ``standard_normal`` of shape
+    (N, C, h, w), which equals N per-frame draws in frame order.  The update
+    runs in place on the state and on the array windowed_epsilon returns,
+    and identical (seed, schedule, denoiser, condition, plan) reproduce the
+    output bit for bit.
     """
     if condition.ndim != 4 or len(condition) < 1:
         raise ValueError(f"condition must be a non-empty (N, C, h, w) array: {condition.shape}")
-    rng = seeded_generator(seed, "reverse-sample")
-    z = rng.standard_normal(condition.shape)
+    z = seeded_generator(seed, "reverse-sample").standard_normal(condition.shape)
     for timestep in range(schedule.timesteps, 0, -1):
         eps = windowed_epsilon(denoiser, z, condition, timestep, plan)
-        beta = schedule.beta_at(timestep)
-        alpha = schedule.alpha_at(timestep)
         ab = schedule.alpha_bar_at(timestep)
-        coef = beta / np.sqrt(1.0 - ab)
-        z = (z - coef * eps) / np.sqrt(alpha)
-        if timestep > 1:
-            z = z + schedule.sigma_at(timestep) * rng.standard_normal(z.shape)
+        ab_prev = schedule.alpha_bar_before(timestep)
+        eps *= np.sqrt(1.0 - ab)
+        z -= eps
+        z /= np.sqrt(ab)
+        eps *= np.sqrt(1.0 - ab_prev) / np.sqrt(1.0 - ab)
+        z *= np.sqrt(ab_prev)
+        z += eps
     return z

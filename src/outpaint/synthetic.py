@@ -78,9 +78,6 @@ class SyntheticScene:
         oy, ox = self.origins[i]
         return self._crop(oy, ox, self.spec.orig_h, self.spec.orig_w)
 
-    def frames(self) -> list[ChannelGrid]:
-        return [self.frame(i) for i in range(self.num_frames)]
-
     def gt_expanded(self, i: int) -> ChannelGrid:
         """The ground-truth content of frame i's whole expanded canvas."""
         oy, ox = self.origins[i]

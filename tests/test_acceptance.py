@@ -33,6 +33,7 @@ from outpaint.synthetic import generate_scene, stand_in_encode
 from outpaint.grids import downscale_flow
 from outpaint.flow import map_flow_to_canvas
 from whole_canvas import compose_grid, warp_grid
+from scene_frames import scene_frames
 
 
 class Budget:
@@ -171,7 +172,7 @@ def test_criterion_04_reference_chain_correctness():
         spec = CanvasSpec(24, 24, 24, 32, 0, 8)
         traj = SceneConfig(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
         scene = generate_scene(int(stream.integers(0, 2**31)), world, world, 24, 24, n, traj, spec)
-        frames = scene.frames()
+        frames = scene_frames(scene)
         lengths = []
         for m in range(2, 8):
             c = build_reference_chain(frames, m)
@@ -190,7 +191,7 @@ def test_criterion_05_complexity_claim():
     spec = CanvasSpec(16, 16, 16, 32, 0, 8, downsample=2)
     traj = SceneConfig(start_y=8.0, start_x=8.0)
     scene = generate_scene(5, 48, 48, 16, 16, n, traj, spec)
-    frames = scene.frames()
+    frames = scene_frames(scene)
     chain = build_reference_chain(frames, 4)
     assert chain.indices == tuple(range(0, 45, 4)) + (47,)
     flows = {}
@@ -279,9 +280,9 @@ def test_criterion_07_diffusion_harness():
         OracleDenoiser(clean, sched50), cond, sched50, seed=17, plan=plan_windows(3, 3, 3)
     )
     for got, want in zip(out, clean):
-        assert np.max(np.abs(got - want)) < 1e-4
+        assert np.max(np.abs(got - want)) < 1e-12
 
-    report(7, "alpha-bar identity 1e-12; forward stats within 5%; oracle T=50 within 1e-4", budget.check())
+    report(7, "alpha-bar identity 1e-12; forward stats within 5%; oracle T=50 within 1e-12", budget.check())
 
 
 def test_criterion_08_sliding_window_sampler():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outpaint import diffusion
 from outpaint.diffusion import (
     ConstantDenoiser,
     NoiseSchedule,
@@ -37,9 +38,12 @@ def membership_counts(windows):
 
 def reference_reverse_sample(predict_frame, n, shape, schedule, seed, windows):
     """The sampler frame by frame: the state is a list of (C, h, w) arrays,
-    every draw is one frame's in frame order, and each window's predictions
-    are summed per frame in window order.  ``predict_frame(z, i, timestep)``
-    is the denoiser's prediction for frame ``i``."""
+    the one draw is each frame's initial state in frame order, and each
+    window's predictions are summed per frame in window order.  Each step is
+    the DDIM update x0 = (z - sqrt(1-abar_t) eps) / sqrt(abar_t),
+    z = sqrt(abar_{t-1}) x0 + sqrt(1-abar_{t-1}) eps, with its products
+    formed in the sampler's order.  ``predict_frame(z, i, timestep)`` is the
+    denoiser's prediction for frame ``i``."""
     rng = seeded_generator(seed, "reverse-sample")
     state = [rng.standard_normal(shape) for _ in range(n)]
     counts = membership_counts(windows)
@@ -48,15 +52,31 @@ def reference_reverse_sample(predict_frame, n, shape, schedule, seed, windows):
         for s, e in windows:
             for i in range(s, e):
                 sums[i] += predict_frame(state[i], i, t)
-        coef = schedule.beta_at(t) / np.sqrt(1.0 - schedule.alpha_bar_at(t))
+        ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_before(t)
         new_state = []
         for z, total, count in zip(state, sums, counts):
-            mean = (z - coef * (total / count)) / np.sqrt(schedule.alpha_at(t))
-            if t > 1:
-                mean = mean + schedule.sigma_at(t) * rng.standard_normal(shape)
-            new_state.append(mean)
+            scaled_eps = (total / count) * np.sqrt(1.0 - ab)
+            x0 = (z - scaled_eps) / np.sqrt(ab)
+            scaled_eps = scaled_eps * (np.sqrt(1.0 - ab_prev) / np.sqrt(1.0 - ab))
+            new_state.append(x0 * np.sqrt(ab_prev) + scaled_eps)
         state = new_state
     return state
+
+
+class CountingGenerator:
+    """A generator that records its ``standard_normal`` calls and refuses
+    any other draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_normal(shape)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the sampler drew with {name}")
 
 
 class TestSchedule:
@@ -96,10 +116,6 @@ class TestSchedule:
             sched.alpha_bar_at(0)
         with pytest.raises(ValueError):
             sched.beta_at(5)
-
-    def test_sigma_zero_at_first_step(self):
-        sched = make_schedule(10)
-        assert sched.sigma_at(1) == 0.0
 
 
 class TestForwardNoise:
@@ -167,7 +183,7 @@ class TestReverseSample:
         cond = frames(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
         out = reverse_sample(oracle, cond, sched, seed=9, plan=plan_windows(2, 2, 2))
         for got, want in zip(out, z0):
-            assert np.allclose(got, want, atol=1e-4)
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_oracle_predicts_a_window_at_its_start(self):
         sched = linear_schedule(8, 0.01, 0.2)
@@ -192,13 +208,45 @@ class TestReverseSample:
         rng = seeded_generator(seed, "reverse-sample")
         z = rng.standard_normal((1, 2, 2))
         for t in range(6, 0, -1):
-            alpha = sched.alpha_at(t)
-            z = z / np.sqrt(alpha)
-            if t > 1:
-                ab, ab_prev = sched.alpha_bar_at(t), sched.alpha_bar_before(t)
-                sigma = np.sqrt(sched.beta_at(t) * (1 - ab_prev) / (1 - ab))
-                z = z + sigma * rng.standard_normal((1, 2, 2))
+            ab, ab_prev = sched.alpha_bar_at(t), sched.alpha_bar_before(t)
+            x0 = z / np.sqrt(ab)
+            z = np.sqrt(ab_prev) * x0
         assert np.allclose(out[0], z, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, -1.25])
+    @pytest.mark.parametrize(
+        "sched", [linear_schedule(6, 0.05, 0.3), make_schedule(1000)], ids=["T6", "T1000"]
+    )
+    def test_constant_denoiser_closed_form(self, c, sched):
+        # with eps = c at every step, x0 is the same at every step, so the
+        # output is the first step's x0; c = 0 is the zero denoiser's prediction
+        n, shape = 5, (2, 3, 4)
+        cond = np.zeros((n,) + shape)
+        out = reverse_sample(ConstantDenoiser(c), cond, sched, seed=31, plan=plan_windows(n, 3, 2))
+        z_T = seeded_generator(31, "reverse-sample").standard_normal(cond.shape)
+        ab = sched.alpha_bar_at(sched.timesteps)
+        want = (z_T - np.sqrt(1.0 - ab) * c) / np.sqrt(ab)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("timesteps", [1, 6, 50])
+    @pytest.mark.parametrize(
+        "n, plan",
+        [(1, ((0, 1),)), (7, plan_windows(7, 3, 2)), (7, plan_windows(7, 7, 7))],
+        ids=["one_frame", "sliding", "one_window"],
+    )
+    def test_one_noise_draw_per_run(self, monkeypatch, timesteps, n, plan):
+        gens = []
+
+        def counting_generator(seed, stream):
+            assert (seed, stream) == (8, "reverse-sample")
+            gens.append(CountingGenerator(seeded_generator(seed, stream)))
+            return gens[-1]
+
+        monkeypatch.setattr(diffusion, "seeded_generator", counting_generator)
+        sched = make_schedule(timesteps)
+        cond = np.ones((n, 2, 3, 3))
+        reverse_sample(ConstantDenoiser(0.2), cond, sched, seed=8, plan=plan)
+        assert len(gens) == 1 and gens[0].shapes == [cond.shape]
 
     @pytest.mark.parametrize("name", ["zero", "constant:0.3", "oracle"])
     @pytest.mark.parametrize("window", [4, None], ids=["sliding", "one_window"])

@@ -31,6 +31,7 @@ from outpaint.pipeline import (
 from outpaint.propagation import required_flow_pairs
 from outpaint.refselect import ReferenceChain, build_reference_chain
 from outpaint.synthetic import generate_scene, stand_in_encode
+from scene_frames import scene_frames
 
 
 def pan_config(out_dir, seed=7, n_frames=16, mode="propagate", **overrides):
@@ -65,7 +66,7 @@ def write_file_scene(root: Path, cfg: PipelineConfig, gt: bool = False) -> Pipel
         write_grid(root / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
         if gt:
             write_grid(root / "gt" / f"gt_{i:04d}.s2sg", scene.gt_expanded(i))
-    chain = build_reference_chain(scene.frames(), cfg.window)
+    chain = build_reference_chain(scene_frames(scene), cfg.window)
     for a, b in required_flow_pairs(chain, scene.num_frames):
         write_grid(root / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
     inputs = InputPaths(
@@ -84,7 +85,7 @@ def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
     scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
     for i in range(3):
         write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
-    pairs = required_flow_pairs(build_reference_chain(scene.frames(), 4), 3)
+    pairs = required_flow_pairs(build_reference_chain(scene_frames(scene), 4), 3)
     assert (1, 0) in pairs
     for a, b in pairs:
         flow = bad_flow if (a, b) == (1, 0) else scene.gt_flow(a, b)
@@ -419,7 +420,7 @@ class TestRunPipeline:
             # original-frame size, not the expanded canvas
             write_grid(tmp_path / "gt_small" / f"gt_{i:04d}.s2sg", scene.frame(i))
         # complete flows, so that only the ground truth is wrong
-        for a, b in required_flow_pairs(build_reference_chain(scene.frames(), 4), 3):
+        for a, b in required_flow_pairs(build_reference_chain(scene_frames(scene), 4), 3):
             write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
         for gt_dir, message in (
             ("gt", "is not a channel grid"),
@@ -500,7 +501,7 @@ class TestRunPipeline:
         flows_dir = tmp_path / "flows"
         for i in range(6):
             write_grid(frames_dir / f"frame_{i:04d}.s2sg", scene.frame(i))
-        chain = build_reference_chain(scene.frames(), 4)
+        chain = build_reference_chain(scene_frames(scene), 4)
         for a, b in required_flow_pairs(chain, 6):
             write_grid(flows_dir / f"flow_{a:04d}_to_{b:04d}.s2sg", scene.gt_flow(a, b))
         cfg = PipelineConfig(

@@ -24,6 +24,7 @@ from outpaint.refselect import ReferenceChain, build_reference_chain
 from whole_canvas import compose_grid, warp_grid
 from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import generate_scene, stand_in_encode
+from scene_frames import scene_frames
 
 
 def const_grid(value, c=1, h=1, w=8):
@@ -288,7 +289,7 @@ def paper_pan_inputs(n=12, delta_x=4.0, jitter=0.0):
     scene = generate_scene(5, 96, 128 + int(delta_x) * (n - 1), 96, 96, n, traj, spec)
     lat = spec.latent()
     mask = make_outpaint_mask(lat)
-    latents = [place_on_canvas(stand_in_encode(f, 4), lat) for f in scene.frames()]
+    latents = [place_on_canvas(stand_in_encode(f, 4), lat) for f in scene_frames(scene)]
     chain = ReferenceChain(tuple(range(0, n - 1, 2)) + (n - 1,), window=2, num_frames=n)
     ys, xs = np.mgrid[0:96, 0:96] / 96.0
     flows = {}
@@ -378,7 +379,7 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
     it makes fewer pulls than the dense scheme measurably does."""
     s = spec.downsample
     scene = generate_scene(seed, *world, spec.orig_h, spec.orig_w, n, traj, spec)
-    frames = scene.frames()
+    frames = scene_frames(scene)
     latents = [stand_in_encode(f, s) for f in frames]
 
     def propagate(chain):

@@ -19,6 +19,7 @@ from outpaint.refselect import (
 from outpaint.seeding import seeded_generator
 from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import generate_scene
+from scene_frames import scene_frames
 
 C2 = 0.03**2
 C3 = C2 / 2.0
@@ -217,7 +218,7 @@ def criterion_04_scenes(count):
         spec = CanvasSpec(24, 24, 24, 32, 0, 8)
         traj = SceneConfig(kind="pan", start_y=start_y, start_x=start_x, delta_y=dy, delta_x=dx)
         scene = generate_scene(int(stream.integers(0, 2**31)), world, world, 24, 24, n, traj, spec)
-        yield scene.frames()
+        yield scene_frames(scene)
 
 
 def test_chain_matches_reference_scored_chain(monkeypatch):
@@ -303,7 +304,7 @@ class TestBuildChain:
             # a slow pan: neighbours are near-copies, so the chain skips frames
             spec = CanvasSpec(24, 32, 24, 40, 0, 4)
             traj = SceneConfig(start_y=8.0, start_x=8.0, delta_x=1.0)
-            frames = generate_scene(5, 48, 72, 24, 32, n, traj, spec).frames()
+            frames = scene_frames(generate_scene(5, 48, 72, 24, 32, n, traj, spec))
         # weak references to every gray plane and every moments tuple's x plane
         refs, held = [], []
         gray, moments, score = refselect._gray, refselect._frame_moments, refselect._structure_score
@@ -429,7 +430,7 @@ class TestCyclicPanRedundancy:
         spec = CanvasSpec(24, 24, 24, 32, 0, 8, downsample=2)
         traj = SceneConfig(kind="pan_cycle", start_y=8.0, start_x=8.0, delta_x=3.0, period=4)
         scene = generate_scene(21, 48, 64, 24, 24, 17, traj, spec)
-        frames = scene.frames()
+        frames = scene_frames(scene)
         grays = [to_grayscale(f) for f in frames]
 
         fixed = fixed_stride_chain(17, 8)
