@@ -26,7 +26,7 @@ from .seeding import seeded_generator
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestep beta with derived alpha and cumulative alpha_bar."""
+    """Per-timestep beta with the cumulative alpha_bar = prod(1 - beta)."""
 
     beta: np.ndarray
 
@@ -37,7 +37,6 @@ class NoiseSchedule:
         if (beta <= 0.0).any() or (beta >= 1.0).any():
             raise ValueError("every beta must lie in (0, 1)")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", _frozen(1.0 - beta))
         object.__setattr__(self, "alpha_bar", _frozen(np.cumprod(1.0 - beta)))
 
     @property
@@ -48,12 +47,6 @@ class NoiseSchedule:
         if not 1 <= timestep <= self.timesteps:
             raise ValueError(f"timestep {timestep} outside 1..{self.timesteps}")
         return timestep - 1
-
-    def beta_at(self, timestep: int) -> float:
-        return float(self.beta[self._check(timestep)])
-
-    def alpha_at(self, timestep: int) -> float:
-        return float(self.alpha[self._check(timestep)])
 
     def alpha_bar_at(self, timestep: int) -> float:
         return float(self.alpha_bar[self._check(timestep)])

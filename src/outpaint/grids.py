@@ -343,13 +343,14 @@ def read_grid(path) -> Grid:
     if channels == 0 or h == 0 or w == 0 or channels * h * w > _MAX_CELLS:
         raise GridFormatError(f"dimension overflow: {channels}x{h}x{w}")
     expected = channels * h * w * 4
-    body = raw[hdr_size:]
-    if len(body) < expected:
-        raise GridFormatError(f"truncated payload: {len(body)} bytes, expected {expected}")
-    if len(body) > expected:
-        raise GridFormatError(f"trailing data: {len(body)} bytes, expected {expected}")
-    # the grid types copy float32 to float64 once, exactly
-    planes = np.frombuffer(body, dtype="<f4").reshape(channels, h, w)
+    body = len(raw) - hdr_size
+    if body < expected:
+        raise GridFormatError(f"truncated payload: {body} bytes, expected {expected}")
+    if body > expected:
+        raise GridFormatError(f"trailing data: {body} bytes, expected {expected}")
+    # a view of the payload in `raw`; the grid types copy float32 to float64
+    # once, exactly
+    planes = np.frombuffer(raw, dtype="<f4", offset=hdr_size).reshape(channels, h, w)
     try:
         if kind == KIND_CHANNEL:
             return ChannelGrid(planes)

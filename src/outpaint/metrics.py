@@ -3,6 +3,14 @@
 SSIM here is the standard luminance * contrast * structure product over
 8x8 stride-1 windows with unbiased (N-1) moments; the structure factor is
 the same term reference selection uses, with the same constants.
+
+``ssim_full`` builds each channel's SSIM map in strips of ``_STRIP_ROWS``
+output rows, each read from those rows and the STRUCTURE_WINDOW - 1 rows
+below them.  Every strip is centred on the whole plane's mean, so its
+moments are the whole plane's in its rows, bit for bit.  The strips are
+written into one whole map and one ``np.mean`` runs over it, so the result
+is the whole-plane computation's to the last bit, while the temporaries
+are strip-sized.
 """
 
 from __future__ import annotations
@@ -12,10 +20,16 @@ import math
 import numpy as np
 
 from .grids import BinaryMask, ChannelGrid
-from .refselect import _C2, _C3, STRUCTURE_WINDOW, _window_moments
+from .refselect import _C2, _C3, STRUCTURE_WINDOW, _centred_moments, _window_moments
 
 # luminance regularizer for dynamic range L=1: C1 = (0.01 L)^2
 _C1 = 0.01**2
+
+# output rows of the SSIM map built per strip.  Each strip costs ~80 numpy
+# calls, so frames of up to 135 rows, such as the paper's 96-row frames, are
+# one strip; on 1080x1920 frames a call's temporaries peak at ~50 MB, not the
+# ~170 MB of one whole-plane strip.
+_STRIP_ROWS = 128
 
 
 def _planes(grid: ChannelGrid) -> np.ndarray:
@@ -54,6 +68,24 @@ def psnr_masked(a: ChannelGrid, b: ChannelGrid, mask: BinaryMask) -> float:
     return _psnr_db(mse)
 
 
+def _ssim_map(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """SSIM of every STRUCTURE_WINDOW-sized window of two (H, W) planes,
+    built in strips of _STRIP_ROWS output rows."""
+    w = STRUCTURE_WINDOW
+    out = np.empty((ca.shape[0] - w + 1, ca.shape[1] - w + 1))
+    mean_a, mean_b = ca.mean(), cb.mean()
+    for r in range(0, out.shape[0], _STRIP_ROWS):
+        rows = slice(r, r + _STRIP_ROWS + w - 1)
+        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(
+            _centred_moments(ca[rows], mean_a), _centred_moments(cb[rows], mean_b)
+        )
+        lum = (2.0 * mu_a * mu_b + _C1) / (mu_a**2 + mu_b**2 + _C1)
+        con = (2.0 * sd_a * sd_b + _C2) / (sd_a**2 + sd_b**2 + _C2)
+        stru = (cov + _C3) / (sd_a * sd_b + _C3)
+        out[r : r + _STRIP_ROWS] = lum * con * stru
+    return out
+
+
 def ssim_full(a: ChannelGrid, b: ChannelGrid) -> float:
     """Mean SSIM over all STRUCTURE_WINDOW-sized windows, averaged across
     channels."""
@@ -63,11 +95,5 @@ def ssim_full(a: ChannelGrid, b: ChannelGrid) -> float:
         raise ValueError("grids must share dimensions")
     if pa.shape[1] < w or pa.shape[2] < w:
         raise ValueError(f"grid smaller than the {w}x{w} local window")
-    per_channel = []
-    for ca, cb in zip(pa, pb):
-        mu_a, mu_b, sd_a, sd_b, cov = _window_moments(ca, cb)
-        lum = (2.0 * mu_a * mu_b + _C1) / (mu_a**2 + mu_b**2 + _C1)
-        con = (2.0 * sd_a * sd_b + _C2) / (sd_a**2 + sd_b**2 + _C2)
-        stru = (cov + _C3) / (sd_a * sd_b + _C3)
-        per_channel.append(float(np.mean(lum * con * stru)))
+    per_channel = [float(np.mean(_ssim_map(ca, cb))) for ca, cb in zip(pa, pb)]
     return float(np.mean(per_channel))

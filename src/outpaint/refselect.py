@@ -9,20 +9,28 @@ candidates remains, the final frame is appended and the chain is done.
 The windowed moments split into a per-frame part and a per-pair part: a
 plane's mean, its centred values x, their window sums s_x and the window
 std deviations depend on that plane alone (``_frame_moments``); only the
-covariance's window sum of x * y needs both (``_window_cov``).  The chain
-reads its frames once, in order, into one sliding window: the current
-reference and the frames read after it, each held as its gray plane until
-first scored and as its moments from then on.  When the window holds m + 1
-frames, its gray planes are turned into moments one at a time, so only the
-frame being converted is ever held in both forms; the candidates are
-scored, and the entries before the chosen one are dropped.  The chain thus
-holds at most m + 1 frames, and a candidate pair costs one window-sum
-plane.  ``ssim_structure_score`` and the ``_window_moments`` that
-``metrics.ssim_full`` reads are built from the same two helpers.
+covariance's window sum of x * y needs both (``_window_cov``).  The
+per-frame part of a strip of rows, centred on the whole plane's mean
+(``_centred_moments``), is the whole plane's moments in those rows, bit for
+bit; ``metrics.ssim_full`` builds its strips that way.
+
+The chain reads its frames once, in order, into one sliding window: the
+current reference and the frames read after it, each held as its gray plane
+until it is scored and as its moments from then on.  When the window holds
+m + 1 frames, the candidates are turned into moments and scored one at a
+time, in index order.  A candidate that scores no higher than every one
+before it moves the step to it or beyond, so the moments of all candidates
+before it are dropped at once; the chosen candidate and those after it keep
+theirs for the next window.  Each frame's moments are built at most once,
+and the chain holds at most m + 1 frames, one form each.  On a pan, where
+every candidate scores below the one before it, only three moments tuples
+are alive at once: the reference's, the best so far and the one being
+scored.  A candidate pair costs one window-sum plane.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import count
@@ -103,6 +111,12 @@ def _window_sums(p: np.ndarray, axis: int) -> np.ndarray:
     return p
 
 
+def _plane_sums(p: np.ndarray) -> np.ndarray:
+    """Sums of ``p`` over every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW
+    window of an (H, W) plane: along each row, then down each column."""
+    return _window_sums(_window_sums(p, 1), 0)
+
+
 def _frame_moments(a: np.ndarray):
     """Per-frame moments of an (H, W) plane: its mean, the centred plane
     x = a - mean, and over every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW
@@ -114,11 +128,17 @@ def _frame_moments(a: np.ndarray):
     """
     if a.shape[0] < STRUCTURE_WINDOW or a.shape[1] < STRUCTURE_WINDOW:
         raise ValueError(f"plane smaller than the {STRUCTURE_WINDOW}x{STRUCTURE_WINDOW} local window")
+    return _centred_moments(a, a.mean())
+
+
+def _centred_moments(a: np.ndarray, mean: float):
+    """``_frame_moments`` of rows ``a`` of a plane whose mean is ``mean``.
+    Every window sum is built from the rows it covers only, so a strip of at
+    least STRUCTURE_WINDOW rows gets the whole plane's moments in its rows."""
     n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
-    mean = a.mean()
     x = a - mean
-    s_x, s_xx = _window_sums(_window_sums(np.stack([x, x * x]), 2), 1)
-    var = (s_xx - s_x * s_x / n) / (n - 1)
+    s_x = _plane_sums(x)
+    var = (_plane_sums(x * x) - s_x * s_x / n) / (n - 1)
     return mean, x, s_x, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -130,16 +150,14 @@ def _window_cov(ma, mb) -> np.ndarray:
     _, y, s_y, _ = mb
     if x.shape != y.shape:
         raise ValueError("planes must share dimensions")
-    s_xy = _window_sums(_window_sums(x * y, 1), 0)
-    return (s_xy - s_x * s_y / n) / (n - 1)
+    return (_plane_sums(x * y) - s_x * s_y / n) / (n - 1)
 
 
-def _window_moments(a: np.ndarray, b: np.ndarray):
+def _window_moments(ma, mb):
     """Per-window means, std deviations and covariance (unbiased, N-1) of
     two planes over every stride-1 STRUCTURE_WINDOW x STRUCTURE_WINDOW
-    window, from their ``_frame_moments`` and ``_window_cov``."""
+    window, from their ``_frame_moments``."""
     n = STRUCTURE_WINDOW * STRUCTURE_WINDOW
-    ma, mb = _frame_moments(a), _frame_moments(b)
     cov = _window_cov(ma, mb)
     (mean_a, _, s_x, sd_a), (mean_b, _, s_y, sd_b) = ma, mb
     return mean_a + s_x / n, mean_b + s_y / n, sd_a, sd_b, cov
@@ -172,11 +190,14 @@ def build_reference_chain(frames: Iterable[ChannelGrid], m: int) -> ReferenceCha
     last frame is appended.  ``frames`` is read once, in order, into a
     window holding the current reference and the frames read after it, as
     gray planes until scored and as moments afterwards.  When it holds
-    ``m + 1`` frames, its gray planes become moments one at a time, the
-    candidates are scored, and the entries before the chosen one are
-    dropped.  So the chain holds at most ``m + 1`` frames' planes, and a
-    candidate pair costs one covariance window-sum plane.  An invalid frame
-    raises ValueError naming its index.
+    ``m + 1`` frames, the candidates become moments and are scored one at a
+    time, in index order.  A candidate scoring no higher than all before it
+    drops their moments: the step reaches it or beyond, so none of them can
+    be picked.  The entries before the chosen one are dropped at the step;
+    the chosen one and those after it keep their moments.  So the chain
+    builds each frame's moments at most once and holds at most ``m + 1``
+    frames' planes, and a candidate pair costs one covariance window-sum
+    plane.  An invalid frame raises ValueError naming its index.
     """
     if m < 1:
         raise ValueError("window must be >= 1")
@@ -194,14 +215,18 @@ def build_reference_chain(frames: Iterable[ChannelGrid], m: int) -> ReferenceCha
         del plane
         if len(window) <= m:
             continue
-        # one frame at a time: a slice assignment would build every moments
-        # tuple while the window still holds all the gray planes
-        for k in range(scored, m + 1):
-            window[k] = _frame_moments(window[k])
-        scores = [_structure_score(window[0], mo) for mo in window[1:]]
-        best = min(scores)
-        # ties break toward the largest candidate index
-        step = max(k for k, s in enumerate(scores, 1) if s == best)
+        if not scored:
+            window[0] = _frame_moments(window[0])
+        best = math.inf
+        for k in range(1, m + 1):
+            if k >= scored:
+                window[k] = _frame_moments(window[k])
+            score = _structure_score(window[0], window[k])
+            # ties break toward the largest candidate index, so the step
+            # reaches k or beyond: the candidates before k are never picked
+            if score <= best:
+                best, step = score, k
+                window[1:k] = [None] * (k - 1)
         current += step
         indices.append(current)
         del window[:step]

@@ -34,19 +34,31 @@ def check_in_world(origins, spec: CanvasSpec, world_h: int, world_w: int) -> Non
             )
 
 
-def _value_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
-    """Multi-octave value noise in [0, 1] with per-pixel variance; every
-    lattice sample lies inside its lattice."""
-    acc = np.zeros((h, w))
-    ys, xs = np.ogrid[0:h, 0:w]
+# rows of the world built per strip
+_STRIP_ROWS = 64
+
+
+def _value_noise(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the zeroed (H, W) plane ``out`` with multi-octave value noise in
+    [0, 1] with per-pixel variance; every lattice sample lies inside its
+    lattice.  The three lattices are drawn first; the octave sum and the
+    per-pixel noise are then built in strips of _STRIP_ROWS rows, the noise
+    drawn strip by strip from the same stream, so the plane is the one a
+    whole-plane build gives, bit for bit."""
+    h, w = out.shape
+    octaves = []
     for scale, weight in ((16, 0.5), (8, 0.3), (4, 0.2)):
-        lat_h = math.ceil(h / scale) + 1
-        lat_w = math.ceil(w / scale) + 1
-        lattice = rng.random((lat_h, lat_w))
-        acc += weight * _bilinear(lattice, ys / scale, xs / scale)[0]
-    acc += 0.10 * rng.random((h, w))
-    lo, hi = acc.min(), acc.max()
-    return (acc - lo) / (hi - lo)
+        lattice = rng.random((math.ceil(h / scale) + 1, math.ceil(w / scale) + 1))
+        octaves.append((scale, weight, lattice))
+    ys, xs = np.ogrid[0:h, 0:w]
+    for r in range(0, h, _STRIP_ROWS):
+        acc = out[r : r + _STRIP_ROWS]
+        for scale, weight, lattice in octaves:
+            acc += weight * _bilinear(lattice, ys[r : r + _STRIP_ROWS] / scale, xs / scale)[0]
+        acc += 0.10 * rng.random(acc.shape)
+    lo, hi = out.min(), out.max()
+    out -= lo
+    out /= hi - lo
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,11 @@ def generate_scene(
     if (crop_h, crop_w) != (spec.orig_h, spec.orig_w):
         raise ValueError("crop size must match the canvas spec's original size")
     rng = seeded_generator(seed, "world")
-    planes = [_value_noise(rng, world_h, world_w) for _ in range(3)]
-    world = ChannelGrid(np.stack(planes))
-    return SyntheticScene(world=world, origins=tuple(trajectory.origins(n_frames)), spec=spec)
+    world = np.zeros((3, world_h, world_w))
+    for plane in world:
+        _value_noise(rng, plane)
+    origins = tuple(trajectory.origins(n_frames))
+    return SyntheticScene(world=ChannelGrid(world), origins=origins, spec=spec)
 
 
 def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:
@@ -122,11 +136,14 @@ def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:
     if s == 1:
         return frame
     c, h, w = frame.data.shape
-    blocks = frame.data.reshape(c, h // s, s, w // s, s)
-    # anchor-shift mean: exact on block-constant inputs (mean of zeros is 0)
-    anchors = frame.data[:, ::s, ::s]
-    deltas = blocks - anchors[:, :, None, :, None]
-    return ChannelGrid(anchors + deltas.mean(axis=(2, 4), dtype=np.float64))
+    latent = np.empty((c, h // s, w // s))
+    # anchor-shift mean: exact on block-constant inputs (mean of zeros is 0),
+    # one channel at a time so the deltas are one (H, W) plane
+    for plane, out in zip(frame.data, latent):
+        anchors = plane[::s, ::s]
+        deltas = plane.reshape(h // s, s, w // s, s) - anchors[:, None, :, None]
+        np.add(anchors, deltas.mean(axis=(1, 3), dtype=np.float64), out=out)
+    return ChannelGrid(latent)
 
 
 def stand_in_decode(latent: ChannelGrid, s: int) -> ChannelGrid:

@@ -251,7 +251,7 @@ def test_criterion_07_diffusion_harness():
     sched = make_schedule(1000)
     prod = 1.0
     for t in range(1, 1001):
-        prod *= sched.alpha_at(t)
+        prod *= 1.0 - sched.beta[t - 1]
         assert abs(sched.alpha_bar_at(t) - prod) < 1e-12
     assert np.all(np.diff(sched.alpha_bar) < 0)
 

@@ -97,7 +97,7 @@ class TestSchedule:
         sched = make_schedule(200)
         prod = 1.0
         for t in range(1, 201):
-            prod *= sched.alpha_at(t)
+            prod *= 1.0 - sched.beta[t - 1]
             assert abs(sched.alpha_bar_at(t) - prod) < 1e-12
 
     def test_alpha_bar_strictly_decreasing(self):
@@ -115,7 +115,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             sched.alpha_bar_at(0)
         with pytest.raises(ValueError):
-            sched.beta_at(5)
+            sched.alpha_bar_at(5)
+        with pytest.raises(ValueError):
+            sched.alpha_bar_before(0)
+        with pytest.raises(ValueError):
+            sched.alpha_bar_before(5)
+        assert sched.alpha_bar_before(1) == 1.0
+        assert sched.alpha_bar_before(4) == sched.alpha_bar_at(3)
 
 
 class TestForwardNoise:

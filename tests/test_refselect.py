@@ -20,6 +20,7 @@ from outpaint.seeding import seeded_generator
 from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import generate_scene
 from scene_frames import scene_frames
+from whole_plane import stacked_frame_moments
 
 C2 = 0.03**2
 C3 = C2 / 2.0
@@ -188,16 +189,41 @@ class TestWindowMoments:
         b = rng.random((h, w))
         b[:, : min(band, w)] = fill
         a, b = a + offset, b + offset
-        got = refselect._window_moments(a, b)
+        got = refselect._window_moments(refselect._frame_moments(a), refselect._frame_moments(b))
         want = reference_window_moments(a, b, 8)
         for g, r in zip(got, want):
             assert g.shape == r.shape
             assert np.max(np.abs(g - r)) <= 1e-9
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(8, 80),
+        w=st.integers(8, 56),
+        offset=st.floats(0.0, 1e3),
+        rows=st.tuples(st.integers(0, 80), st.integers(8, 80)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frame_moments_equal_stacked_sums(self, seed, h, w, offset, rows):
+        a = np.random.default_rng(seed).random((h, w)) + offset
+        got = refselect._frame_moments(a)
+        want = stacked_frame_moments(a)
+        assert got[0] == want[0]
+        for g, r in zip(got[1:], want[1:]):
+            assert g.shape == r.shape and np.array_equal(g, r)
+        # a strip of at least a window's rows, centred on the plane's mean,
+        # holds the whole plane's moments in its rows
+        start = min(rows[0], h - 8)
+        stop = min(start + rows[1], h)
+        strip = refselect._centred_moments(a[start:stop], got[0])
+        assert np.array_equal(strip[1], got[1][start:stop])
+        for g, r in zip(strip[2:], got[2:]):
+            assert np.array_equal(g, r[start : stop - 7])
+
     def test_constant_window_has_zero_deviation(self):
         a = np.random.default_rng(8).random((16, 24))
         a[:, :12] = 0.3
-        _, _, sd_a, _, _ = refselect._window_moments(a, a)
+        ma = refselect._frame_moments(a)
+        _, _, sd_a, _, _ = refselect._window_moments(ma, ma)
         assert np.all(sd_a[:, :5] == 0.0)
 
 
@@ -306,22 +332,23 @@ class TestBuildChain:
             traj = SceneConfig(start_y=8.0, start_x=8.0, delta_x=1.0)
             frames = scene_frames(generate_scene(5, 48, 72, 24, 32, n, traj, spec))
         # weak references to every gray plane and every moments tuple's x plane
-        refs, held = [], []
+        planes, tuples, held, held_moments = [], [], [], []
         gray, moments, score = refselect._gray, refselect._frame_moments, refselect._structure_score
 
         def check():
-            held.append(sum(ref() is not None for ref in refs))
+            held_moments.append(sum(ref() is not None for ref in tuples))
+            held.append(held_moments[-1] + sum(ref() is not None for ref in planes))
             assert held[-1] <= m + 1
 
         def tracked_gray(j, frame):
             plane = gray(j, frame)
-            refs.append(weakref.ref(plane))
+            planes.append(weakref.ref(plane))
             return plane
 
         def tracked_moments(a):
             check()
             mo = moments(a)
-            refs.append(weakref.ref(mo[1]))
+            tuples.append(weakref.ref(mo[1]))
             return mo
 
         def tracked_score(ma, mb):
@@ -334,6 +361,9 @@ class TestBuildChain:
         chain = build_reference_chain(iter(frames), m)
         # the current reference and its m candidates, each in one form only
         assert max(held) == m + 1
+        # on the pan every candidate scores below the one before it, so only
+        # the reference, the best so far and the one being scored keep moments
+        assert max(held_moments) == (m + 1 if scene == "random" else 3)
         # random frames step by 1 to 4, the pan by whole windows
         assert chain.indices == (
             (0, 3, 4, 6, 8, 10, 14, 15) if scene == "random" else (0, 4, 8, 12, 15)

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from outpaint import metrics, synthetic
 from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid
 from outpaint.metrics import psnr, psnr_masked, ssim_full
 from outpaint.pipeline import SceneConfig
+from outpaint.seeding import seeded_generator
 from outpaint.synthetic import (
     generate_scene,
     stand_in_decode,
     stand_in_encode,
 )
+from whole_plane import all_channel_encode, whole_plane_ssim, whole_plane_value_noise
 
 
 def pan_scene(seed=1, n=5, delta=(0.0, 2.0)):
@@ -75,6 +78,15 @@ class TestSceneGeneration:
         with pytest.raises(ValueError, match="escapes"):
             generate_scene(0, 24, 24, 8, 8, 4, traj, spec)
 
+    @pytest.mark.parametrize("h, w", [(8, 8), (64, 40), (128, 33), (97, 131), (200, 24)])
+    def test_world_strips_match_whole_plane(self, h, w):
+        assert synthetic._STRIP_ROWS == 64
+        spec = CanvasSpec(8, 8, 8, 8, 0, 0)
+        world = generate_scene(11, h, w, 8, 8, 1, SceneConfig(), spec).world.data
+        rng = seeded_generator(11, "world")
+        want = np.stack([whole_plane_value_noise(rng, h, w) for _ in range(3)])
+        assert np.array_equal(world, want)
+
     def test_pan_cycle_returns_to_start(self):
         traj = SceneConfig(kind="pan_cycle", start_x=4.0, delta_x=1.0, period=3)
         origins = traj.origins(9)
@@ -106,6 +118,12 @@ class TestStandInCodec:
         enc = stand_in_encode(ramp, 2)
         # 2x2 means computed by hand
         assert np.array_equal(enc.data[0], [[2.5, 4.5], [10.5, 12.5]])
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    @pytest.mark.parametrize("shape", [(3, 64, 96), (3, 240, 320), (2, 40, 56)])
+    def test_matches_all_channel_formula(self, s, shape):
+        frame = ChannelGrid(np.random.default_rng(s).random(shape))
+        assert np.array_equal(stand_in_encode(frame, s).data, all_channel_encode(frame, s))
 
     def test_divisibility(self):
         with pytest.raises(ValueError):
@@ -203,3 +221,14 @@ class TestMetrics:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             psnr(ChannelGrid(np.zeros((1, 4, 4))), ChannelGrid(np.zeros((1, 4, 5))))
+
+    @pytest.mark.parametrize("h, w", [(8, 8), (135, 12), (263, 20), (40, 9), (150, 33), (300, 17)])
+    def test_ssim_strips_match_whole_plane(self, h, w):
+        assert metrics._STRIP_ROWS == 128
+        rng = np.random.default_rng(h * w)
+        a = rng.random((3, h, w))
+        b = np.clip(a + rng.normal(0.0, 0.1, a.shape), 0.0, 1.0)
+        # a constant band puts zero-variance windows beside textured ones
+        b[1, : h // 3] = 0.25
+        ga, gb = ChannelGrid(a), ChannelGrid(b)
+        assert ssim_full(ga, gb) == whole_plane_ssim(ga, gb)
