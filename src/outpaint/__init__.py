@@ -16,7 +16,6 @@ from .grids import (
     downscale_flow,
     downscale_mask,
     make_outpaint_mask,
-    place_on_canvas,
     read_grid,
     write_grid,
 )

@@ -186,6 +186,7 @@ def windowed_epsilon(
         if pred.shape != sums[start:end].shape:
             raise ValueError(f"denoiser returned {pred.shape} for window [{start}, {end})")
         sums[start:end] += pred
+        del pred  # one window's prediction alive at a time
     sums /= counts[:, None, None, None]
     return sums
 
@@ -212,6 +213,11 @@ def reverse_sample(
     runs in place on the state and on the array windowed_epsilon returns,
     and identical (seed, schedule, denoiser, condition, plan) reproduce the
     output bit for bit.
+
+    ``condition`` is read, never copied.  One eps is alive at a time: each
+    step's is released before windowed_epsilon builds the next, so beyond
+    the condition the sampler holds two sequences (the state and eps) and
+    one window's prediction.
     """
     if condition.ndim != 4 or len(condition) < 1:
         raise ValueError(f"condition must be a non-empty (N, C, h, w) array: {condition.shape}")
@@ -226,4 +232,5 @@ def reverse_sample(
         eps *= np.sqrt(1.0 - ab_prev) / np.sqrt(1.0 - ab)
         z *= np.sqrt(ab_prev)
         z += eps
+        del eps
     return z

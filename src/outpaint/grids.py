@@ -1,7 +1,10 @@
 """Dense-grid data types, canvas geometry, masks, resampling, and file I/O.
 
-All grid types are immutable after construction: the wrapped numpy arrays are
-copied and marked read-only, so instances are safe to share across threads.
+All grid types are immutable after construction, so instances are safe to
+share across threads.  A grid keeps an array it is given without copying it
+when the array is already read-only, C-contiguous and of the grid's dtype,
+and only read-only arrays back it; any other input is copied and the copy
+marked read-only.
 Grid values live in float64 in memory, masks and flow validity planes in
 bool; the on-disk format stores every plane as 32-bit floats, masks as
 0.0/1.0 (see read_grid/write_grid).
@@ -33,14 +36,30 @@ class GridFormatError(ValueError):
     """Raised for malformed grid files: bad magic, truncation, bad payload."""
 
 
+def _read_only(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array behind it are read-only, so that no
+    writeable array shares its memory."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _frozen(data, dtype=np.float64) -> np.ndarray:
+    """``data`` as a read-only C-contiguous ``dtype`` array: kept as it is
+    when it already is one and only read-only arrays back it, copied
+    otherwise."""
+    if type(data) is np.ndarray and data.dtype == dtype and data.flags.c_contiguous and _read_only(data):
+        return data
     arr = np.array(data, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
     return arr
 
 
 def _frozen_mask(data, what: str) -> np.ndarray:
-    """``data`` as a read-only bool copy; non-bool input must hold only 0/1."""
+    """``data`` as a read-only bool array (see _frozen); non-bool input must
+    hold only 0/1."""
     arr = np.asarray(data)
     if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{what} must contain only 0/1 values")
@@ -230,18 +249,6 @@ class CanvasSpec:
         )
 
 
-def place_on_canvas(frame: ChannelGrid, spec: CanvasSpec) -> ChannelGrid:
-    """Place ``frame`` on the expanded canvas; everything else is 0."""
-    if (frame.height, frame.width) != (spec.orig_h, spec.orig_w):
-        raise ValueError(
-            f"frame is {frame.height}x{frame.width}, spec expects {spec.orig_h}x{spec.orig_w}"
-        )
-    out = np.zeros((frame.channels, spec.canvas_h, spec.canvas_w))
-    ys, xs = spec.source_slices
-    out[:, ys, xs] = frame.data
-    return ChannelGrid(out)
-
-
 def make_outpaint_mask(spec: CanvasSpec) -> BinaryMask:
     """Mask that is True outside the placed original rectangle, False inside."""
     mask = np.ones((spec.canvas_h, spec.canvas_w), dtype=bool)
@@ -319,7 +326,7 @@ def write_grid(path, grid: Grid) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_grid(path) -> Grid:

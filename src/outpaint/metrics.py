@@ -50,7 +50,8 @@ def psnr(a: ChannelGrid, b: ChannelGrid) -> float:
     pa, pb = _planes(a), _planes(b)
     if pa.shape != pb.shape:
         raise ValueError("grids must share dimensions")
-    return _psnr_db(float(np.mean((pa - pb) ** 2)))
+    diff = pa - pb
+    return _psnr_db(float(np.mean(np.square(diff, out=diff))))
 
 
 def psnr_masked(a: ChannelGrid, b: ChannelGrid, mask: BinaryMask) -> float:

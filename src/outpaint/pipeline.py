@@ -12,7 +12,10 @@ takes its gray plane, and the frame is dropped.  After propagation (and
 sampling), each frame is decoded, written and scored in turn, its ground
 truth built or read for that frame alone.  So what a run holds for its whole
 length is latent-sized (latents, completed flows, propagated and sampled
-latents), plus one frame's full-size grids at a time.  A stage run inside another,
+latents), plus one frame's full-size grids at a time.  Each latent sequence
+is one (N, C, h, w) array, held once: the propagated one is also the
+sampler's condition, and the per-frame grids are views of its rows and of
+the sampler's result.  A stage run inside another,
 such as a frame's read inside ``chain``, counts toward its own time only, so
 the stage times add up.
 
@@ -390,7 +393,9 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     ``chain``: each is read (``inputs``) and encoded (``encode``) when the
     chain reaches it, and dropped once the chain has its gray plane.
     Returns the function giving frame i's ground truth (or None), the chain,
-    the propagation results and the verified report, whose
+    the propagated (N, C, h, w) array and the per-frame propagation results
+    whose latents are its rows (see ``propagate_sequence``), and the
+    verified report, whose
     ``peak_live_bytes`` is the grid bytes these stages held at their widest
     point.  The flows and unplaced latents are freed when it returns."""
     _reuse_freed_memory()
@@ -427,7 +432,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
             residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
             flows[(a, b)] = flow
     with clock("propagate"):
-        results = propagate_sequence(latents, spec, chain, flows)
+        propagated, results = propagate_sequence(latents, spec, chain, flows)
     placed = [r.latent for r in results]
     report = BenchmarkReport(
         n_frames=n,
@@ -446,7 +451,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         wall_time_s=clock.times,
     )
     report.verify()
-    return gt_frame, chain, results, report
+    return gt_frame, chain, propagated, results, report
 
 
 # what a run writes under out_dir besides config.json, which every run rewrites
@@ -509,7 +514,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
 
     write_json(out / "config.json", config.to_dict())
     try:
-        gt_frame, chain, results, report = _propagate_stages(config, clock)
+        gt_frame, chain, propagated, results, report = _propagate_stages(config, clock)
         n = len(results)
         placed = [r.latent for r in results]
 
@@ -540,13 +545,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
             def sample():
                 schedule = make_schedule(config.timesteps)
                 plan = plan_windows(n, config.sampler_window, config.sampler_stride)
-                condition = np.stack([z.data for z in placed])
                 if config.denoiser == "oracle":
                     clean = np.stack([stand_in_encode(ground_truth(i), s).data for i in range(n)])
                     denoiser = OracleDenoiser(clean, schedule)
                 else:
                     denoiser = resolve_denoiser(config.denoiser)
-                z = reverse_sample(denoiser, condition, schedule, config.seed, plan=plan)
+                # conditioned on the propagated array itself, and the sampled
+                # grids keep the rows of the read-only result: no copies
+                z = reverse_sample(denoiser, propagated, schedule, config.seed, plan=plan)
+                z.flags.writeable = False
                 # as grids inside the stage, so non-finite output fails at `sample`
                 return [ChannelGrid(frame) for frame in z]
 
@@ -632,7 +639,7 @@ def run_benchmark(
                 window=m,
                 scene=SceneConfig(world_h=48, world_w=48, n_frames=n, start_y=8.0, start_x=8.0),
             )
-            reports.append(_propagate_stages(config, _StageClock())[3])
+            reports.append(_propagate_stages(config, _StageClock())[-1])
     return reports
 
 

@@ -13,6 +13,11 @@ nearer direction, the past one on a tie.  A result's provenance map is its
 one record of coverage: a cell is covered exactly when the frame that
 supplied it is >= 0.
 
+``propagate_sequence`` fuses frame i into row i of one (N, C, h, w) array
+and returns it beside the per-frame results, whose latents are read-only
+views of its rows, so the propagated sequence exists once: it is what the
+results hold, what is written and what the sampler is conditioned on.
+
 Pulling works on the frontier only: the flat indices of the outpaint cells
 no pull has filled yet.  The flow from a frame to its references is held as
 1-D (u, v, valid) arrays over those cells; a pull samples the reference's
@@ -41,9 +46,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .flow import backward_warp, compose_accumulated
-from .grids import (
-    BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen, make_outpaint_mask, place_on_canvas,
-)
+from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen
 from .refselect import ReferenceChain, nearest_refs
 
 # A bilinearly warped source mask counts as covering a cell only when it is
@@ -110,14 +113,25 @@ def _completed(flows: dict[tuple[int, int], FlowField], src: int, dst: int) -> F
     return flow
 
 
-def pull_stacks(latents: Sequence[ChannelGrid], mask: BinaryMask) -> list[np.ndarray]:
-    """Each canvas-placed latent with the source mask all frames share
-    stacked beneath it as a last plane: 1 on the source region, 0 on the
-    outpaint band ``mask``.  A pull gathers one such stack in one bilinear
-    evaluation."""
-    # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
-    source = (1.0 - mask.data)[None]
-    return [np.concatenate([z.data, source]) for z in latents]
+def pull_stacks(latents: Sequence[ChannelGrid], spec: CanvasSpec) -> list[np.ndarray]:
+    """Each latent placed on the canvas of ``spec``, 0 off its source
+    region, with the source mask all frames share stacked beneath it as a
+    last plane: 1 on the source region, 0 on the outpaint band.  Each latent
+    is placed straight into its own stack.  A pull gathers one such stack in
+    one bilinear evaluation.  Every latent must have the first one's channel
+    count and the original size of ``spec``."""
+    ys, xs = spec.source_slices
+    shape = (latents[0].channels, spec.orig_h, spec.orig_w)
+    stacks = []
+    for z in latents:
+        if z.data.shape != shape:
+            raise ValueError(f"latent shape is {z.data.shape}, expected {shape}")
+        stack = np.zeros((z.channels + 1, spec.canvas_h, spec.canvas_w))
+        stack[:-1, ys, xs] = z.data
+        # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
+        stack[-1, ys, xs] = 1.0
+        stacks.append(stack)
+    return stacks
 
 
 def propagate_direction(
@@ -230,7 +244,7 @@ def propagate_sequence(
     spec: CanvasSpec,
     chain: ReferenceChain,
     flows: dict[tuple[int, int], FlowField],
-) -> list[PropagationResult]:
+) -> tuple[np.ndarray, list[PropagationResult]]:
     """Full propagation driver: place latents on the latent canvas, pull in
     both directions per frame, and fuse.
 
@@ -241,16 +255,22 @@ def propagate_sequence(
     own values on its source region and 0 on cells no reference reached.
     A failed pull is re-raised as RuntimeError naming the frame and the
     direction.
+
+    Returns the propagated sequence as one float64 (N, C, h, w) array,
+    frame i fused into row i and read-only once every frame is fused, and
+    the per-frame results, whose latents are views of their rows: the
+    sequence is held once, and the array can be handed on whole.
     """
     n = len(latents)
     if n < 1:
         raise ValueError("need at least one frame")
     if chain.num_frames != n:
         raise ValueError("chain and latents must agree on frame count")
-    lat_spec = spec.latent()
-    stacks = pull_stacks([place_on_canvas(z, lat_spec) for z in latents], make_outpaint_mask(lat_spec))
+    lat = spec.latent()
+    stacks = pull_stacks(latents, lat)
 
-    results = []
+    fused = np.empty((n, latents[0].channels, lat.canvas_h, lat.canvas_w))
+    rest = []  # each frame's PropagationResult fields after its latent
     for i in range(n):
         past_ref, future_ref = nearest_refs(chain, i)
         pulled = {}
@@ -259,7 +279,8 @@ def propagate_sequence(
                 pulled[direction] = propagate_direction(i, chain, stacks, flows, direction)
             except Exception as exc:
                 raise RuntimeError(f"frame {i} {direction}: {exc}") from exc
-        results.append(
-            fuse_directions(pulled["past"], pulled["future"], i - past_ref, future_ref - i)
-        )
-    return results
+        res = fuse_directions(pulled["past"], pulled["future"], i - past_ref, future_ref - i)
+        fused[i] = res.latent.data
+        rest.append((res.provenance, res.warp_count, res.compose_count, res.useful_pull_count))
+    fused.flags.writeable = False
+    return fused, [PropagationResult(ChannelGrid(row), *r) for row, r in zip(fused, rest)]

@@ -123,6 +123,8 @@ def generate_scene(
     world = np.zeros((3, world_h, world_w))
     for plane in world:
         _value_noise(rng, plane)
+    # read-only, the grid keeps it: the world is held once
+    world.flags.writeable = False
     origins = tuple(trajectory.origins(n_frames))
     return SyntheticScene(world=ChannelGrid(world), origins=origins, spec=spec)
 
@@ -153,4 +155,6 @@ def stand_in_decode(latent: ChannelGrid, s: int) -> ChannelGrid:
         raise ValueError("downsample factor must be >= 1")
     if s == 1:
         return latent
-    return ChannelGrid(np.repeat(np.repeat(latent.data, s, axis=1), s, axis=2))
+    decoded = np.repeat(np.repeat(latent.data, s, axis=1), s, axis=2)
+    decoded.flags.writeable = False
+    return ChannelGrid(decoded)

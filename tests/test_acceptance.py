@@ -199,7 +199,7 @@ def test_criterion_05_complexity_claim():
         flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2)
         flows[(a, b)] = complete_flow_laplacian(flow)
     latents = [stand_in_encode(f, 2) for f in frames]
-    pulls = sum(r.warp_count for r in propagate_sequence(latents, spec, chain, flows))
+    pulls = sum(r.warp_count for r in propagate_sequence(latents, spec, chain, flows)[1])
     chain_len = len(chain)
     # dense per-frame accumulation pulls every other frame: N * (N-1)
     assert pulls <= 2 * n * (chain_len - 1)

@@ -15,10 +15,10 @@ from outpaint.grids import (
     downscale_flow,
     downscale_mask,
     make_outpaint_mask,
-    place_on_canvas,
     read_grid,
     write_grid,
 )
+from placement import place_on_canvas
 from whole_canvas import warp_grid
 
 
@@ -77,6 +77,58 @@ def test_grids_are_immutable():
     g = ChannelGrid(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         g.data[0, 0, 0] = 1.0
+
+
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+# (grid type, build from one array, the array the grid holds, a new input
+# array that owns its memory)
+GRID_ARRAYS = [
+    ("ChannelGrid", ChannelGrid, lambda g: g.data, lambda: np.arange(24.0).reshape(2, 3, 4).copy()),
+    (
+        "FlowField",
+        lambda a: FlowField(a, np.zeros((3, 4)), np.ones((3, 4), dtype=bool)),
+        lambda g: g.u,
+        lambda: np.arange(12.0).reshape(3, 4).copy(),
+    ),
+    ("BinaryMask", BinaryMask, lambda g: g.data, lambda: np.arange(12).reshape(3, 4) % 3 == 0),
+]
+
+
+@pytest.mark.parametrize(
+    "build, held, make", [g[1:] for g in GRID_ARRAYS], ids=[g[0] for g in GRID_ARRAYS]
+)
+class TestGridCopies:
+    def test_read_only_contiguous_array_is_kept(self, build, held, make):
+        src = read_only(make())
+        assert held(build(src)) is src
+        # a read-only row of a read-only array too
+        whole = read_only(np.stack([make(), make()]))
+        assert held(build(whole[1])).base is whole
+
+    def test_writeable_array_is_copied(self, build, held, make):
+        src = make()
+        grid = held(build(src))
+        assert not np.shares_memory(grid, src) and not grid.flags.writeable
+        src[...] = ~src if src.dtype == bool else src + 1.0
+        assert np.array_equal(grid, make())
+
+    def test_read_only_view_of_writeable_array_is_copied(self, build, held, make):
+        base = np.stack([make(), make()])
+        grid = held(build(read_only(base[1])))
+        assert not np.shares_memory(grid, base)
+        base[1] = ~base[1] if base.dtype == bool else base[1] + 1.0
+        assert np.array_equal(grid, make())
+
+    def test_other_layouts_and_dtypes_are_copied(self, build, held, make):
+        src = make()
+        for other in (read_only(np.asfortranarray(src)), read_only(src.astype(np.float32))):
+            grid = held(build(other))
+            assert not np.shares_memory(grid, other) and grid.flags.c_contiguous
+            assert np.array_equal(grid, src)
 
 
 class TestCanvasSpec:

@@ -524,6 +524,57 @@ class TestRunPipeline:
         assert summary["error"] == "flow 1->0: flow completion needs at least one known cell"
 
 
+    def test_sample_stage_holds_two_sequences_and_one_window(self, tmp_path, monkeypatch):
+        # 12 frames of 3x24x32 float64 latents, sampled in windows of 4
+        n, window = 12, 4
+        frame = 3 * 24 * 32 * 8
+        peaks = []
+        sample = pipeline.reverse_sample
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                out = sample(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(pipeline, "reverse_sample", traced)
+        run_pipeline(pan_config(
+            tmp_path, n_frames=n, mode="sample", timesteps=3, sampler_window=window, sampler_stride=2,
+        ))
+        # beside the condition: the state, one eps and one window's prediction
+        assert len(peaks) == 1
+        assert peaks[0] <= 2 * n * frame + window * frame + (64 << 10)
+
+    def test_sample_stage_copies_no_sequence(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def spy(name):
+            fn = getattr(pipeline, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.setdefault(name, []).append((args, out))
+                return out
+
+            monkeypatch.setattr(pipeline, name, wrapped)
+
+        for name in ("propagate_sequence", "reverse_sample", "stand_in_decode"):
+            spy(name)
+        run_pipeline(pan_config(tmp_path, n_frames=6, mode="sample", timesteps=3))
+        [(_, (propagated, _))] = calls["propagate_sequence"]
+        [(args, sampled)] = calls["reverse_sample"]
+        # conditioned on the propagated array itself
+        assert args[1] is propagated
+        # each frame decoded from a sampled grid that holds its row of the result
+        decoded = [args[0] for args, _ in calls["stand_in_decode"]]
+        assert len(decoded) == 6
+        for i, grid in enumerate(decoded):
+            assert np.shares_memory(grid.data, sampled[i])
+
+
 class TestBenchmark:
     def test_small_grid_ordering_and_trend(self, tmp_path):
         reports = run_benchmark(seed=5, n_values=(8, 12), m_values=(2, 3, 4))
@@ -561,7 +612,7 @@ class TestBenchmark:
             pipeline, "_propagate_stages", lambda *args: staged.append(shared(*args)) or staged[-1]
         )
         reports = run_benchmark(seed=5, n_values=(6, 1), m_values=(3,))
-        for report, (_, chain, _, _) in zip(reports, staged, strict=True):
+        for report, (_, chain, _, _, _) in zip(reports, staged, strict=True):
             n = report.n_frames
             # 16x16 frames on a 16x32 canvas at s=2: frames, latents and
             # placed latents (3 float64 planes), and flows on the latent
@@ -605,7 +656,7 @@ class TestBenchmark:
         monkeypatch.setattr(pipeline, "stand_in_encode", track(pipeline.stand_in_encode))
         completion = pipeline._flow.complete_flow_laplacian
         monkeypatch.setattr(pipeline._flow, "complete_flow_laplacian", track(completion))
-        _, chain, results, _ = pipeline._propagate_stages(
+        _, chain, _, results, _ = pipeline._propagate_stages(
             pan_config(tmp_path, n_frames=6), pipeline._StageClock()
         )
         gc.collect()

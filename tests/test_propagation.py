@@ -9,7 +9,6 @@ from outpaint.grids import (
     FlowField,
     downscale_flow,
     make_outpaint_mask,
-    place_on_canvas,
 )
 from outpaint.propagation import (
     COVERAGE_THRESHOLD,
@@ -21,6 +20,7 @@ from outpaint.propagation import (
     required_flow_pairs,
 )
 from outpaint.refselect import ReferenceChain, build_reference_chain
+from placement import place_on_canvas
 from whole_canvas import compose_grid, warp_grid
 from outpaint.pipeline import SceneConfig
 from outpaint.synthetic import generate_scene, stand_in_encode
@@ -91,15 +91,12 @@ class TestFuseBaseline:
 
 
 def strip_world(num_frames=5, width=8, src=(3, 6)):
-    """1-row canvases with the source region at columns [src0, src1)."""
-    mask = np.ones((1, width))
-    mask[:, src[0] : src[1]] = 0.0
-    latents = []
-    for r in range(num_frames):
-        data = np.zeros((1, 1, width))
-        data[:, :, src[0] : src[1]] = 10.0 + r
-        latents.append(ChannelGrid(data))
-    return latents, BinaryMask(mask)
+    """1-row canvases with the source region at columns [src0, src1): the
+    placed latents, the outpaint mask and the frames' pull stacks."""
+    spec = CanvasSpec(1, src[1] - src[0], 1, width, 0, src[0])
+    frames = [ChannelGrid(np.full((1, 1, src[1] - src[0]), 10.0 + r)) for r in range(num_frames)]
+    latents = [place_on_canvas(z, spec) for z in frames]
+    return latents, make_outpaint_mask(spec), pull_stacks(frames, spec)
 
 
 class TestPropagateDirection:
@@ -107,9 +104,9 @@ class TestPropagateDirection:
         return ReferenceChain((0, 2, 4), window=2, num_frames=5)
 
     def test_zero_hop_at_chain_end(self):
-        latents, mask = strip_world()
+        latents, mask, stacks = strip_world()
         chain = self.make_chain()
-        res = propagate_direction(4, chain, pull_stacks(latents, mask), {}, "future")
+        res = propagate_direction(4, chain, stacks, {}, "future")
         assert res.warp_count == 0
         assert np.array_equal(res.coverage.data, 1.0 - mask.data)
         assert np.array_equal(res.latent.data, latents[4].data)
@@ -118,13 +115,13 @@ class TestPropagateDirection:
     def test_one_shot_disjoint_coverage(self):
         # refs 2 and 4 sit +2 and +4 columns away; the near ref covers the
         # near strip, the far ref only the single cell the near one missed
-        latents, mask = strip_world()
+        latents, mask, stacks = strip_world()
         chain = self.make_chain()
         flows = {
             (0, 2): FlowField.constant(1, 8, 2.0, 0.0),
             (2, 4): FlowField.constant(1, 8, 2.0, 0.0),
         }
-        res = propagate_direction(0, chain, pull_stacks(latents, mask), flows, "future")
+        res = propagate_direction(0, chain, stacks, flows, "future")
         assert res.warp_count == 2
         assert res.compose_count == 1
         expect_prov = np.array([[4, 2, 2, 0, 0, 0, -1, -1]], dtype=np.int32)
@@ -133,17 +130,17 @@ class TestPropagateDirection:
         assert np.array_equal(res.latent.data[0], expect_vals)
 
     def test_missing_flow_raises_with_the_pair(self):
-        latents, mask = strip_world()
+        latents, mask, stacks = strip_world()
         with pytest.raises(KeyError) as err:
-            propagate_direction(0, self.make_chain(), pull_stacks(latents, mask), {}, "future")
+            propagate_direction(0, self.make_chain(), stacks, {}, "future")
         assert err.value.args == ((0, 2),)
 
     def test_requires_completed_flows(self):
-        latents, mask = strip_world()
+        latents, mask, stacks = strip_world()
         chain = self.make_chain()
         flows = {(0, 2): FlowField(np.zeros((1, 8)), np.zeros((1, 8)), ~mask.data)}
         with pytest.raises(ValueError, match="completed"):
-            propagate_direction(0, chain, pull_stacks(latents, mask), flows, "future")
+            propagate_direction(0, chain, stacks, flows, "future")
 
 
 class TestPropagationResult:
@@ -162,7 +159,7 @@ class TestPropagateSequence:
         spec = CanvasSpec(1, 2, 1, 6, 0, 2)
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        out = propagate_sequence([latent], spec, chain, {})
+        _, out = propagate_sequence([latent], spec, chain, {})
         assert sum(r.warp_count for r in out) == 0
         assert np.array_equal(out[0].latent.data[0, 0, 2:4], [5.0, 7.0])
 
@@ -181,7 +178,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows)
         f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
@@ -202,7 +199,7 @@ class TestPropagateSequence:
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows)
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
         placed_source = out[0].latent.data[:, :, 2:6]
@@ -240,7 +237,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows)
         for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
@@ -261,10 +258,39 @@ class TestPropagateSequence:
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
-        out_sparse = propagate_sequence(latents, spec, sparse, flows_for(sparse))
-        out_dense = propagate_sequence(latents, spec, dense, flows_for(dense))
+        _, out_sparse = propagate_sequence(latents, spec, sparse, flows_for(sparse))
+        _, out_dense = propagate_sequence(latents, spec, dense, flows_for(dense))
         for rs, rd in zip(out_sparse, out_dense):
             assert np.all(rd.coverage.data >= rs.coverage.data)
+
+
+    def test_results_are_rows_of_one_read_only_array(self):
+        chain, latents, spec, flows = paper_pan_inputs(n=6)
+        fused, out = propagate_sequence(latents, spec, chain, flows)
+        assert fused.shape == (6, 3, 24, 32) and fused.dtype == np.float64
+        assert not fused.flags.writeable
+        for i, res in enumerate(out):
+            assert res.latent.data.base is fused
+            assert res.latent.data.ctypes.data == fused[i].ctypes.data
+
+
+class TestPullStacks:
+    def test_match_the_placement_oracle(self):
+        rng = np.random.default_rng(4)
+        spec = CanvasSpec(6, 4, 10, 12, 2, 5)
+        latents = [ChannelGrid(rng.random((3, 6, 4))) for _ in range(4)]
+        source = (1.0 - make_outpaint_mask(spec).data)[None]
+        stacks = pull_stacks(latents, spec)
+        assert len(stacks) == len(latents)
+        for stack, z in zip(stacks, latents):
+            assert np.array_equal(stack, np.concatenate([place_on_canvas(z, spec).data, source]))
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (3, 6, 5), (1, 6, 4)])
+    def test_every_latent_must_fit_the_spec(self, shape):
+        spec = CanvasSpec(6, 4, 10, 12, 2, 5)
+        latents = [ChannelGrid(np.zeros((3, 6, 4))), ChannelGrid(np.zeros(shape))]
+        with pytest.raises(ValueError, match="latent shape"):
+            pull_stacks(latents, spec)
 
 
 class TestRequiredFlowPairs:
@@ -288,8 +314,7 @@ def paper_pan_inputs(n=12, delta_x=4.0, jitter=0.0):
     traj = SceneConfig(kind="pan", start_y=0.0, start_x=16.0, delta_x=delta_x)
     scene = generate_scene(5, 96, 128 + int(delta_x) * (n - 1), 96, 96, n, traj, spec)
     lat = spec.latent()
-    mask = make_outpaint_mask(lat)
-    latents = [place_on_canvas(stand_in_encode(f, 4), lat) for f in scene_frames(scene)]
+    latents = [stand_in_encode(f, 4) for f in scene_frames(scene)]
     chain = ReferenceChain(tuple(range(0, n - 1, 2)) + (n - 1,), window=2, num_frames=n)
     ys, xs = np.mgrid[0:96, 0:96] / 96.0
     flows = {}
@@ -302,7 +327,7 @@ def paper_pan_inputs(n=12, delta_x=4.0, jitter=0.0):
         )
         flow = FlowField(true.u + du, true.v + dv, true.valid)
         flows[(a, b)] = complete_flow_laplacian(downscale_flow(map_flow_to_canvas(flow, spec), 4))
-    return chain, latents, mask, flows
+    return chain, latents, lat, flows
 
 
 def pull_every_reference(i, chain, latents, mask, flows, direction):
@@ -328,11 +353,12 @@ def pull_every_reference(i, chain, latents, mask, flows, direction):
     return out, covered, prov, len(refs)
 
 
-def early_exit_against_every_pull(chain, latents, mask, flows):
+def early_exit_against_every_pull(chain, latents, spec, flows):
     """Propagate every frame both ways, assert the result equals pulling
     every reference, and return the (pulls made, useful pulls, pulls
     without the exit) of each frame and direction."""
-    stacks = pull_stacks(latents, mask)
+    stacks = pull_stacks(latents, spec)
+    latents, mask = [place_on_canvas(z, spec) for z in latents], make_outpaint_mask(spec)
     counts = []
     for i in range(chain.num_frames):
         for direction in ("past", "future"):
@@ -387,7 +413,7 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
         for a, b in required_flow_pairs(chain, n):
             flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
             flows[(a, b)] = complete_flow_laplacian(flow)
-        return propagate_sequence(latents, spec, chain, flows)
+        return propagate_sequence(latents, spec, chain, flows)[1]
 
     guided = propagate(build_reference_chain(frames, 4))
     dense = propagate(ReferenceChain(tuple(range(n)), 1, n))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestSceneGeneration:
         rng = seeded_generator(11, "world")
         want = np.stack([whole_plane_value_noise(rng, h, w) for _ in range(3)])
         assert np.array_equal(world, want)
+
+    def test_world_is_held_once(self):
+        # a 3x1024x256 world (6.3 MB) outweighs the strip temporaries
+        spec = CanvasSpec(8, 8, 8, 8, 0, 0)
+        tracemalloc.start()
+        try:
+            scene = generate_scene(11, 1024, 256, 8, 8, 1, SceneConfig(), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * scene.world.data.nbytes
 
     def test_pan_cycle_returns_to_start(self):
         traj = SceneConfig(kind="pan_cycle", start_x=4.0, delta_x=1.0, period=3)
