@@ -122,16 +122,19 @@ class OracleDenoiser:
 
 
 def resolve_denoiser(name: str) -> Denoiser:
-    """The denoiser a name alone describes: "zero" or "constant:<c>".  The
-    oracle also needs the clean sequence, so a pipeline run builds its
-    ``OracleDenoiser`` from the scene's ground truth instead."""
+    """The denoiser a name alone describes: "zero" or "constant:<c>", c a
+    finite number.  The oracle also needs the clean sequence, so a pipeline
+    run builds its ``OracleDenoiser`` from the scene's ground truth instead."""
     if name == "zero":
         return ZeroDenoiser()
     if name.startswith("constant:"):
         try:
-            return ConstantDenoiser(float(name.split(":", 1)[1]))
+            c = float(name.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad constant denoiser spec {name!r}") from None
+            c = np.nan
+        if not np.isfinite(c):
+            raise ValueError(f"bad constant denoiser spec {name!r}")
+        return ConstantDenoiser(c)
     raise ValueError(f"unknown denoiser {name!r}")
 
 

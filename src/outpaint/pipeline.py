@@ -9,15 +9,15 @@ with a StageError naming it and an "incomplete" summary.json.
 Frames stream through the stages.  Each input frame is read once, in index
 order, when the reference chain reaches it: its latent is encoded, the chain
 takes its gray plane, and the frame is dropped.  After propagation (and
-sampling), each frame is decoded, written and scored in turn, its ground
-truth built or read for that frame alone.  So what a run holds for its whole
-length is latent-sized (latents, completed flows, propagated and sampled
-latents), plus one frame's full-size grids at a time.  Each latent sequence
-is one (N, C, h, w) array, held once: the propagated one is also the
-sampler's condition, and the per-frame grids are views of its rows and of
-the sampler's result.  A stage run inside another,
-such as a frame's read inside ``chain``, counts toward its own time only, so
-the stage times add up.
+sampling), one pass over the frames writes each frame's propagated, sampled
+and decoded files and scores it, its ground truth built or read for that
+frame alone.  So what a run holds for its whole length is latent-sized
+(latents, completed flows, propagated and sampled latents), plus one frame's
+full-size grids at a time.  Each latent sequence is one (N, C, h, w) array,
+held once: the propagated one is also the sampler's condition, and the
+per-frame grids are views of its rows and of the sampler's result.  A stage
+run inside another, such as a frame's read inside ``chain``, counts toward
+its own time only, so the stage times add up.
 
 A run is fully determined by its config (including the mandatory seed); all
 artifact files are byte-identical across repeated runs.  Stage wall times are
@@ -53,7 +53,7 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import PropagationResult, propagate_sequence, required_flow_pairs
+from .propagation import propagate_sequence, required_flow_pairs
 from .refselect import build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
@@ -395,9 +395,9 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     Returns the function giving frame i's ground truth (or None), the chain,
     the propagated (N, C, h, w) array and the per-frame propagation results
     whose latents are its rows (see ``propagate_sequence``), and the
-    verified report, whose
-    ``peak_live_bytes`` is the grid bytes these stages held at their widest
-    point.  The flows and unplaced latents are freed when it returns."""
+    verified report, whose ``peak_live_bytes`` is the grid bytes these stages
+    held at their widest point.  The flows and the encoded latents are freed
+    when it returns."""
     _reuse_freed_memory()
     spec = config.canvas
     s = spec.downsample
@@ -433,7 +433,6 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
             flows[(a, b)] = flow
     with clock("propagate"):
         propagated, results = propagate_sequence(latents, spec, chain, flows)
-    placed = [r.latent for r in results]
     report = BenchmarkReport(
         n_frames=n,
         window=chain.window,
@@ -444,7 +443,8 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         compose_count=sum(r.compose_count for r in results),
         # the last frame read beside every latent, then propagation's inputs and outputs
         peak_live_bytes=max(
-            frame_bytes + _nbytes(latents), _nbytes(latents + list(flows.values()) + placed)
+            frame_bytes + _nbytes(latents),
+            _nbytes(latents + list(flows.values())) + propagated.nbytes,
         ),
         useful_pull_count=sum(r.useful_pull_count for r in results),
         completion_max_residual=residual,
@@ -481,21 +481,6 @@ def _run_artifacts(out: Path) -> list[str]:
     return sorted(names)
 
 
-def _frame_metrics(
-    i: int, res: PropagationResult, decoded: ChannelGrid, truth: ChannelGrid, s: int
-) -> dict:
-    """Frame i's entry in metrics.json: its coverage, the PSNR of its covered
-    latent cells, and the PSNR and SSIM of its decoded canvas."""
-    gt_latent = stand_in_encode(truth, s)
-    return {
-        "frame": i,
-        "coverage_fraction": float(res.coverage.data.mean()),
-        "covered_psnr": psnr_masked(res.latent, gt_latent, res.coverage),
-        "decoded_psnr": psnr(decoded, truth),
-        "decoded_ssim": ssim_full(decoded, truth),
-    }
-
-
 def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     """Execute the configured pipeline and write artifacts under out_dir.
 
@@ -516,7 +501,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
     try:
         gt_frame, chain, propagated, results, report = _propagate_stages(config, clock)
         n = len(results)
-        placed = [r.latent for r in results]
 
         def ground_truth(i: int) -> ChannelGrid:
             with clock("inputs"):
@@ -524,20 +508,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
 
         with clock("write"):
             write_json(out / "chain.json", asdict(chain))
-            prop_dir = out / "propagated"
-            for i, res in enumerate(results):
-                write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
-                write_grid(prop_dir / f"coverage_{i:04d}.s2sg", res.coverage)
-                write_json(
-                    prop_dir / f"provenance_{i:04d}.json",
-                    {
-                        "frame": i,
-                        "warp_count": res.warp_count,
-                        "compose_count": res.compose_count,
-                        "chain": list(chain.indices),
-                        "provenance": res.provenance.tolist(),
-                    },
-                )
 
         # optional diffusion sampling
         sampled = None
@@ -559,28 +529,47 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
 
             with clock("sample"):
                 sampled = sample()
-            with clock("write"):
-                for i, grid in enumerate(sampled):
-                    write_grid(out / "sampled" / f"latent_{i:04d}.s2sg", grid)
 
         per_frame = []
 
         def finish_frame(i: int) -> int:
-            """Decode, write and score frame i; returns the grid bytes it held,
-            all freed on return."""
-            z = placed[i] if sampled is None else sampled[i]
+            """Decode frame i, write its propagated, sampled and decoded files
+            and score it; returns the grid bytes it held, all freed on return."""
+            res = results[i]
+            coverage = res.coverage
             with clock("decode"):
-                decoded = stand_in_decode(z, s)
+                decoded = stand_in_decode(res.latent if sampled is None else sampled[i], s)
             with clock("write"):
+                prop_dir = out / "propagated"
+                write_grid(prop_dir / f"latent_{i:04d}.s2sg", res.latent)
+                write_grid(prop_dir / f"coverage_{i:04d}.s2sg", coverage)
+                write_json(
+                    prop_dir / f"provenance_{i:04d}.json",
+                    {
+                        "frame": i,
+                        "warp_count": res.warp_count,
+                        "compose_count": res.compose_count,
+                        "chain": list(chain.indices),
+                        "provenance": res.provenance.tolist(),
+                    },
+                )
+                if sampled is not None:
+                    write_grid(out / "sampled" / f"latent_{i:04d}.s2sg", sampled[i])
                 write_grid(out / "decoded" / f"frame_{i:04d}.s2sg", decoded)
             if gt_frame is None:
                 return _nbytes([decoded])
             truth = ground_truth(i)
             with clock("metrics"):
-                per_frame.append(_frame_metrics(i, results[i], decoded, truth, s))
+                per_frame.append({
+                    "frame": i,
+                    "coverage_fraction": float(coverage.data.mean()),
+                    "covered_psnr": psnr_masked(res.latent, stand_in_encode(truth, s), coverage),
+                    "decoded_psnr": psnr(decoded, truth),
+                    "decoded_ssim": ssim_full(decoded, truth),
+                })
             return _nbytes([decoded, truth])
 
-        held = _nbytes(placed + (sampled or []))
+        held = propagated.nbytes + _nbytes(sampled or [])
         for i in range(n):
             report.peak_live_bytes = max(report.peak_live_bytes, held + finish_frame(i))
 

@@ -308,6 +308,8 @@ class TestPipelineCommands:
             {"denoiser": 5}, {"out_dir": 5}, {"write_timings": "no"},
             {"timesteps": "abc"}, {"sampler_window": 2.5}, {"sampler_stride": None},
         ]
+        # rejected with the config, not left to fail at `sample`
+        nan_denoiser = pipeline_config(tmp_path / "run", mode_extra={"denoiser": "constant:nan"})
         for command, cfg in (
             ("propagate", no_canvas),
             ("propagate", [pipeline_config(tmp_path / "run")]),
@@ -322,6 +324,7 @@ class TestPipelineCommands:
             ("propagate", escaping_scene),
             ("propagate", no_frames),
             ("propagate", int_kind),
+            ("sample", nan_denoiser),
             *[(command, pipeline_config(tmp_path / "run", mode_extra=edit)) for command, edit in integer_edits],
             *[("propagate", pipeline_config(tmp_path / "run", mode_extra=edit)) for edit in type_edits],
         ):

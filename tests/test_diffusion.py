@@ -414,6 +414,7 @@ class TestDenoiserRegistry:
         with pytest.raises(ValueError):
             resolve_denoiser("mystery")
 
-    def test_bad_constant(self):
-        with pytest.raises(ValueError):
-            resolve_denoiser("constant:abc")
+    @pytest.mark.parametrize("spec", ["constant:abc", "constant:nan", "constant:inf", "constant:-inf"])
+    def test_bad_constant(self, spec):
+        with pytest.raises(ValueError, match=f"bad constant denoiser spec '{spec}'"):
+            resolve_denoiser(spec)

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+top-level name the package defines is read somewhere in the package.
 
-``__init__.py`` is exempt: it imports names to export them.
+``__init__.py`` is exempt from the import check: it imports names to export
+them.
 """
 
 import ast
@@ -43,3 +45,39 @@ def test_the_check_finds_an_unused_import():
 )
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private (``_x``, not dunder) names that the top level of one of
+    ``sources`` defines, by ``def``, ``class`` or assignment, and that no
+    source reads, as a name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = [
+        "__all__ = []\n_A, _B = 1, 2\nclass _Unused: pass\ndef _helper(): return _A\n",
+        "from a import _helper\nimport a\nx = a._B\ndef f(): return _helper()\n",
+    ]
+    assert unread_private_names(sources) == ["_Unused"]
+    # a helper that only a caller outside the sources reads is unread
+    assert unread_private_names(sources[:1]) == ["_B", "_Unused", "_helper"]
+
+
+def test_package_reads_every_private_name():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

@@ -388,6 +388,52 @@ class TestRunPipeline:
         assert summary["failed_stage"] == "write"
         assert "float32 range" in summary["error"]
 
+    def test_non_finite_sample_fails_at_sample(self, tmp_path, monkeypatch):
+        class NaNDenoiser:
+            def predict(self, noisy, condition, timestep, start):
+                return np.full_like(noisy, np.nan)
+
+        cfg = pan_config(tmp_path / "run", n_frames=4, mode="sample", timesteps=3)
+        # after the config is built, which checks the name
+        monkeypatch.setattr(pipeline, "resolve_denoiser", lambda name: NaNDenoiser())
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "sample"
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["status"] == "incomplete"
+        assert summary["failed_stage"] == "sample"
+        # no frame's files are written before sampling succeeds
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "chain.json", "config.json", "summary.json",
+        ]
+
+    def test_each_frames_files_are_written_together(self, tmp_path, monkeypatch):
+        written = []
+
+        def record(write):
+            def recorded(path, payload):
+                written.append(Path(path).relative_to(tmp_path).as_posix())
+                return write(path, payload)
+            return recorded
+
+        for name in ("write_grid", "write_json"):
+            monkeypatch.setattr(pipeline, name, record(getattr(pipeline, name)))
+        n = 4
+        run_pipeline(pan_config(tmp_path, n_frames=n, mode="sample", timesteps=3))
+        assert written[:2] == ["config.json", "chain.json"]
+        assert written[-3:] == ["metrics.json", "report.json", "summary.json"]
+        frames = written[2:-3]
+        assert len(frames) == 5 * n
+        # frame i's five files, all before any file of frame i + 1
+        for i in range(n):
+            assert set(frames[5 * i : 5 * i + 5]) == {
+                f"propagated/latent_{i:04d}.s2sg",
+                f"propagated/coverage_{i:04d}.s2sg",
+                f"propagated/provenance_{i:04d}.json",
+                f"sampled/latent_{i:04d}.s2sg",
+                f"decoded/frame_{i:04d}.s2sg",
+            }
+
     def test_stage_failure_marks_incomplete(self, tmp_path):
         frames_dir = tmp_path / "frames"
         scene = generate_scene(
