@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .grids import CanvasSpec, FlowField
+from .grids import CanvasSpec, FlowField, _sealed
 
 
 def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,11 +46,15 @@ def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.nda
     y1 = np.minimum(y0 + 1, height - 1)
     fx = sx - x0
     fy = sy - y0
+    # gathers along the flattened planes, so the samples come out
+    # C-contiguous, positions last
+    flat = stack.reshape(stack.shape[:-2] + (height * width,))
+    row0, row1 = y0 * width, y1 * width
+    a = np.take(flat, row0 + x0, axis=-1)
+    b = np.take(flat, row0 + x1, axis=-1)
+    c = np.take(flat, row1 + x0, axis=-1)
+    d = np.take(flat, row1 + x1, axis=-1)
     # incremental form: exact on constant fields and at integer samples
-    a = stack[..., y0, x0]
-    b = stack[..., y0, x1]
-    c = stack[..., y1, x0]
-    d = stack[..., y1, x1]
     return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a), inb
 
 
@@ -103,7 +107,7 @@ def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:
     u[ys, xs] = flow.u
     v[ys, xs] = flow.v
     valid[ys, xs] = flow.valid
-    return FlowField(u, v, valid)
+    return FlowField(_sealed(u), _sealed(v), _sealed(valid))
 
 
 def _neighbor_sum(values: np.ndarray) -> np.ndarray:
@@ -201,4 +205,4 @@ def complete_flow_laplacian(flow: FlowField) -> FlowField:
         x = _solve_laplace(rows, rhs)
         for k, p in enumerate(varying):
             p.flat[unknown] = x[:, k]
-    return FlowField(planes[0], planes[1], np.ones_like(flow.valid))
+    return FlowField(_sealed(planes[0]), _sealed(planes[1]), _sealed(np.ones_like(flow.valid)))

@@ -57,6 +57,13 @@ def _frozen(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: a producer hands a grid a new array it no
+    longer writes, and the grid keeps it instead of copying it (see _frozen)."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen_mask(data, what: str) -> np.ndarray:
     """``data`` as a read-only bool array (see _frozen); non-bool input must
     hold only 0/1."""
@@ -154,16 +161,14 @@ class FlowField:
     @functools.cached_property
     def uv(self) -> np.ndarray:
         """The read-only (2, H, W) stack of u and v, built on first use."""
-        uv = np.stack([self.u, self.v])
-        uv.flags.writeable = False
-        return uv
+        return _sealed(np.stack([self.u, self.v]))
 
     @classmethod
     def constant(cls, height: int, width: int, du: float, dv: float) -> "FlowField":
         return cls(
-            np.full((height, width), du),
-            np.full((height, width), dv),
-            np.ones((height, width), dtype=bool),
+            _sealed(np.full((height, width), du)),
+            _sealed(np.full((height, width), dv)),
+            _sealed(np.ones((height, width), dtype=bool)),
         )
 
 
@@ -281,7 +286,7 @@ def downscale_flow(flow: FlowField, s: int) -> FlowField:
     v_src = np.where(flow.valid, flow.v, 0.0)
     u = _blocks(u_src, s).sum(axis=(1, 3)) / safe / s
     v = _blocks(v_src, s).sum(axis=(1, 3)) / safe / s
-    return FlowField(u, v, count == s * s)
+    return FlowField(_sealed(u), _sealed(v), _sealed(count == s * s))
 
 
 def downscale_mask(mask: BinaryMask, s: int) -> BinaryMask:

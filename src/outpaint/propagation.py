@@ -46,7 +46,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .flow import backward_warp, compose_accumulated
-from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen
+from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen, _sealed
 from .refselect import ReferenceChain, nearest_refs
 
 # A bilinearly warped source mask counts as covering a cell only when it is
@@ -97,7 +97,7 @@ class PropagationResult:
     @property
     def coverage(self) -> BinaryMask:
         """The cells some frame supplied: provenance >= 0."""
-        return BinaryMask(self.provenance >= 0)
+        return BinaryMask(_sealed(self.provenance >= 0))
 
 
 def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[int]:
@@ -192,8 +192,8 @@ def propagate_direction(
             cells, u, v, valid = cells[left], u[left], v[left], valid[left]
 
     return PropagationResult(
-        latent=ChannelGrid(out),
-        provenance=prov,
+        latent=ChannelGrid(_sealed(out)),
+        provenance=_sealed(prov),
         warp_count=warp_count,
         compose_count=compose_count,
         useful_pull_count=useful_pull_count,
@@ -231,8 +231,8 @@ def fuse_directions(
     if dist_future < dist_past:
         prov[both] = future.provenance[both]
     return PropagationResult(
-        latent=ChannelGrid(out),
-        provenance=prov,
+        latent=ChannelGrid(_sealed(out)),
+        provenance=_sealed(prov),
         warp_count=past.warp_count + future.warp_count,
         compose_count=past.compose_count + future.compose_count,
         useful_pull_count=past.useful_pull_count + future.useful_pull_count,

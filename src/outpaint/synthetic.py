@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import _bilinear
-from .grids import CanvasSpec, ChannelGrid, FlowField
+from .grids import CanvasSpec, ChannelGrid, FlowField, _sealed
 from .seeding import seeded_generator
 
 
@@ -84,7 +84,7 @@ class SyntheticScene:
             return ChannelGrid(self.world.data[:, iy : iy + h, ix : ix + w])
         ys, xs = np.ogrid[0:h, 0:w]
         # check_in_world keeps every sample inside the world
-        return ChannelGrid(_bilinear(self.world.data, ys + oy, xs + ox)[0])
+        return ChannelGrid(_sealed(_bilinear(self.world.data, ys + oy, xs + ox)[0]))
 
     def frame(self, i: int) -> ChannelGrid:
         oy, ox = self.origins[i]
@@ -123,10 +123,9 @@ def generate_scene(
     world = np.zeros((3, world_h, world_w))
     for plane in world:
         _value_noise(rng, plane)
-    # read-only, the grid keeps it: the world is held once
-    world.flags.writeable = False
     origins = tuple(trajectory.origins(n_frames))
-    return SyntheticScene(world=ChannelGrid(world), origins=origins, spec=spec)
+    # read-only, the grid keeps it: the world is held once
+    return SyntheticScene(world=ChannelGrid(_sealed(world)), origins=origins, spec=spec)
 
 
 def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:
@@ -145,7 +144,7 @@ def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:
         anchors = plane[::s, ::s]
         deltas = plane.reshape(h // s, s, w // s, s) - anchors[:, None, :, None]
         np.add(anchors, deltas.mean(axis=(1, 3), dtype=np.float64), out=out)
-    return ChannelGrid(latent)
+    return ChannelGrid(_sealed(latent))
 
 
 def stand_in_decode(latent: ChannelGrid, s: int) -> ChannelGrid:
@@ -155,6 +154,4 @@ def stand_in_decode(latent: ChannelGrid, s: int) -> ChannelGrid:
         raise ValueError("downsample factor must be >= 1")
     if s == 1:
         return latent
-    decoded = np.repeat(np.repeat(latent.data, s, axis=1), s, axis=2)
-    decoded.flags.writeable = False
-    return ChannelGrid(decoded)
+    return ChannelGrid(_sealed(np.repeat(np.repeat(latent.data, s, axis=1), s, axis=2)))

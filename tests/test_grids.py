@@ -1,11 +1,13 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outpaint.flow import map_flow_to_canvas
+from outpaint import grids, propagation
+from outpaint.flow import complete_flow_laplacian, map_flow_to_canvas
 from outpaint.grids import (
     BinaryMask,
     CanvasSpec,
@@ -18,7 +20,18 @@ from outpaint.grids import (
     read_grid,
     write_grid,
 )
+from outpaint.pipeline import SceneConfig
+from outpaint.propagation import (
+    fuse_directions,
+    propagate_direction,
+    propagate_sequence,
+    pull_stacks,
+    required_flow_pairs,
+)
+from outpaint.refselect import build_reference_chain
+from outpaint.synthetic import stand_in_encode
 from placement import place_on_canvas
+from scene_frames import scene_frames
 from whole_canvas import warp_grid
 
 
@@ -129,6 +142,86 @@ class TestGridCopies:
             grid = held(build(other))
             assert not np.shares_memory(grid, other) and grid.flags.c_contiguous
             assert np.array_equal(grid, src)
+
+
+@pytest.fixture(scope="module")
+def producer_inputs():
+    """What each grid producer below is given: a 4-frame pan by 1.5 px on an
+    8x8 -> 8x12 canvas at s=2, so frame 0 is cut at a fractional origin,
+    its latents, chain and completed latent flows, and one frame's two
+    directional results."""
+    spec = CanvasSpec(8, 8, 8, 12, 0, 4, downsample=2)
+    scene = SceneConfig(
+        world_h=16, world_w=24, n_frames=4, start_y=4.0, start_x=4.5, delta_x=1.5
+    ).build(3, spec)
+    assert scene.origins[0][1] % 1.0 == 0.5
+    frames = scene_frames(scene)
+    latents = [stand_in_encode(f, 2) for f in frames]
+    chain = build_reference_chain(frames, 2)
+    flows = {
+        (a, b): complete_flow_laplacian(downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), 2))
+        for a, b in required_flow_pairs(chain, 4)
+    }
+    ramp = FlowField(np.arange(64.0).reshape(8, 8) / 64.0, np.zeros((8, 8)), np.ones((8, 8), dtype=bool))
+    stacks = pull_stacks(latents, spec.latent())
+    return SimpleNamespace(
+        spec=spec,
+        scene=scene,
+        frame=frames[0],
+        latents=latents,
+        chain=chain,
+        flows=flows,
+        stacks=stacks,
+        canvas_flow=map_flow_to_canvas(scene.gt_flow(1, 0), spec),
+        ramp_band=downscale_flow(map_flow_to_canvas(ramp, spec), 2),
+        past=propagate_direction(1, chain, stacks, flows, "past"),
+        future=propagate_direction(1, chain, stacks, flows, "future"),
+    )
+
+
+# each producer, given producer_inputs; each builds a new array for a grid
+PRODUCERS = {
+    "stand_in_encode": lambda p: stand_in_encode(p.frame, 2),
+    "SyntheticScene._crop_fractional": lambda p: p.scene.frame(0),
+    "FlowField.constant": lambda p: FlowField.constant(4, 6, 0.5, -1.0),
+    "map_flow_to_canvas": lambda p: map_flow_to_canvas(p.scene.gt_flow(1, 0), p.spec),
+    "downscale_flow": lambda p: downscale_flow(p.canvas_flow, 2),
+    "complete_flow_laplacian_constant": lambda p: complete_flow_laplacian(downscale_flow(p.canvas_flow, 2)),
+    "complete_flow_laplacian_solved": lambda p: complete_flow_laplacian(p.ramp_band),
+    "propagate_direction": lambda p: propagate_direction(1, p.chain, p.stacks, p.flows, "future"),
+    "fuse_directions": lambda p: fuse_directions(p.past, p.future, 1, 1),
+    "PropagationResult.coverage": lambda p: p.past.coverage,
+    "propagate_sequence": lambda p: propagate_sequence(p.latents, p.spec, p.chain, p.flows),
+}
+
+
+@pytest.fixture
+def grid_copies(monkeypatch):
+    """The shapes of the arrays grids copy, seen by a wrapper around
+    ``grids._frozen`` (and propagation's import of it)."""
+    copies = []
+    frozen = grids._frozen
+
+    def spy(data, dtype=np.float64):
+        arr = frozen(data, dtype)
+        if arr is not data:
+            copies.append(np.shape(data))
+        return arr
+
+    monkeypatch.setattr(grids, "_frozen", spy)
+    monkeypatch.setattr(propagation, "_frozen", spy)
+    return copies
+
+
+def test_the_copy_spy_sees_a_copy(grid_copies):
+    ChannelGrid(np.zeros((1, 2, 3)))
+    assert grid_copies == [(1, 2, 3)]
+
+
+@pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_producer_hands_its_array_to_the_grid(producer_inputs, grid_copies, produce):
+    produce(producer_inputs)
+    assert grid_copies == []
 
 
 class TestCanvasSpec:
