@@ -78,19 +78,16 @@ def backward_warp(
 
 
 def compose_accumulated(
-    hop: FlowField, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+    hop: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extend an accumulated flow i->r, given at the listed cells as in
-    ``backward_warp``, by a hop r->r' into i->r' at those cells.
-
-    The hop must be a completed flow (valid everywhere): its (u, v) stack is
-    backward-warped through the accumulated flow and added.  Returns the new
-    (u, v, valid) at the cells; a cell stays valid where the accumulated
-    flow is valid and its sample lies inside the hop, and holds 0 elsewhere.
+    ``backward_warp``, by a completed hop r->r' (its (2, H, W) displacement)
+    into i->r' at those cells: the hop is backward-warped through the
+    accumulated flow and added.  Returns the new (u, v, valid) at the cells;
+    a cell stays valid where the accumulated flow is valid and its sample
+    lies inside the hop, and holds 0 elsewhere.
     """
-    if not hop.valid.all():
-        raise ValueError("hop must be a completed flow, valid everywhere")
-    warped, ok = backward_warp(hop.uv, cells, u, v, valid)
+    warped, ok = backward_warp(hop, cells, u, v, valid)
     acc_u, acc_v = np.where(ok, np.stack([u, v]) + warped, 0.0)
     return acc_u, acc_v, ok
 
@@ -119,13 +116,13 @@ def _neighbor_sum(values: np.ndarray) -> np.ndarray:
     return s
 
 
-def laplace_residual(flow: FlowField, filled: np.ndarray) -> float:
-    """Largest |sum of in-canvas neighbours - neighbour count * x| of u and v
-    over the ``filled`` cells: 0 for an exact harmonic fill, up to rounding."""
+def laplace_residual(flow: np.ndarray, filled: np.ndarray) -> float:
+    """Largest |sum of in-canvas neighbours - neighbour count * x| of both
+    planes of a (2, H, W) displacement over the ``filled`` cells: 0 for an
+    exact harmonic fill, up to rounding."""
     counts = _neighbor_sum(np.ones(filled.shape))
     return max(
-        float(np.max(np.abs(_neighbor_sum(p) - counts * p)[filled], initial=0.0))
-        for p in (flow.u, flow.v)
+        float(np.max(np.abs(_neighbor_sum(p) - counts * p)[filled], initial=0.0)) for p in flow
     )
 
 
@@ -180,7 +177,7 @@ def _solve_laplace(rows, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def complete_flow_laplacian(flow: FlowField) -> FlowField:
+def complete_flow_laplacian(flow: FlowField) -> np.ndarray:
     """Harmonic extension of a flow over its invalid cells.
 
     Solves the 5-point Laplace equation on the invalid cells, with the valid
@@ -188,16 +185,20 @@ def complete_flow_laplacian(flow: FlowField) -> FlowField:
     only its in-canvas neighbours).  The solve is direct: the operator
     depends only on the known-cell mask, so its block factor is built once
     per mask and cached, and u and v are solved together.  A plane whose
-    known data is constant is filled with that constant exactly.  Valid
-    cells are returned bit-identical; the output is valid everywhere.
+    known data is constant is filled with that constant exactly.  Returns
+    the completed displacement, valid everywhere, as one read-only
+    C-contiguous float64 (2, H, W) array, u then v, filled in place; valid
+    cells hold their input values bit for bit.
     """
     known = flow.valid
     if not known.any():
         raise ValueError("flow completion needs at least one known cell")
+    uv = np.stack([flow.u, flow.v])
     if known.all():
-        return flow
-    planes = [np.where(known, p, p[known][0]) for p in (flow.u, flow.v)]
-    varying = [p for p in planes if np.ptp(p[known]) != 0.0]
+        return _sealed(uv)
+    # each plane's first known value, exact where the known data is constant
+    uv[:, ~known] = uv[:, known][:, :1]
+    varying = [p for p in uv if np.ptp(p[known]) != 0.0]
     if varying:
         unknown, rows = _laplace_factor(known.shape, known.tobytes())
         # Dirichlet data of the known neighbours, one column per plane
@@ -205,4 +206,4 @@ def complete_flow_laplacian(flow: FlowField) -> FlowField:
         x = _solve_laplace(rows, rhs)
         for k, p in enumerate(varying):
             p.flat[unknown] = x[:, k]
-    return FlowField(_sealed(planes[0]), _sealed(planes[1]), _sealed(np.ones_like(flow.valid)))
+    return _sealed(uv)

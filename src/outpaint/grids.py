@@ -12,7 +12,6 @@ bool; the on-disk format stores every plane as 32-bit floats, masks as
 
 from __future__ import annotations
 
-import functools
 import numbers
 import struct
 import sys
@@ -157,11 +156,6 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.u.shape[1]
-
-    @functools.cached_property
-    def uv(self) -> np.ndarray:
-        """The read-only (2, H, W) stack of u and v, built on first use."""
-        return _sealed(np.stack([self.u, self.v]))
 
     @classmethod
     def constant(cls, height: int, width: int, du: float, dv: float) -> "FlowField":

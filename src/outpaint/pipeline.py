@@ -54,7 +54,7 @@ from .grids import (
 )
 from .metrics import psnr, psnr_masked, ssim_full
 from .propagation import propagate_sequence, required_flow_pairs
-from .refselect import build_reference_chain
+from .refselect import STRUCTURE_WINDOW, build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
 )
@@ -164,8 +164,9 @@ class PipelineConfig:
                 raise ValueError(f"unknown mode {self.mode!r}")
             if (self.scene is None) == (self.inputs is None):
                 raise ValueError("exactly one of scene/inputs must be given")
-            if self.denoiser == "oracle" and self.scene is None:
-                raise ValueError("oracle denoiser needs a synthetic scene")
+            has_truth = self.scene is not None or bool(self.inputs.gt_dir)
+            if self.denoiser == "oracle" and not has_truth:
+                raise ValueError("oracle denoiser needs ground truth: a synthetic scene or inputs.gt_dir")
             if self.seed < 0 or self.window < 1:
                 raise ValueError(f"need seed >= 0 and window >= 1, got {self.seed} and {self.window}")
             if self.denoiser != "oracle":
@@ -177,6 +178,13 @@ class PipelineConfig:
             if self.mode == "sample":
                 make_schedule(self.timesteps)
                 plan_windows(1, self.sampler_window, self.sampler_stride)
+            # the chain scores frames once it has more than `window`, and
+            # metrics score every canvas against its ground truth
+            c, w = self.canvas, STRUCTURE_WINDOW
+            if self.scene is not None and self.scene.n_frames > self.window and min(c.orig_h, c.orig_w) < w:
+                raise ValueError(f"frames are {c.orig_h}x{c.orig_w}, smaller than the {w}x{w} SSIM window")
+            if has_truth and min(c.canvas_h, c.canvas_w) < w:
+                raise ValueError(f"canvas is {c.canvas_h}x{c.canvas_w}, smaller than the {w}x{w} SSIM window")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -444,7 +452,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         # the last frame read beside every latent, then propagation's inputs and outputs
         peak_live_bytes=max(
             frame_bytes + _nbytes(latents),
-            _nbytes(latents + list(flows.values())) + propagated.nbytes,
+            _nbytes(latents) + sum(f.nbytes for f in flows.values()) + propagated.nbytes,
         ),
         useful_pull_count=sum(r.useful_pull_count for r in results),
         completion_max_residual=residual,

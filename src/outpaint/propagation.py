@@ -24,8 +24,9 @@ no pull has filled yet.  The flow from a frame to its references is held as
 stack there, a farther reference's flow is grown hop by hop with
 ``compose_accumulated``, which resamples the hop there too, and a cell
 leaves the frontier as soon as it is filled.  Flows are a plain dict keyed
-by (src, dst) and arrive completed, valid on the whole latent canvas; this
-module never fills them in.
+by (src, dst) and arrive completed: each is the (2, h, w) displacement,
+u then v, that ``complete_flow_laplacian`` returns on the latent canvas,
+valid everywhere; this module never fills them in.
 
 Pulling toward one direction stops early, and exactly, once the
 accumulated flow is invalid on every frontier cell: composition only
@@ -46,7 +47,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .flow import backward_warp, compose_accumulated
-from .grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, _frozen, _sealed
+from .grids import BinaryMask, CanvasSpec, ChannelGrid, _frozen, _sealed
 from .refselect import ReferenceChain, nearest_refs
 
 # A bilinearly warped source mask counts as covering a cell only when it is
@@ -106,13 +107,6 @@ def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[i
     return [r for r in chain.indices if r > i]
 
 
-def _completed(flows: dict[tuple[int, int], FlowField], src: int, dst: int) -> FlowField:
-    flow = flows[(src, dst)]
-    if not flow.valid.all():
-        raise ValueError(f"flow {src}->{dst} must be completed before propagation")
-    return flow
-
-
 def pull_stacks(latents: Sequence[ChannelGrid], spec: CanvasSpec) -> list[np.ndarray]:
     """Each latent placed on the canvas of ``spec``, 0 off its source
     region, with the source mask all frames share stacked beneath it as a
@@ -138,14 +132,14 @@ def propagate_direction(
     i: int,
     chain: ReferenceChain,
     stacks: Sequence[np.ndarray],
-    flows: dict[tuple[int, int], FlowField],
+    flows: dict[tuple[int, int], np.ndarray],
     direction: Direction,
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
     ``stacks`` are the frames' ``pull_stacks`` at latent resolution;
-    ``flows`` maps (src, dst) to completed (everywhere-valid) hop and
-    nearest-ref flows, and a missing pair raises KeyError.  Only the
+    ``flows`` maps (src, dst) to the completed (2, h, w) displacements of
+    hop and nearest-ref flows, and a missing pair raises KeyError.  Only the
     frontier, the outpaint cells no pull has filled yet, is tracked: the
     accumulated flow is held there alone, and a cell leaves the frontier as
     soon as it is filled.  Pulling stops once the accumulated flow is
@@ -171,10 +165,10 @@ def propagate_direction(
     refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
         if k == 0:
-            flow = _completed(flows, i, r)
-            u, v, valid = (p.ravel()[cells] for p in (flow.u, flow.v, flow.valid))
+            u, v = flows[(i, r)].reshape(2, -1)[:, cells]
+            valid = np.ones(len(cells), dtype=bool)
         else:
-            u, v, valid = compose_accumulated(_completed(flows, refs[k - 1], r), cells, u, v, valid)
+            u, v, valid = compose_accumulated(flows[(refs[k - 1], r)], cells, u, v, valid)
             compose_count += 1
             # validity only shrinks under composition: no farther pull can fill a cell
             if not valid.any():
@@ -243,14 +237,15 @@ def propagate_sequence(
     latents: Sequence[ChannelGrid],
     spec: CanvasSpec,
     chain: ReferenceChain,
-    flows: dict[tuple[int, int], FlowField],
+    flows: dict[tuple[int, int], np.ndarray],
 ) -> tuple[np.ndarray, list[PropagationResult]]:
     """Full propagation driver: place latents on the latent canvas, pull in
     both directions per frame, and fuse.
 
     ``latents`` are original-resolution latent grids (orig dims / s); every
     frame shares the outpaint mask of ``spec.latent()``; ``flows`` maps
-    (src, dst) to completed (everywhere-valid) latent-canvas flows.  Pulls
+    (src, dst) to completed (2, h, w) displacements on that canvas, and any
+    other value raises ValueError naming the pair.  Pulls
     write only uncovered outpaint cells, so each result keeps the frame's
     own values on its source region and 0 on cells no reference reached.
     A failed pull is re-raised as RuntimeError naming the frame and the
@@ -267,6 +262,10 @@ def propagate_sequence(
     if chain.num_frames != n:
         raise ValueError("chain and latents must agree on frame count")
     lat = spec.latent()
+    shape = (2, lat.canvas_h, lat.canvas_w)
+    for (a, b), flow in flows.items():
+        if not (isinstance(flow, np.ndarray) and flow.shape == shape):
+            raise ValueError(f"flow {a}->{b} must be a {shape} displacement array on the latent canvas")
     stacks = pull_stacks(latents, lat)
 
     fused = np.empty((n, latents[0].channels, lat.canvas_h, lat.canvas_w))

@@ -127,8 +127,17 @@ def _frame_moments(a: np.ndarray):
     terms; a constant window gets zero variance exactly.
     """
     if a.shape[0] < STRUCTURE_WINDOW or a.shape[1] < STRUCTURE_WINDOW:
-        raise ValueError(f"plane smaller than the {STRUCTURE_WINDOW}x{STRUCTURE_WINDOW} local window")
+        h, w = a.shape
+        raise ValueError(f"plane is {h}x{w}, smaller than the {STRUCTURE_WINDOW}x{STRUCTURE_WINDOW} local window")
     return _centred_moments(a, a.mean())
+
+
+def _moments(j: int, plane: np.ndarray):
+    """``_frame_moments`` of frame ``j``'s gray plane; a ValueError names the frame."""
+    try:
+        return _frame_moments(plane)
+    except ValueError as exc:
+        raise ValueError(f"frame {j}: {exc}") from exc
 
 
 def _centred_moments(a: np.ndarray, mean: float):
@@ -216,11 +225,11 @@ def build_reference_chain(frames: Iterable[ChannelGrid], m: int) -> ReferenceCha
         if len(window) <= m:
             continue
         if not scored:
-            window[0] = _frame_moments(window[0])
+            window[0] = _moments(current, window[0])
         best = math.inf
         for k in range(1, m + 1):
             if k >= scored:
-                window[k] = _frame_moments(window[k])
+                window[k] = _moments(current + k, window[k])
             score = _structure_score(window[0], window[k])
             # ties break toward the largest candidate index, so the step
             # reaches k or beyond: the candidates before k are never picked

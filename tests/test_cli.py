@@ -345,6 +345,31 @@ class TestPipelineCommands:
             assert f"{name} must be a finite real number" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
 
+    def test_configs_a_stage_would_reject_exit_2(self, tmp_path, capsys):
+        def tiny(n_frames):
+            # 4x4 frames on a 4x8 canvas: the chain scores frames once it has
+            # more than `window` (4), and metrics score every canvas
+            return {
+                "seed": 0,
+                "canvas": {"orig_h": 4, "orig_w": 4, "canvas_h": 4, "canvas_w": 8, "offset_y": 0, "offset_x": 4},
+                "scene": {"world_h": 16, "world_w": 16, "n_frames": n_frames, "start_x": 4.0},
+                "out_dir": str(tmp_path / "run"),
+            }
+
+        oracle_without_truth = files_config(tmp_path / "frames", tmp_path / "flows", tmp_path / "run")
+        oracle_without_truth["denoiser"] = "oracle"
+        cfg_path = tmp_path / "config.json"
+        for command, cfg, message in (
+            ("propagate", tiny(8), "frames are 4x4, smaller than the 8x8 SSIM window"),
+            ("propagate", tiny(3), "canvas is 4x8, smaller than the 8x8 SSIM window"),
+            ("sample", oracle_without_truth, "oracle denoiser needs ground truth"),
+        ):
+            cfg_path.write_text(json.dumps(cfg))
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg_path), "--seed", "13"]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+
     def test_stage_failure_exits_3(self, tmp_path):
         scene_dir = tmp_path / "scene"
         main(synth_args(tmp_path, scene_dir))

@@ -215,15 +215,13 @@ def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
     assert np.array_equal(mask.data, want_mask.data)
     assert not mask.data[2, 3]
 
-    # as the accumulated flow of a composition, and as a hop, which must be complete
+    # as the accumulated flow of a composition
     f = FlowField(*rng.uniform(-1.0, 1.0, (2, 6, 8)), np.ones((6, 8)))
     got, want = compose_grid(dirty, f), compose_grid(clean, f)
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.v, want.v)
     assert np.array_equal(got.valid, want.valid)
     assert not got.valid[2, 3]
-    with pytest.raises(ValueError, match="completed"):
-        compose_grid(f, dirty)
 
 
 class TestComposeAccumulated:
@@ -260,14 +258,6 @@ class TestComposeAccumulated:
         assert np.all(out.valid[:, 2:] == 0.0)
         assert np.allclose(out.u[:, :2], 12.0, atol=1e-12)
 
-    def test_hop_with_an_invalid_cell_raises(self):
-        # propagation composes completed hops only; one invalid cell is refused
-        valid = np.ones((4, 4))
-        valid[1, 2] = 0.0
-        hop = FlowField(np.ones((4, 4)), np.zeros((4, 4)), valid)
-        with pytest.raises(ValueError, match="completed"):
-            compose_grid(FlowField.constant(4, 4, 0.5, 0.0), hop)
-
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             compose_grid(self.base(), FlowField.constant(6, 7, 0.0, 0.0))
@@ -295,12 +285,6 @@ class TestComposeAccumulated:
         assert np.array_equal(got.u, want_u)
         assert np.array_equal(got.v, want_v)
         assert np.array_equal(got.valid, warped.valid)
-
-        # the same hop with any one cell invalid is refused
-        dirty = np.ones((h, w), dtype=bool)
-        dirty[rng.integers(h), rng.integers(w)] = False
-        with pytest.raises(ValueError, match="completed"):
-            compose_grid(acc, FlowField(hop.u, hop.v, dirty))
 
 
 class TestMapFlowToCanvas:
@@ -330,24 +314,24 @@ class TestLaplacianCompletion:
             np.ones((5, 5)),
         )
         out = complete_flow_laplacian(f)
-        assert np.array_equal(out.u, f.u)
-        assert np.array_equal(out.v, f.v)
+        assert np.array_equal(out[0], f.u)
+        assert np.array_equal(out[1], f.v)
 
     def test_constant_extension(self):
         valid = np.zeros((6, 10))
         valid[:, 3:7] = 1.0
         f = FlowField(np.full((6, 10), 2.5) * valid, np.full((6, 10), -1.0) * valid, valid)
         out = complete_flow_laplacian(f)
-        assert np.allclose(out.u, 2.5, atol=1e-9)
-        assert np.allclose(out.v, -1.0, atol=1e-9)
-        assert np.all(out.valid == 1.0)
+        assert np.allclose(out[0], 2.5, atol=1e-9)
+        assert np.allclose(out[1], -1.0, atol=1e-9)
+        assert np.isfinite(out).all()
 
     def test_1d_strip_linear_fill(self):
         # hand-solved tridiagonal system: boundary 0 and 4 -> 1, 2, 3
         u = np.array([[0.0, 0.0, 0.0, 0.0, 4.0]])
         valid = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
         out = complete_flow_laplacian(FlowField(u, np.zeros((1, 5)), valid))
-        assert np.allclose(out.u[0, 1:4], [1.0, 2.0, 3.0], atol=1e-6)
+        assert np.allclose(out[0][0, 1:4], [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_known_cells_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -358,8 +342,8 @@ class TestLaplacianCompletion:
         f = FlowField(u, v, valid)
         out = complete_flow_laplacian(f)
         known = valid == 1.0
-        assert np.array_equal(out.u[known], f.u[known])
-        assert np.array_equal(out.v[known], f.v[known])
+        assert np.array_equal(out[0][known], f.u[known])
+        assert np.array_equal(out[1][known], f.v[known])
 
     def test_idempotent_within_tol(self):
         valid = np.zeros((8, 8))
@@ -367,9 +351,9 @@ class TestLaplacianCompletion:
         rng = np.random.default_rng(5)
         f = FlowField(rng.random((8, 8)) * valid, rng.random((8, 8)) * valid, valid)
         once = complete_flow_laplacian(f)
-        twice = complete_flow_laplacian(once)
-        assert np.allclose(once.u, twice.u, atol=1e-6)
-        assert np.allclose(once.v, twice.v, atol=1e-6)
+        twice = complete_flow_laplacian(FlowField(*once, np.ones((8, 8))))
+        assert np.allclose(once[0], twice[0], atol=1e-6)
+        assert np.allclose(once[1], twice[1], atol=1e-6)
 
     def test_matches_dense_solve(self):
         # known left band, smooth non-harmonic data; the oracle solves the
@@ -396,7 +380,7 @@ class TestLaplacianCompletion:
                 else:
                     rhs[k] += (f.u[ny, nx], f.v[ny, nx])
         solved = np.linalg.solve(a, rhs)
-        got = np.array([(out.u[c], out.v[c]) for c in cells])
+        got = np.array([(out[0][c], out[1][c]) for c in cells])
         assert np.max(np.abs(got - solved)) < 1e-6
 
     @given(
@@ -426,11 +410,11 @@ class TestLaplacianCompletion:
         f = FlowField(rng.normal(0.0, 3.0, (h, w)), rng.normal(0.0, 1.0, (h, w)), valid)
         out = complete_flow_laplacian(f)
         # measured worst case over such inputs: 2e-14 px
-        assert np.max(np.abs(np.stack([out.u, out.v]) - dense_completion(f, known))) < 1e-10
+        assert np.max(np.abs(out - dense_completion(f, known))) < 1e-10
         assert laplace_residual(out, ~known) < 1e-10
-        assert np.array_equal(out.u[known], f.u[known])
-        assert np.array_equal(out.v[known], f.v[known])
-        assert out.valid.all()
+        assert np.array_equal(out[0][known], f.u[known])
+        assert np.array_equal(out[1][known], f.v[known])
+        assert np.isfinite(out).all()
 
     def test_constant_known_data_returned_exactly(self):
         # 0.1 and -1/3 are not exact in binary, so a mean or a solve would
@@ -439,14 +423,14 @@ class TestLaplacianCompletion:
         valid[2:7, 3:10] = True
         f = FlowField(np.where(valid, 0.1, 0.0), np.where(valid, -1.0 / 3.0, 0.0), valid)
         out = complete_flow_laplacian(f)
-        assert np.array_equal(out.u, np.full((9, 12), 0.1))
-        assert np.array_equal(out.v, np.full((9, 12), -1.0 / 3.0))
+        assert np.array_equal(out[0], np.full((9, 12), 0.1))
+        assert np.array_equal(out[1], np.full((9, 12), -1.0 / 3.0))
         # a constant plane stays exact next to a plane that needs a solve
         ys, xs = np.mgrid[0:9, 0:12].astype(float)
         f = FlowField(f.u, np.where(valid, np.sin(xs) + ys, 0.0), valid)
         out = complete_flow_laplacian(f)
-        assert np.array_equal(out.u, np.full((9, 12), 0.1))
-        assert np.max(np.abs(out.v - dense_completion(f, valid)[1])) < 1e-10
+        assert np.array_equal(out[0], np.full((9, 12), 0.1))
+        assert np.max(np.abs(out[1] - dense_completion(f, valid)[1])) < 1e-10
 
     def test_factor_cache_keeps_masks_apart(self):
         # masks A, B, A of one shape, then A's bytes under another shape:
@@ -460,7 +444,7 @@ class TestLaplacianCompletion:
             valid = ~missing
             f = FlowField(rng.random(missing.shape), rng.random(missing.shape), valid)
             out = complete_flow_laplacian(f)
-            assert np.max(np.abs(np.stack([out.u, out.v]) - dense_completion(f, valid))) < 1e-10
+            assert np.max(np.abs(out - dense_completion(f, valid))) < 1e-10
 
     def test_no_known_cells(self):
         f = FlowField(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)))
@@ -472,5 +456,5 @@ class TestLaplacianCompletion:
         valid[:, 2:4] = 1.0
         f = FlowField(valid * 1.5, valid * 0.5, valid)
         out = complete_flow_laplacian(f)
-        assert np.all(out.valid == 1.0)
-        assert np.allclose(out.u, 1.5, atol=1e-8)
+        assert np.isfinite(out).all()
+        assert np.allclose(out[0], 1.5, atol=1e-8)

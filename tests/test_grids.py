@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outpaint import grids, propagation
+from outpaint import grids, pipeline, propagation
 from outpaint.flow import complete_flow_laplacian, map_flow_to_canvas
 from outpaint.grids import (
     BinaryMask,
@@ -20,7 +20,7 @@ from outpaint.grids import (
     read_grid,
     write_grid,
 )
-from outpaint.pipeline import SceneConfig
+from outpaint.pipeline import PipelineConfig, SceneConfig
 from outpaint.propagation import (
     fuse_directions,
     propagate_direction,
@@ -151,9 +151,8 @@ def producer_inputs():
     its latents, chain and completed latent flows, and one frame's two
     directional results."""
     spec = CanvasSpec(8, 8, 8, 12, 0, 4, downsample=2)
-    scene = SceneConfig(
-        world_h=16, world_w=24, n_frames=4, start_y=4.0, start_x=4.5, delta_x=1.5
-    ).build(3, spec)
+    scene_config = SceneConfig(world_h=16, world_w=24, n_frames=4, start_y=4.0, start_x=4.5, delta_x=1.5)
+    scene = scene_config.build(3, spec)
     assert scene.origins[0][1] % 1.0 == 0.5
     frames = scene_frames(scene)
     latents = [stand_in_encode(f, 2) for f in frames]
@@ -166,6 +165,7 @@ def producer_inputs():
     stacks = pull_stacks(latents, spec.latent())
     return SimpleNamespace(
         spec=spec,
+        scene_config=scene_config,
         scene=scene,
         frame=frames[0],
         latents=latents,
@@ -186,8 +186,6 @@ PRODUCERS = {
     "FlowField.constant": lambda p: FlowField.constant(4, 6, 0.5, -1.0),
     "map_flow_to_canvas": lambda p: map_flow_to_canvas(p.scene.gt_flow(1, 0), p.spec),
     "downscale_flow": lambda p: downscale_flow(p.canvas_flow, 2),
-    "complete_flow_laplacian_constant": lambda p: complete_flow_laplacian(downscale_flow(p.canvas_flow, 2)),
-    "complete_flow_laplacian_solved": lambda p: complete_flow_laplacian(p.ramp_band),
     "propagate_direction": lambda p: propagate_direction(1, p.chain, p.stacks, p.flows, "future"),
     "fuse_directions": lambda p: fuse_directions(p.past, p.future, 1, 1),
     "PropagationResult.coverage": lambda p: p.past.coverage,
@@ -222,6 +220,37 @@ def test_the_copy_spy_sees_a_copy(grid_copies):
 def test_producer_hands_its_array_to_the_grid(producer_inputs, grid_copies, produce):
     produce(producer_inputs)
     assert grid_copies == []
+
+
+# a flow whose completion takes the constant-data shortcut, and one it solves
+COMPLETIONS = {
+    "constant": lambda p: downscale_flow(p.canvas_flow, 2),
+    "solved": lambda p: p.ramp_band,
+}
+
+
+@pytest.mark.parametrize("flow", COMPLETIONS.values(), ids=COMPLETIONS.keys())
+def test_completion_returns_one_sealed_displacement(producer_inputs, flow):
+    f = flow(producer_inputs)
+    uv = complete_flow_laplacian(f)
+    assert type(uv) is np.ndarray and uv.dtype == np.float64 and uv.shape == (2, f.height, f.width)
+    assert uv.flags.c_contiguous and grids._read_only(uv)
+
+
+def test_propagate_stages_hand_the_completed_flows_on(producer_inputs, monkeypatch):
+    completed, handed = [], []
+    complete, propagate = pipeline._flow.complete_flow_laplacian, pipeline.propagate_sequence
+    monkeypatch.setattr(
+        pipeline._flow, "complete_flow_laplacian", lambda f: completed.append(complete(f)) or completed[-1]
+    )
+    monkeypatch.setattr(pipeline, "propagate_sequence", lambda *args: handed.append(args[3]) or propagate(*args))
+    p = producer_inputs
+    config = PipelineConfig(seed=3, canvas=p.spec, window=2, scene=p.scene_config)
+    pipeline._propagate_stages(config, pipeline._StageClock())
+    [flows] = handed
+    assert len(completed) == len(flows) > 0
+    # the very arrays completion returned, in pair order: none was copied
+    assert all(f is c for f, c in zip(flows.values(), completed, strict=True))
 
 
 class TestCanvasSpec:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from outpaint import grids, pipeline, propagation
-from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, read_grid, write_grid
+from outpaint.grids import BinaryMask, CanvasSpec, ChannelGrid, FlowField, read_grid, write_grid
 from outpaint.pipeline import (
     BenchmarkReport,
     ConfigError,
@@ -141,7 +141,7 @@ class TestConfig:
             PipelineConfig(seed=1, canvas=CanvasSpec(4, 4, 4, 8, 0, 0))
 
     def test_unknown_component_names(self):
-        base = dict(seed=1, canvas=CanvasSpec(4, 4, 4, 8, 0, 0), scene=SceneConfig())
+        base = dict(seed=1, canvas=CanvasSpec(8, 8, 8, 16, 0, 0), scene=SceneConfig())
         with pytest.raises(ConfigError):
             PipelineConfig(denoiser="net", **base)
         raw = PipelineConfig(**base).to_dict()
@@ -285,19 +285,20 @@ class TestRunPipeline:
         assert (out / "notes.txt").read_text() == "not a run artifact"
 
     @pytest.mark.parametrize(
-        "n_frames, windows",
-        [(6, {}), (8, {"sampler_window": 4, "sampler_stride": 2})],
-        ids=["one_window", "sliding_windows"],
+        "n_frames, windows, from_files",
+        [(6, {}, False), (8, {"sampler_window": 4, "sampler_stride": 2}, False), (6, {}, True)],
+        ids=["one_window", "sliding_windows", "files_with_gt_dir"],
     )
-    def test_sample_mode_oracle_recovers_gt(self, tmp_path, n_frames, windows):
+    def test_sample_mode_oracle_recovers_gt(self, tmp_path, n_frames, windows, from_files):
         cfg = pan_config(
             tmp_path / "run", n_frames=n_frames, mode="sample",
             denoiser="oracle", timesteps=20, **windows,
         )
-        run_pipeline(cfg)
         scene = generate_scene(
             cfg.seed, 96, 96, 48, 48, n_frames, cfg.scene, cfg.canvas
         )
+        # the oracle reads the ground truth that gt_dir supplies in a file run
+        run_pipeline(write_file_scene(tmp_path / "in", cfg, gt=True) if from_files else cfg)
         for i in range(n_frames):
             sampled = read_grid(tmp_path / "run" / "sampled" / f"latent_{i:04d}.s2sg")
             want = stand_in_encode(scene.gt_expanded(i), 2)
@@ -532,6 +533,23 @@ class TestRunPipeline:
         assert summary["failed_stage"] == "chain"
         assert summary["error"] == "frame 3: frame values must lie in [0, 1]"
 
+    def test_frame_below_the_ssim_window_is_named_at_chain(self, tmp_path):
+        # a file run's frame count is unknown to its config, so 4x4 frames
+        # pass it and fail once the chain scores them
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", ChannelGrid(rng.random((3, 4, 4))))
+        cfg = PipelineConfig(
+            seed=0,
+            canvas=CanvasSpec(4, 4, 4, 8, 0, 4),
+            inputs=InputPaths(frames_dir=str(tmp_path / "frames"), flows_dir=str(tmp_path / "flows")),
+            out_dir=str(tmp_path / "run"),
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "chain"
+        assert str(err.value.cause) == "frame 0: plane is 4x4, smaller than the 8x8 local window"
+
     def test_wrong_size_flow_error_names_the_file(self, tmp_path):
         err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.constant(40, 48, 0.0, 0.0))
         assert err.stage == "flows"
@@ -662,10 +680,10 @@ class TestBenchmark:
             n = report.n_frames
             # 16x16 frames on a 16x32 canvas at s=2: frames, latents and
             # placed latents (3 float64 planes), and flows on the latent
-            # canvas (float64 u and v, bool valid)
+            # canvas (float64 u and v)
             frame = 3 * 8 * 16 * 16
             latents, placed = (n * 3 * 8 * cells for cells in (8 * 8, 8 * 16))
-            flows = len(required_flow_pairs(chain, n)) * 8 * 16 * (8 + 8 + 1)
+            flows = len(required_flow_pairs(chain, n)) * 8 * 16 * (8 + 8)
             # chain holds the frame being read beside the latents; propagate
             # holds the latents, the completed flows and the placed latents
             in_chain, in_propagate = frame + latents, latents + flows + placed
@@ -723,7 +741,7 @@ class TestBenchmark:
         frame, canvas, latent, placed = (
             3 * 8 * cells for cells in (48 * 48, 48 * 64, 24 * 24, 24 * 32)
         )
-        flows = len(required_flow_pairs(chain, n_frames)) * 24 * 32 * (8 + 8 + 1)
+        flows = len(required_flow_pairs(chain, n_frames)) * 24 * 32 * (8 + 8)
         # chain: the frame being read and the latents; propagate: the
         # latents, flows and placed latents
         shared = max(frame + n_frames * latent, n_frames * (latent + placed) + flows)
@@ -731,6 +749,22 @@ class TestBenchmark:
         later = n_frames * placed * (2 if mode == "sample" else 1) + canvas + canvas
         assert (later > shared) == later_wins
         assert report["peak_live_bytes"] == max(shared, later)
+
+    @pytest.mark.parametrize("mode", ["propagate", "sample"])
+    def test_grids_hold_only_their_fields(self, tmp_path, monkeypatch, mode):
+        # peak_live_bytes counts a grid's dataclass fields only (_nbytes), so
+        # an array cached on a grid would be memory the peak misses
+        built = []
+        for cls in (ChannelGrid, FlowField, BinaryMask):
+            def post_init(grid, init=cls.__post_init__):
+                init(grid)
+                built.append(grid)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        run_pipeline(pan_config(tmp_path, mode=mode, n_frames=6, timesteps=5))
+        assert {type(g) for g in built} == {ChannelGrid, FlowField, BinaryMask}
+        for grid in built:
+            assert set(vars(grid)) == {f.name for f in fields(grid)}
 
     def test_peak_grows_by_each_frames_latents_and_flows(self, tmp_path):
         peaks, pairs = {}, {}
@@ -743,7 +777,7 @@ class TestBenchmark:
         # six more latents (24x24) and placed latents (24x32) of 3 float64
         # planes, and the extra flows on the 24x32 latent canvas
         latents = 6 * 3 * 8 * (24 * 24 + 24 * 32)
-        flows = (pairs[12] - pairs[6]) * 24 * 32 * (8 + 8 + 1)
+        flows = (pairs[12] - pairs[6]) * 24 * 32 * (8 + 8)
         assert peaks[12] - peaks[6] == latents + flows
 
     def test_freed_blocks_are_reused_not_faulted_in_again(self):

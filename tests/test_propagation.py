@@ -117,10 +117,8 @@ class TestPropagateDirection:
         # near strip, the far ref only the single cell the near one missed
         latents, mask, stacks = strip_world()
         chain = self.make_chain()
-        flows = {
-            (0, 2): FlowField.constant(1, 8, 2.0, 0.0),
-            (2, 4): FlowField.constant(1, 8, 2.0, 0.0),
-        }
+        shift = np.stack([np.full((1, 8), 2.0), np.zeros((1, 8))])
+        flows = {(0, 2): shift, (2, 4): shift}
         res = propagate_direction(0, chain, stacks, flows, "future")
         assert res.warp_count == 2
         assert res.compose_count == 1
@@ -134,13 +132,6 @@ class TestPropagateDirection:
         with pytest.raises(KeyError) as err:
             propagate_direction(0, self.make_chain(), stacks, {}, "future")
         assert err.value.args == ((0, 2),)
-
-    def test_requires_completed_flows(self):
-        latents, mask, stacks = strip_world()
-        chain = self.make_chain()
-        flows = {(0, 2): FlowField(np.zeros((1, 8)), np.zeros((1, 8)), ~mask.data)}
-        with pytest.raises(ValueError, match="completed"):
-            propagate_direction(0, chain, stacks, flows, "future")
 
 
 class TestPropagationResult:
@@ -222,6 +213,19 @@ class TestPropagateSequence:
         with pytest.raises(RuntimeError, match="frame 2 past: ") as err:
             propagate_sequence(latents, spec, chain, flows)
         assert isinstance(err.value.__cause__, KeyError)
+
+    @pytest.mark.parametrize(
+        "bad", [FlowField.constant(4, 8, 0.0, 0.0), np.zeros((2, 8, 16))], ids=["FlowField", "pixel_size"]
+    )
+    def test_flows_must_be_displacements_on_the_latent_canvas(self, bad):
+        # s=2: the latent canvas is 4x8, the pixel canvas 8x16
+        spec = CanvasSpec(8, 8, 8, 16, 0, 4, downsample=2)
+        latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(3)]
+        chain = ReferenceChain((0, 2), window=2, num_frames=3)
+        flows = {pair: np.zeros((2, 4, 8)) for pair in required_flow_pairs(chain, 3)}
+        flows[(2, 0)] = bad
+        with pytest.raises(ValueError, match=r"flow 2->0 must be a \(2, 4, 8\) displacement"):
+            propagate_sequence(latents, spec, chain, flows)
 
     def test_source_preservation_with_motion(self):
         w0, w1, w2 = 0.2, 0.5, 0.8
@@ -330,6 +334,12 @@ def paper_pan_inputs(n=12, delta_x=4.0, jitter=0.0):
     return chain, latents, lat, flows
 
 
+def as_field(uv):
+    """A completed (2, h, w) displacement as the FlowField, valid
+    everywhere, that the whole-canvas oracles take."""
+    return FlowField(*uv, np.ones(uv.shape[1:], dtype=bool))
+
+
 def pull_every_reference(i, chain, latents, mask, flows, direction):
     """One-shot pulling without the early exit: every reference is pulled."""
     refs = [r for r in chain.indices if (r < i if direction == "past" else r > i)]
@@ -341,9 +351,9 @@ def pull_every_reference(i, chain, latents, mask, flows, direction):
     acc = None
     for k, r in enumerate(refs):
         if k == 0:
-            acc = flows[(i, r)]
+            acc = as_field(flows[(i, r)])
         else:
-            acc = compose_grid(acc, flows[(refs[k - 1], r)])
+            acc = compose_grid(acc, as_field(flows[(refs[k - 1], r)]))
         stacked = ChannelGrid(np.concatenate([latents[r].data, (1.0 - mask.data)[None]]))
         warped, wmask = warp_grid(stacked, acc)
         covering = ~covered & (wmask.data == 1.0) & (warped.data[-1] >= COVERAGE_THRESHOLD)

@@ -26,10 +26,11 @@ def warp_grid(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMas
 
 
 def compose_grid(acc: FlowField, hop: FlowField) -> FlowField:
-    """The accumulated flow ``acc`` extended by the completed ``hop`` on
-    every cell."""
+    """The accumulated flow ``acc`` extended on every cell by ``hop``, taken
+    as complete: its (u, v) planes are the completed displacement
+    ``compose_accumulated`` composes."""
     if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("flow dims must match")
-    u, v, ok = compose_accumulated(hop, *_every_cell(acc))
+    u, v, ok = compose_accumulated(np.stack([hop.u, hop.v]), *_every_cell(acc))
     shape = acc.valid.shape
     return FlowField(u.reshape(shape), v.reshape(shape), ok.reshape(shape))
