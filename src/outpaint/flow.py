@@ -5,12 +5,13 @@ Warp convention: a flow F on frame A pointing at frame B gives, for each
 target coordinate x on A, the displacement added to x to sample B, i.e.
 out(x) = B(x + F(x)) with bilinear interpolation.  Samples landing exactly
 on the array boundary are in-bounds (the far interpolation corner gets zero
-weight); anything outside invalidates the cell rather than clamping, so no
+weight); anything outside is zeroed and reported rather than clamped, so no
 content is ever fabricated.  ``_bilinear`` is the package's one bilinear
 sampler: it gathers a whole (..., H, W) stack, all channels of a grid or u
 and v of a flow, at sample positions of any shape.  Both warps take a list
 of cells, flat indices into the grid, with the flow given at those cells
-only: propagation samples the cells it can still fill and nothing else.
+only and no validity: the flows they follow are complete, and propagation
+passes only the cells it can still fill.
 
 Completion is the harmonic (5-point Laplace) fill of a flow's invalid
 cells, solved exactly: the operator depends only on which cells are valid,
@@ -59,35 +60,32 @@ def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.nda
 
 
 def backward_warp(
-    stack: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+    stack: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at the
     listed cells moved by their flow, in one ``_bilinear`` call.
 
-    ``cells`` are flat indices into the (H, W) plane, and ``u``, ``v`` and
-    ``valid`` the flow at those cells, one entry per cell.  Returns the
-    samples, shape (..., n), and ``ok``, True only where the flow is valid
-    and the sample lies inside ``stack``; samples that are not ok are zeroed.
-    A flow warps through another flow as its (u, v) stack (see
-    ``compose_accumulated``).
+    ``cells`` are flat indices into the (H, W) plane, and ``u`` and ``v``
+    the flow at those cells, one entry per cell.  Returns the samples, shape
+    (..., n), and ``ok``, True where the sample lies inside ``stack``;
+    samples that are not ok are zeroed.  A flow warps through another flow
+    as its (u, v) stack (see ``compose_accumulated``).
     """
     ys, xs = np.divmod(cells, stack.shape[-1])
-    samples, inb = _bilinear(stack, ys + v, xs + u)
-    ok = inb & valid
+    samples, ok = _bilinear(stack, ys + v, xs + u)
     return np.where(ok, samples, 0.0), ok
 
 
 def compose_accumulated(
-    hop: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray
+    hop: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extend an accumulated flow i->r, given at the listed cells as in
     ``backward_warp``, by a completed hop r->r' (its (2, H, W) displacement)
     into i->r' at those cells: the hop is backward-warped through the
-    accumulated flow and added.  Returns the new (u, v, valid) at the cells;
-    a cell stays valid where the accumulated flow is valid and its sample
-    lies inside the hop, and holds 0 elsewhere.
+    accumulated flow and added.  Returns the new (u, v) at the cells and
+    ``ok``, True where the sample lies inside the hop; the others hold 0.
     """
-    warped, ok = backward_warp(hop, cells, u, v, valid)
+    warped, ok = backward_warp(hop, cells, u, v)
     acc_u, acc_v = np.where(ok, np.stack([u, v]) + warped, 0.0)
     return acc_u, acc_v, ok
 

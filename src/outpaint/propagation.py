@@ -19,19 +19,19 @@ views of its rows, so the propagated sequence exists once: it is what the
 results hold, what is written and what the sampler is conditioned on.
 
 Pulling works on the frontier only: the flat indices of the outpaint cells
-no pull has filled yet.  The flow from a frame to its references is held as
-1-D (u, v, valid) arrays over those cells; a pull samples the reference's
-stack there, a farther reference's flow is grown hop by hop with
+a pull can still fill.  The flow from a frame to its references is held as
+1-D (u, v) arrays over those cells; a pull samples the reference's stack
+there, a farther reference's flow is grown hop by hop with
 ``compose_accumulated``, which resamples the hop there too, and a cell
-leaves the frontier as soon as it is filled.  Flows are a plain dict keyed
-by (src, dst) and arrive completed: each is the (2, h, w) displacement,
-u then v, that ``complete_flow_laplacian`` returns on the latent canvas,
-valid everywhere; this module never fills them in.
+leaves the frontier as soon as a pull fills it or samples it outside the
+canvas.  Flows are a plain dict keyed by (src, dst) and arrive completed:
+each is the (2, h, w) displacement, u then v, that
+``complete_flow_laplacian`` returns on the latent canvas, valid everywhere;
+this module never fills them in.
 
-Pulling toward one direction stops early, and exactly, once the
-accumulated flow is invalid on every frontier cell: composition only
-intersects validity and a pull fills only cells where that flow is valid,
-so no farther reference could fill anything.
+Pulling toward one direction stops early, and exactly, once the frontier is
+empty: every hop and stack is sampled on the same canvas at the same
+positions, so a cell whose path has left the canvas can never be filled.
 
 Warp accounting: ``warp_count`` is the number of reference pulls made (one
 stacked warp per (frame, reference) pair) and ``useful_pull_count`` the
@@ -140,10 +140,10 @@ def propagate_direction(
     ``stacks`` are the frames' ``pull_stacks`` at latent resolution;
     ``flows`` maps (src, dst) to the completed (2, h, w) displacements of
     hop and nearest-ref flows, and a missing pair raises KeyError.  Only the
-    frontier, the outpaint cells no pull has filled yet, is tracked: the
-    accumulated flow is held there alone, and a cell leaves the frontier as
-    soon as it is filled.  Pulling stops once the accumulated flow is
-    invalid on every frontier cell.
+    frontier, the outpaint cells a pull can still fill, is tracked: the
+    accumulated flow is held there alone, and a cell leaves the frontier
+    once a pull fills it or samples it outside the canvas.  Pulling stops
+    once the frontier is empty.
     """
     n = chain.num_frames
     if not 0 <= i < n:
@@ -166,24 +166,24 @@ def propagate_direction(
     for k, r in enumerate(refs):
         if k == 0:
             u, v = flows[(i, r)].reshape(2, -1)[:, cells]
-            valid = np.ones(len(cells), dtype=bool)
         else:
-            u, v, valid = compose_accumulated(flows[(refs[k - 1], r)], cells, u, v, valid)
+            # every frontier cell's path is inside the canvas, so all are ok
+            u, v, _ = compose_accumulated(flows[(refs[k - 1], r)], cells, u, v)
             compose_count += 1
-            # validity only shrinks under composition: no farther pull can fill a cell
-            if not valid.any():
+            if not cells.size:
                 break
-        warped, _ = backward_warp(stacks[r], cells, u, v, valid)
+        warped, inside = backward_warp(stacks[r], cells, u, v)
         warp_count += 1
-        # a cell the warp cannot sample is zeroed, so it fails the threshold
+        # a cell sampled outside the canvas is zeroed, so it fails the
+        # threshold, and its path never returns: it leaves the frontier
         covering = warped[-1] >= COVERAGE_THRESHOLD
         if covering.any():
             filled = cells[covering]
             out.reshape(len(out), -1)[:, filled] = warped[:-1, covering]
             prov.flat[filled] = r
             useful_pull_count += 1
-            left = ~covering
-            cells, u, v, valid = cells[left], u[left], v[left], valid[left]
+        keep = inside & ~covering
+        cells, u, v = cells[keep], u[keep], v[keep]
 
     return PropagationResult(
         latent=ChannelGrid(_sealed(out)),

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from outpaint.grids import CanvasSpec, ChannelGrid, FlowField, make_outpaint_mask
 from outpaint.flow import (
     _bilinear,
+    backward_warp,
     complete_flow_laplacian,
+    compose_accumulated,
     laplace_residual,
     map_flow_to_canvas,
 )
@@ -88,14 +90,6 @@ class TestBackwardWarp:
         valid = mask.data[0] == 1.0
         assert np.allclose(out.data[0, 0, valid[: out.width]], expect[valid], atol=1e-12)
         assert np.all(mask.data[:, 7] == 0.0)
-
-    def test_invalid_flow_cells_masked(self):
-        src = rand_grid(2)
-        valid = np.ones((6, 8))
-        valid[2, 3] = 0.0
-        out, mask = warp_grid(src, FlowField(np.zeros((6, 8)), np.zeros((6, 8)), valid))
-        assert mask.data[2, 3] == 0.0
-        assert out.data[0, 2, 3] == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -198,30 +192,26 @@ class TestWarpFlow:
 @pytest.mark.parametrize("plane", ["u", "v"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
-    # invalid cells may hold anything; a non-finite one must neither warn
-    # (the suite turns warnings into errors) nor change any output
+    # a non-finite displacement at one cell warps like a sample outside the
+    # grid: ok False and 0 there, no warning (the suite turns warnings into
+    # errors), and every other cell exactly as with the finite flow
     rng = np.random.default_rng(6)
-    u, v = rng.uniform(-1.5, 1.5, (2, 6, 8))
-    valid = np.ones((6, 8), dtype=bool)
-    valid[2, 3] = False
-    clean = FlowField(u, v, valid)
-    planes = {"u": u.copy(), "v": v.copy()}
-    planes[plane][2, 3] = value
-    dirty = FlowField(planes["u"], planes["v"], valid)
-
-    src = rand_grid(3)
-    (out, mask), (want_out, want_mask) = warp_grid(src, dirty), warp_grid(src, clean)
-    assert np.array_equal(out.data, want_out.data)
-    assert np.array_equal(mask.data, want_mask.data)
-    assert not mask.data[2, 3]
-
-    # as the accumulated flow of a composition
-    f = FlowField(*rng.uniform(-1.0, 1.0, (2, 6, 8)), np.ones((6, 8)))
-    got, want = compose_grid(dirty, f), compose_grid(clean, f)
-    assert np.array_equal(got.u, want.u)
-    assert np.array_equal(got.v, want.v)
-    assert np.array_equal(got.valid, want.valid)
-    assert not got.valid[2, 3]
+    clean = rng.uniform(-1.5, 1.5, (2, 48))
+    dirty = clean.copy()
+    dirty["uv".index(plane), 19] = value  # cell (2, 3) of a 6x8 grid
+    cells = np.arange(48)
+    rest = cells != 19
+    src = rand_grid(3).data
+    hop = rng.uniform(-1.0, 1.0, (2, 6, 8))
+    for warp in (backward_warp, compose_accumulated):
+        stack = src if warp is backward_warp else hop
+        *got, ok = warp(stack, cells, *dirty)
+        *want, want_ok = warp(stack, cells, *clean)
+        assert want_ok[19] and not ok[19]
+        assert all(np.all(g[..., 19] == 0.0) for g in got)
+        assert np.array_equal(ok[rest], want_ok[rest])
+        for g, w in zip(got, want):
+            assert np.array_equal(g[..., rest], w[..., rest])
 
 
 class TestComposeAccumulated:

@@ -1,11 +1,14 @@
-"""Every module of the package uses each name it imports, and every private
-top-level name the package defines is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+top-level name the package defines is read somewhere in the package, and
+the package imports nothing beyond the standard library and numpy, its one
+declared dependency.
 
-``__init__.py`` is exempt from the import check: it imports names to export
-them.
+``__init__.py`` is exempt from the unused-import check: it imports names
+to export them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,31 @@ def test_the_check_finds_an_unread_private_name():
 def test_package_reads_every_private_name():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules that absolute imports anywhere in ``source`` name
+    and that are neither in the standard library nor numpy; relative and
+    ``__future__`` imports are exempt."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"numpy"})
+
+
+def test_the_check_finds_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy.linalg\n"
+        "from . import grids\nfrom .flow import _bilinear\nfrom scipy import sparse\n"
+        "def f():\n    import hashlib\n    import PIL.Image\n"
+    )
+    assert foreign_imports(source) == ["PIL", "scipy"]
+
+
+def test_package_depends_only_on_numpy():
+    foreign = {str(p.relative_to(PACKAGE)): foreign_imports(p.read_text()) for p in PACKAGE.rglob("*.py")}
+    assert {module: names for module, names in foreign.items() if names} == {}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from outpaint.flow import complete_flow_laplacian, map_flow_to_canvas
+from outpaint import propagation
+from outpaint.flow import complete_flow_laplacian, compose_accumulated, map_flow_to_canvas
 from outpaint.grids import (
     BinaryMask,
     CanvasSpec,
@@ -396,6 +397,23 @@ def test_early_exit_matches_pulling_every_reference_on_fractional_flows():
     counts = early_exit_against_every_pull(*paper_pan_inputs(delta_x=2.0, jitter=0.3))
     assert any(made > useful for made, useful, _ in counts)
     assert sum(made for made, _, _ in counts) < sum(every for _, _, every in counts)
+
+
+def test_composition_sees_only_cells_inside_the_canvas(monkeypatch):
+    # half-cell motion with jittered flows: many band cells' paths leave the
+    # canvas, and each must leave the frontier at the pull that samples it
+    # outside, before any composition
+    oks = []
+
+    def traced(*args):
+        out = compose_accumulated(*args)
+        oks.append(out[-1])
+        return out
+
+    monkeypatch.setattr(propagation, "compose_accumulated", traced)
+    chain, latents, spec, flows = paper_pan_inputs(delta_x=2.0, jitter=0.3)
+    propagate_sequence(latents, spec, chain, flows)
+    assert oks and all(ok.all() for ok in oks)
 
 
 # the paper's 96x96 -> 96x128 s=4 regime and the 48 -> 64 s=2 translation oracle

@@ -1,8 +1,10 @@
 """Whole-canvas forms of the package's cell-list warps, for the tests.
 
-``backward_warp`` and ``compose_accumulated`` take a list of cells; these
-evaluate them on every cell of the grid and reshape the result, with the
-dimension check a whole-grid call implies.
+``backward_warp`` and ``compose_accumulated`` take a list of cells and no
+validity; these evaluate them on every cell of the grid and reshape the
+result, with the dimension check a whole-grid call implies, and treat a
+cell where the input flow is invalid as one sampled outside: ``ok`` False
+and 0.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from outpaint.grids import BinaryMask, ChannelGrid, FlowField
 
 def _every_cell(flow: FlowField):
     cells = np.arange(flow.height * flow.width)
-    return cells, flow.u.ravel(), flow.v.ravel(), flow.valid.ravel()
+    return cells, flow.u.ravel(), flow.v.ravel()
 
 
 def warp_grid(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
@@ -22,7 +24,8 @@ def warp_grid(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMas
     if (src.height, src.width) != (flow.height, flow.width):
         raise ValueError("flow dims must match source spatial dims")
     samples, ok = backward_warp(src.data, *_every_cell(flow))
-    return ChannelGrid(samples.reshape(src.data.shape)), BinaryMask(ok.reshape(flow.valid.shape))
+    ok = ok.reshape(flow.valid.shape) & flow.valid
+    return ChannelGrid(np.where(ok, samples.reshape(src.data.shape), 0.0)), BinaryMask(ok)
 
 
 def compose_grid(acc: FlowField, hop: FlowField) -> FlowField:
@@ -32,5 +35,6 @@ def compose_grid(acc: FlowField, hop: FlowField) -> FlowField:
     if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("flow dims must match")
     u, v, ok = compose_accumulated(np.stack([hop.u, hop.v]), *_every_cell(acc))
-    shape = acc.valid.shape
-    return FlowField(u.reshape(shape), v.reshape(shape), ok.reshape(shape))
+    ok = ok.reshape(acc.valid.shape) & acc.valid
+    u, v = np.where(ok, np.reshape([u, v], (2,) + ok.shape), 0.0)
+    return FlowField(u, v, ok)
