@@ -59,35 +59,31 @@ def _bilinear(stack: np.ndarray, sy: np.ndarray, sx: np.ndarray) -> tuple[np.nda
     return a + fx * (b - a) + fy * (c - a) + fx * fy * (d - c - b + a), inb
 
 
-def backward_warp(
-    stack: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def backward_warp(stack: np.ndarray, cells: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample every (H, W) plane of ``stack`` (shape (..., H, W)) at the
     listed cells moved by their flow, in one ``_bilinear`` call.
 
-    ``cells`` are flat indices into the (H, W) plane, and ``u`` and ``v``
-    the flow at those cells, one entry per cell.  Returns the samples, shape
-    (..., n), and ``ok``, True where the sample lies inside ``stack``;
-    samples that are not ok are zeroed.  A flow warps through another flow
-    as its (u, v) stack (see ``compose_accumulated``).
+    ``cells`` are flat indices into the (H, W) plane, and ``uv`` the flow
+    at those cells, shape (2, n), u then v, as a completed flow lays them
+    out.  Returns the samples, shape (..., n), and ``ok``, True where the
+    sample lies inside ``stack``; samples that are not ok are zeroed.  A
+    flow warps through another flow as its (2, H, W) displacement (see
+    ``compose_accumulated``).
     """
     ys, xs = np.divmod(cells, stack.shape[-1])
-    samples, ok = _bilinear(stack, ys + v, xs + u)
+    samples, ok = _bilinear(stack, ys + uv[1], xs + uv[0])
     return np.where(ok, samples, 0.0), ok
 
 
-def compose_accumulated(
-    hop: np.ndarray, cells: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compose_accumulated(hop: np.ndarray, cells: np.ndarray, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extend an accumulated flow i->r, given at the listed cells as in
     ``backward_warp``, by a completed hop r->r' (its (2, H, W) displacement)
     into i->r' at those cells: the hop is backward-warped through the
-    accumulated flow and added.  Returns the new (u, v) at the cells and
-    ``ok``, True where the sample lies inside the hop; the others hold 0.
+    accumulated flow and added.  Returns the new (2, n) flow at the cells
+    and ``ok``, True where the sample lies inside the hop; the others hold 0.
     """
-    warped, ok = backward_warp(hop, cells, u, v)
-    acc_u, acc_v = np.where(ok, np.stack([u, v]) + warped, 0.0)
-    return acc_u, acc_v, ok
+    warped, ok = backward_warp(hop, cells, uv)
+    return np.where(ok, uv + warped, 0.0), ok
 
 
 def map_flow_to_canvas(flow: FlowField, spec: CanvasSpec) -> FlowField:

@@ -165,14 +165,14 @@ def propagate_direction(
     refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
         if k == 0:
-            u, v = flows[(i, r)].reshape(2, -1)[:, cells]
+            uv = flows[(i, r)].reshape(2, -1)[:, cells]
         else:
             # every frontier cell's path is inside the canvas, so all are ok
-            u, v, _ = compose_accumulated(flows[(refs[k - 1], r)], cells, u, v)
+            uv, _ = compose_accumulated(flows[(refs[k - 1], r)], cells, uv)
             compose_count += 1
             if not cells.size:
                 break
-        warped, inside = backward_warp(stacks[r], cells, u, v)
+        warped, inside = backward_warp(stacks[r], cells, uv)
         warp_count += 1
         # a cell sampled outside the canvas is zeroed, so it fails the
         # threshold, and its path never returns: it leaves the frontier
@@ -183,7 +183,7 @@ def propagate_direction(
             prov.flat[filled] = r
             useful_pull_count += 1
         keep = inside & ~covering
-        cells, u, v = cells[keep], u[keep], v[keep]
+        cells, uv = cells[keep], uv[:, keep]
 
     return PropagationResult(
         latent=ChannelGrid(_sealed(out)),

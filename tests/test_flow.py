@@ -205,8 +205,8 @@ def test_non_finite_invalid_cell_warps_like_any_invalid_cell(plane, value):
     hop = rng.uniform(-1.0, 1.0, (2, 6, 8))
     for warp in (backward_warp, compose_accumulated):
         stack = src if warp is backward_warp else hop
-        *got, ok = warp(stack, cells, *dirty)
-        *want, want_ok = warp(stack, cells, *clean)
+        *got, ok = warp(stack, cells, dirty)
+        *want, want_ok = warp(stack, cells, clean)
         assert want_ok[19] and not ok[19]
         assert all(np.all(g[..., 19] == 0.0) for g in got)
         assert np.array_equal(ok[rest], want_ok[rest])

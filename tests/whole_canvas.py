@@ -15,7 +15,7 @@ from outpaint.grids import BinaryMask, ChannelGrid, FlowField
 
 def _every_cell(flow: FlowField):
     cells = np.arange(flow.height * flow.width)
-    return cells, flow.u.ravel(), flow.v.ravel()
+    return cells, np.stack([flow.u.ravel(), flow.v.ravel()])
 
 
 def warp_grid(src: ChannelGrid, flow: FlowField) -> tuple[ChannelGrid, BinaryMask]:
@@ -34,7 +34,7 @@ def compose_grid(acc: FlowField, hop: FlowField) -> FlowField:
     ``compose_accumulated`` composes."""
     if (acc.height, acc.width) != (hop.height, hop.width):
         raise ValueError("flow dims must match")
-    u, v, ok = compose_accumulated(np.stack([hop.u, hop.v]), *_every_cell(acc))
+    uv, ok = compose_accumulated(np.stack([hop.u, hop.v]), *_every_cell(acc))
     ok = ok.reshape(acc.valid.shape) & acc.valid
-    u, v = np.where(ok, np.reshape([u, v], (2,) + ok.shape), 0.0)
+    u, v = np.where(ok, uv.reshape((2,) + ok.shape), 0.0)
     return FlowField(u, v, ok)
