@@ -9,9 +9,10 @@ weight); anything outside is zeroed and reported rather than clamped, so no
 content is ever fabricated.  ``_bilinear`` is the package's one bilinear
 sampler: it gathers a whole (..., H, W) stack, all channels of a grid or u
 and v of a flow, at sample positions of any shape.  Both warps take a list
-of cells, flat indices into the grid, with the flow given at those cells
-only and no validity: the flows they follow are complete, and propagation
-passes only the cells it can still fill.
+of n cells, flat indices into the grid, and the flow at those cells only as
+one (2, n) array, u then v, the layout of a completed flow, with no
+validity: the flows they follow are complete, and propagation passes only
+the cells it can still fill, never an empty list.
 
 Completion is the harmonic (5-point Laplace) fill of a flow's invalid
 cells, solved exactly: the operator depends only on which cells are valid,

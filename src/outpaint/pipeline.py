@@ -520,7 +520,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
         # optional diffusion sampling
         sampled = None
         if config.mode == "sample":
-            def sample():
+            with clock("sample"):
                 schedule = make_schedule(config.timesteps)
                 plan = plan_windows(n, config.sampler_window, config.sampler_stride)
                 if config.denoiser == "oracle":
@@ -533,10 +533,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 z = reverse_sample(denoiser, propagated, schedule, config.seed, plan=plan)
                 z.flags.writeable = False
                 # as grids inside the stage, so non-finite output fails at `sample`
-                return [ChannelGrid(frame) for frame in z]
-
-            with clock("sample"):
-                sampled = sample()
+                sampled = [ChannelGrid(frame) for frame in z]
 
         per_frame = []
 

@@ -20,8 +20,8 @@ results hold, what is written and what the sampler is conditioned on.
 
 Pulling works on the frontier only: the flat indices of the outpaint cells
 a pull can still fill.  The flow from a frame to its references is held as
-1-D (u, v) arrays over those cells; a pull samples the reference's stack
-there, a farther reference's flow is grown hop by hop with
+one (2, n) array over those n cells, u then v; a pull samples the
+reference's stack there, a farther reference's flow is grown hop by hop with
 ``compose_accumulated``, which resamples the hop there too, and a cell
 leaves the frontier as soon as a pull fills it or samples it outside the
 canvas.  Flows are a plain dict keyed by (src, dst) and arrive completed:
@@ -29,15 +29,16 @@ each is the (2, h, w) displacement, u then v, that
 ``complete_flow_laplacian`` returns on the latent canvas, valid everywhere;
 this module never fills them in.
 
-Pulling toward one direction stops early, and exactly, once the frontier is
-empty: every hop and stack is sampled on the same canvas at the same
+Pulling toward one direction stops once the frontier is empty, before its
+next pull or composition, so no warp sees an empty cell list.  This is
+exact: every hop and stack is sampled on the same canvas at the same
 positions, so a cell whose path has left the canvas can never be filled.
 
 Warp accounting: ``warp_count`` is the number of reference pulls made (one
 stacked warp per (frame, reference) pair) and ``useful_pull_count`` the
-number of those that filled at least one cell.  Flow-composition resampling
-is tracked separately as ``compose_count``; the complexity comparison
-against dense schemes counts content pulls on both sides.
+number of those that filled at least one cell.  ``compose_count`` counts
+flow compositions, each extending a non-empty frontier; the complexity
+comparison against dense schemes counts content pulls on both sides.
 """
 from __future__ import annotations
 
@@ -139,11 +140,12 @@ def propagate_direction(
 
     ``stacks`` are the frames' ``pull_stacks`` at latent resolution;
     ``flows`` maps (src, dst) to the completed (2, h, w) displacements of
-    hop and nearest-ref flows, and a missing pair raises KeyError.  Only the
-    frontier, the outpaint cells a pull can still fill, is tracked: the
-    accumulated flow is held there alone, and a cell leaves the frontier
-    once a pull fills it or samples it outside the canvas.  Pulling stops
-    once the frontier is empty.
+    hop and nearest-ref flows, and a missing pair a pull needs raises
+    KeyError.  Only the frontier, the outpaint cells a pull can still fill,
+    is tracked: the accumulated flow is held there alone, as (2, n), and a
+    cell leaves the frontier once a pull fills it or samples it outside the
+    canvas.  Pulling stops once the frontier is empty, before the next pull
+    or composition.
     """
     n = chain.num_frames
     if not 0 <= i < n:
@@ -164,14 +166,14 @@ def propagate_direction(
 
     refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
+        if not cells.size:
+            break
         if k == 0:
             uv = flows[(i, r)].reshape(2, -1)[:, cells]
         else:
             # every frontier cell's path is inside the canvas, so all are ok
             uv, _ = compose_accumulated(flows[(refs[k - 1], r)], cells, uv)
             compose_count += 1
-            if not cells.size:
-                break
         warped, inside = backward_warp(stacks[r], cells, uv)
         warp_count += 1
         # a cell sampled outside the canvas is zeroed, so it fails the

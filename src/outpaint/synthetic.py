@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import _bilinear
-from .grids import CanvasSpec, ChannelGrid, FlowField, _sealed
+from .grids import CanvasSpec, ChannelGrid, FlowField, _blocks, _sealed
 from .seeding import seeded_generator
 
 
@@ -142,7 +142,7 @@ def stand_in_encode(frame: ChannelGrid, s: int) -> ChannelGrid:
     # one channel at a time so the deltas are one (H, W) plane
     for plane, out in zip(frame.data, latent):
         anchors = plane[::s, ::s]
-        deltas = plane.reshape(h // s, s, w // s, s) - anchors[:, None, :, None]
+        deltas = _blocks(plane, s) - anchors[:, None, :, None]
         np.add(anchors, deltas.mean(axis=(1, 3), dtype=np.float64), out=out)
     return ChannelGrid(_sealed(latent))
 

@@ -399,21 +399,29 @@ def test_early_exit_matches_pulling_every_reference_on_fractional_flows():
     assert sum(made for made, _, _ in counts) < sum(every for _, _, every in counts)
 
 
-def test_composition_sees_only_cells_inside_the_canvas(monkeypatch):
-    # half-cell motion with jittered flows: many band cells' paths leave the
-    # canvas, and each must leave the frontier at the pull that samples it
+@pytest.mark.parametrize("pan", [{}, {"delta_x": 2.0, "jitter": 0.3}], ids=["exact", "jittered"])
+def test_warps_see_only_a_live_frontier_inside_the_canvas(monkeypatch, pan):
+    # pulling stops before any warp or composition on an empty frontier, and
+    # with half-cell motion and jittered flows, where many band cells' paths
+    # leave the canvas, each leaves the frontier at the pull that samples it
     # outside, before any composition
+    sizes = {"backward_warp": [], "compose_accumulated": []}
     oks = []
+    for name, calls in sizes.items():
+        inner = getattr(propagation, name)
 
-    def traced(*args):
-        out = compose_accumulated(*args)
-        oks.append(out[-1])
-        return out
+        def traced(stack, cells, uv, _calls=calls, _inner=inner):
+            _calls.append(cells.size)
+            out = _inner(stack, cells, uv)
+            if _inner is compose_accumulated:
+                oks.append(out[-1])
+            return out
 
-    monkeypatch.setattr(propagation, "compose_accumulated", traced)
-    chain, latents, spec, flows = paper_pan_inputs(delta_x=2.0, jitter=0.3)
+        monkeypatch.setattr(propagation, name, traced)
+    chain, latents, spec, flows = paper_pan_inputs(**pan)
     propagate_sequence(latents, spec, chain, flows)
-    assert oks and all(ok.all() for ok in oks)
+    assert all(calls and min(calls) > 0 for calls in sizes.values())
+    assert all(ok.all() for ok in oks)
 
 
 # the paper's 96x96 -> 96x128 s=4 regime and the 48 -> 64 s=2 translation oracle
