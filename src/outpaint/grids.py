@@ -143,7 +143,9 @@ class FlowField:
             raise ValueError("FlowField planes must be non-empty 2-D arrays")
         if u.shape != v.shape or u.shape != valid.shape:
             raise ValueError("FlowField planes must share one shape")
-        if not (np.all(np.isfinite(u[valid])) and np.all(np.isfinite(v[valid]))):
+        # tested on whole planes: indexing by ``valid`` would copy each one's valid cells
+        invalid = ~valid
+        if not ((np.isfinite(u) | invalid).all() and (np.isfinite(v) | invalid).all()):
             raise ValueError("FlowField u/v must be finite where valid")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -275,9 +277,12 @@ def downscale_flow(flow: FlowField, s: int) -> FlowField:
     count = vb.sum(axis=(1, 3))
     safe = np.maximum(count, 1.0)
     # invalid input cells may hold junk; zero them before summing, so a
-    # block without a valid cell sums to 0.0
-    u_src = np.where(flow.valid, flow.u, 0.0)
-    v_src = np.where(flow.valid, flow.v, 0.0)
+    # block without a valid cell sums to 0.0.  Where every cell is valid
+    # there is nothing to zero, and the planes are summed as they are.
+    u_src, v_src = flow.u, flow.v
+    if not flow.valid.all():
+        u_src = np.where(flow.valid, flow.u, 0.0)
+        v_src = np.where(flow.valid, flow.v, 0.0)
     u = _blocks(u_src, s).sum(axis=(1, 3)) / safe / s
     v = _blocks(v_src, s).sum(axis=(1, 3)) / safe / s
     return FlowField(_sealed(u), _sealed(v), _sealed(count == s * s))

@@ -12,12 +12,15 @@ takes its gray plane, and the frame is dropped.  After propagation (and
 sampling), one pass over the frames writes each frame's propagated, sampled
 and decoded files and scores it, its ground truth built or read for that
 frame alone.  So what a run holds for its whole length is latent-sized
-(latents, completed flows, propagated and sampled latents), plus one frame's
-full-size grids at a time.  Each latent sequence is one (N, C, h, w) array,
-held once: the propagated one is also the sampler's condition, and the
-per-frame grids are views of its rows and of the sampler's result.  A stage
-run inside another, such as a frame's read inside ``chain``, counts toward
-its own time only, so the stage times add up.
+(latents, the hop flows between consecutive references, the references'
+pull stacks, propagated and sampled latents), plus one frame's grids at a
+time: during propagation a non-reference frame's placement and its two
+nearest-reference flows, afterwards its full-size grids.  Each latent
+sequence is one (N, C, h, w) array, held once: the propagated one is also
+the sampler's condition, and the per-frame grids are views of its rows and
+of the sampler's result.  A stage run inside another, such as a frame's
+read inside ``chain``, counts toward its own time only, so the stage times
+add up.
 
 A run is fully determined by its config (including the mandatory seed); all
 artifact files are byte-identical across repeated runs.  Stage wall times are
@@ -53,7 +56,7 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import propagate_sequence, required_flow_pairs
+from .propagation import hop_pairs, propagate_sequence
 from .refselect import STRUCTURE_WINDOW, build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
@@ -218,11 +221,12 @@ class BenchmarkReport:
     """Operation counts and working-set estimate for one run.
 
     ``peak_live_bytes`` is the most grid bytes the run holds at once: the
-    frame being read beside the latents during ``chain``; the latents,
-    completed flows and propagated latents during ``propagate``; afterwards
-    the propagated and sampled latents beside one frame's decoded canvas and
-    ground truth.  Temporaries inside a stage (the chain's moments, the pull
-    stacks) are not counted.
+    frame being read beside the latents during ``chain``; during
+    ``propagate``, the latents, the completed hop flows and the propagated
+    latents beside one non-reference frame's two nearest-reference flows;
+    afterwards the propagated and sampled latents beside one frame's decoded
+    canvas and ground truth.  Temporaries inside a stage (the chain's
+    moments, the pull stacks and a frame's placement) are not counted.
 
     ``warp_count_sequential`` is N(N-1), the pulls of dense per-frame
     accumulation; ``verify`` checks that the guided pulls do not exceed it.
@@ -339,16 +343,29 @@ def _load_inputs(config: PipelineConfig):
     return n, frame, gt, load_flow
 
 
+def _resident_mb() -> float | None:
+    """The process's resident set size in MB, read from /proc/self/statm,
+    or None where that file does not exist."""
+    try:
+        with open("/proc/self/statm", "rb", buffering=0) as f:
+            # the second field is the resident set, in pages
+            return int(f.read().split()[1]) * resource.getpagesize() / (1024.0 * 1024.0)
+    except FileNotFoundError:
+        return None
+
+
 class _StageClock:
     """Times stages: ``with clock("flows"):`` adds the block's wall time to
-    that name and records the process's peak resident set size, in MB, when
-    the name last finished.  A stage run inside another counts toward its
-    own name only.  A block that raises becomes a StageError naming the
-    stage, the innermost one when stages nest."""
+    that name and records, in MB, the process's peak resident set size and,
+    where /proc/self/statm exists, its resident set size when the name last
+    finished.  A stage run inside another counts toward its own name only.
+    A block that raises becomes a StageError naming the stage, the innermost
+    one when stages nest."""
 
     def __init__(self):
         self.times: dict[str, float] = {}
         self.max_rss_mb: dict[str, float] = {}
+        self.rss_mb: dict[str, float] = {}
         self._nested: list[float] = []  # per running stage, the time of stages inside it
 
     @contextlib.contextmanager
@@ -369,6 +386,9 @@ class _StageClock:
         self.times[name] = self.times.get(name, 0.0) + elapsed - nested
         # ru_maxrss is in KiB on Linux
         self.max_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        rss = _resident_mb()
+        if rss is not None:
+            self.rss_mb[name] = rss
 
 
 # glibc's mallopt parameters (malloc.h) and the values its own dynamic
@@ -399,12 +419,15 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
     completed on the latent canvas, encode, propagate.  Frames stream through
     ``chain``: each is read (``inputs``) and encoded (``encode``) when the
-    chain reaches it, and dropped once the chain has its gray plane.
+    chain reaches it, and dropped once the chain has its gray plane.  The
+    hop flows are completed before ``propagate``; each non-reference frame's
+    two nearest-reference flows are completed inside it, just before the
+    frame's pulls, and timed as ``flows``; a failed flow fails ``flows``.
     Returns the function giving frame i's ground truth (or None), the chain,
     the propagated (N, C, h, w) array and the per-frame propagation results
     whose latents are its rows (see ``propagate_sequence``), and the
     verified report, whose ``peak_live_bytes`` is the grid bytes these stages
-    held at their widest point.  The flows and the encoded latents are freed
+    held at their widest point.  The hops and the encoded latents are freed
     when it returns."""
     _reuse_freed_memory()
     spec = config.canvas
@@ -428,19 +451,34 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     with clock("chain"):
         chain = build_reference_chain(map(read, range(n)), config.window)
 
-    flows, residual = {}, 0.0
+    residual = 0.0
+    nearest_bytes = {}  # per non-reference frame, its nearest-reference flows
+
+    def completed(a: int, b: int) -> np.ndarray:
+        """The flow a->b read, placed on the latent canvas and completed."""
+        nonlocal residual
+        try:
+            on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
+            # looked up on the module at call time, so wrapping it there takes effect
+            flow = _flow.complete_flow_laplacian(on_latent)
+        except Exception as exc:
+            raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
+        residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
+        return flow
+
+    def nearest(a: int, b: int) -> np.ndarray:
+        # called inside `propagate`, just before frame a's pulls; the flow is
+        # freed once the frame is fused
+        with clock("flows"):
+            flow = completed(a, b)
+        nearest_bytes[a] = nearest_bytes.get(a, 0) + flow.nbytes
+        return flow
+
+    # every frame composes through the hops, so they are held throughout
     with clock("flows"):
-        for a, b in sorted(required_flow_pairs(chain, n)):
-            try:
-                on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
-                # looked up on the module at call time, so wrapping it there takes effect
-                flow = _flow.complete_flow_laplacian(on_latent)
-            except Exception as exc:
-                raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
-            residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
-            flows[(a, b)] = flow
+        hops = {(a, b): completed(a, b) for a, b in hop_pairs(chain)}
     with clock("propagate"):
-        propagated, results = propagate_sequence(latents, spec, chain, flows)
+        propagated, results = propagate_sequence(latents, spec, chain, hops, nearest)
     report = BenchmarkReport(
         n_frames=n,
         window=chain.window,
@@ -449,10 +487,12 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         # dense per-frame accumulation pulls every other frame
         warp_count_sequential=n * (n - 1),
         compose_count=sum(r.compose_count for r in results),
-        # the last frame read beside every latent, then propagation's inputs and outputs
+        # the last frame read beside every latent, then propagation's inputs
+        # and output beside one frame's nearest-reference flows
         peak_live_bytes=max(
             frame_bytes + _nbytes(latents),
-            _nbytes(latents) + sum(f.nbytes for f in flows.values()) + propagated.nbytes,
+            _nbytes(latents) + sum(f.nbytes for f in hops.values()) + propagated.nbytes
+            + max(nearest_bytes.values(), default=0),
         ),
         useful_pull_count=sum(r.useful_pull_count for r in results),
         completion_max_residual=residual,
@@ -591,10 +631,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Any]:
                 write_json(out / "metrics.json", _json_sanitize(metrics))
             write_json(out / "report.json", report.to_dict())
             if config.write_timings:
-                write_json(
-                    out / "timings.json",
-                    {"wall_time_s": clock.times, "max_rss_mb": clock.max_rss_mb},
-                )
+                timings = {"wall_time_s": clock.times, "max_rss_mb": clock.max_rss_mb}
+                if clock.rss_mb:
+                    timings["rss_mb"] = clock.rss_mb
+                write_json(out / "timings.json", timings)
 
         summary = {
             "status": "complete",

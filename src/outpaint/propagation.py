@@ -16,7 +16,15 @@ supplied it is >= 0.
 ``propagate_sequence`` fuses frame i into row i of one (N, C, h, w) array
 and returns it beside the per-frame results, whose latents are read-only
 views of its rows, so the propagated sequence exists once: it is what the
-results hold, what is written and what the sampler is conditioned on.
+results hold, what is written and what the sampler is conditioned on.  The
+results' provenance maps are likewise rows of one (N, h, w) array.
+
+Propagation holds only what the chain reads.  For the whole run: the
+references' stacks and the hops, the flows between consecutive references
+both ways, which every frame composes through.  For one frame at a time: a
+non-reference frame's own placement and its flows to its two nearest
+references, each read by that frame alone, which are built just before its
+pulls and dropped once it is fused.
 
 Pulling works on the frontier only: the flat indices of the outpaint cells
 a pull can still fill.  The flow from a frame to its references is held as
@@ -24,10 +32,9 @@ one (2, n) array over those n cells, u then v; a pull samples the
 reference's stack there, a farther reference's flow is grown hop by hop with
 ``compose_accumulated``, which resamples the hop there too, and a cell
 leaves the frontier as soon as a pull fills it or samples it outside the
-canvas.  Flows are a plain dict keyed by (src, dst) and arrive completed:
-each is the (2, h, w) displacement, u then v, that
-``complete_flow_laplacian`` returns on the latent canvas, valid everywhere;
-this module never fills them in.
+canvas.  Flows are keyed by (src, dst) and arrive completed: each is the
+(2, h, w) displacement, u then v, that ``complete_flow_laplacian`` returns
+on the latent canvas, valid everywhere; this module never fills them in.
 
 Pulling toward one direction stops once the frontier is empty, before its
 next pull or composition, so no warp sees an empty cell list.  This is
@@ -43,7 +50,7 @@ comparison against dense schemes counts content pulls on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -58,20 +65,25 @@ COVERAGE_THRESHOLD = 0.999
 Direction = Literal["past", "future"]
 
 
-def required_flow_pairs(chain: ReferenceChain, num_frames: int) -> set[tuple[int, int]]:
-    """Flow pairs propagation needs: consecutive-reference hops in both
-    orientations plus each non-reference frame's nearest-ref flows."""
-    pairs: set[tuple[int, int]] = set()
+def hop_pairs(chain: ReferenceChain) -> list[tuple[int, int]]:
+    """The hops, in pair order: each pair of consecutive references, both ways."""
     refs = chain.indices
-    for a, b in zip(refs, refs[1:]):
-        pairs.add((a, b))
-        pairs.add((b, a))
+    return sorted([*zip(refs, refs[1:]), *zip(refs[1:], refs)])
+
+
+def nearest_pairs(chain: ReferenceChain, i: int) -> list[tuple[int, int]]:
+    """Frame ``i``'s flows to its past and future nearest references; none
+    for a reference, whose first pulls are hops."""
+    past, future = nearest_refs(chain, i)
+    return [] if past == i else [(i, past), (i, future)]
+
+
+def required_flow_pairs(chain: ReferenceChain, num_frames: int) -> set[tuple[int, int]]:
+    """Flow pairs propagation needs: the hops plus each non-reference
+    frame's nearest-reference flows."""
+    pairs = set(hop_pairs(chain))
     for i in range(num_frames):
-        past, future = nearest_refs(chain, i)
-        if past != i:
-            pairs.add((i, past))
-        if future != i:
-            pairs.add((i, future))
+        pairs.update(nearest_pairs(chain, i))
     return pairs
 
 
@@ -108,37 +120,42 @@ def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[i
     return [r for r in chain.indices if r > i]
 
 
-def pull_stacks(latents: Sequence[ChannelGrid], spec: CanvasSpec) -> list[np.ndarray]:
-    """Each latent placed on the canvas of ``spec``, 0 off its source
-    region, with the source mask all frames share stacked beneath it as a
-    last plane: 1 on the source region, 0 on the outpaint band.  Each latent
-    is placed straight into its own stack.  A pull gathers one such stack in
-    one bilinear evaluation.  Every latent must have the first one's channel
-    count and the original size of ``spec``."""
+def _placed(z: ChannelGrid, spec: CanvasSpec, channels: int) -> np.ndarray:
+    """The stack of one latent with ``channels`` channels (``pull_stacks``)."""
+    shape = (channels, spec.orig_h, spec.orig_w)
+    if z.data.shape != shape:
+        raise ValueError(f"latent shape is {z.data.shape}, expected {shape}")
     ys, xs = spec.source_slices
-    shape = (latents[0].channels, spec.orig_h, spec.orig_w)
-    stacks = []
-    for z in latents:
-        if z.data.shape != shape:
-            raise ValueError(f"latent shape is {z.data.shape}, expected {shape}")
-        stack = np.zeros((z.channels + 1, spec.canvas_h, spec.canvas_w))
-        stack[:-1, ys, xs] = z.data
-        # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
-        stack[-1, ys, xs] = 1.0
-        stacks.append(stack)
-    return stacks
+    stack = np.zeros((channels + 1, spec.canvas_h, spec.canvas_w))
+    stack[:-1, ys, xs] = z.data
+    # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
+    stack[-1, ys, xs] = 1.0
+    return stack
+
+
+def pull_stacks(latents: Sequence[ChannelGrid], spec: CanvasSpec) -> list[np.ndarray]:
+    """Each latent placed straight into its own stack on the canvas of
+    ``spec``: its channels, 0 off its source region, over the source mask
+    all frames share, 1 on the source region and 0 on the outpaint band.  A
+    pull gathers one such stack in one bilinear evaluation;
+    ``propagate_sequence`` builds them for the chain's references only.
+    Every latent must have the first one's channel count and the original
+    size of ``spec``."""
+    return [_placed(z, spec, latents[0].channels) for z in latents]
 
 
 def propagate_direction(
     i: int,
     chain: ReferenceChain,
-    stacks: Sequence[np.ndarray],
-    flows: dict[tuple[int, int], np.ndarray],
+    stacks: Mapping[int, np.ndarray],
+    flows: Mapping[tuple[int, int], np.ndarray],
     direction: Direction,
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
-    ``stacks`` are the frames' ``pull_stacks`` at latent resolution;
+    ``stacks`` maps a frame index to its ``pull_stacks`` stack at latent
+    resolution: frame ``i``'s own, which supplies its source region and
+    band, and each reference's toward ``direction`` must be there.
     ``flows`` maps (src, dst) to the completed (2, h, w) displacements of
     hop and nearest-ref flows, and a missing pair a pull needs raises
     KeyError.  Only the frontier, the outpaint cells a pull can still fill,
@@ -147,13 +164,14 @@ def propagate_direction(
     canvas.  Pulling stops once the frontier is empty, before the next pull
     or composition.
     """
-    n = chain.num_frames
-    if not 0 <= i < n:
+    if not 0 <= i < chain.num_frames:
         raise ValueError(f"frame index {i} out of range")
-    if len(stacks) != n:
-        raise ValueError("need one latent per frame")
     if direction not in ("past", "future"):
         raise ValueError(f"unknown direction {direction!r}")
+    refs = _refs_outward(chain, i, direction)
+    missing = [f for f in (i, *refs) if f not in stacks]
+    if missing:
+        raise ValueError(f"no pull stack for frames {missing}")
 
     own = stacks[i]
     out = own[:-1].copy()
@@ -164,7 +182,6 @@ def propagate_direction(
     compose_count = 0
     useful_pull_count = 0
 
-    refs = _refs_outward(chain, i, direction)
     for k, r in enumerate(refs):
         if not cells.size:
             break
@@ -235,28 +252,47 @@ def fuse_directions(
     )
 
 
+def _checked(pair: tuple[int, int], flow, shape: tuple[int, int, int]) -> np.ndarray:
+    """``flow``, if it is a displacement array of ``shape``."""
+    if not (isinstance(flow, np.ndarray) and flow.shape == shape):
+        a, b = pair
+        raise ValueError(f"flow {a}->{b} must be a {shape} displacement array on the latent canvas")
+    return flow
+
+
 def propagate_sequence(
     latents: Sequence[ChannelGrid],
     spec: CanvasSpec,
     chain: ReferenceChain,
-    flows: dict[tuple[int, int], np.ndarray],
+    hops: dict[tuple[int, int], np.ndarray],
+    nearest_flow: Callable[[int, int], np.ndarray],
 ) -> tuple[np.ndarray, list[PropagationResult]]:
     """Full propagation driver: place latents on the latent canvas, pull in
     both directions per frame, and fuse.
 
     ``latents`` are original-resolution latent grids (orig dims / s); every
-    frame shares the outpaint mask of ``spec.latent()``; ``flows`` maps
-    (src, dst) to completed (2, h, w) displacements on that canvas, and any
-    other value raises ValueError naming the pair.  Pulls
-    write only uncovered outpaint cells, so each result keeps the frame's
-    own values on its source region and 0 on cells no reference reached.
-    A failed pull is re-raised as RuntimeError naming the frame and the
-    direction.
+    frame shares the outpaint mask of ``spec.latent()``.  Flows are
+    completed (2, h, w) displacements on that canvas, and any other value
+    raises ValueError naming the pair.  ``hops`` maps each of
+    ``hop_pairs(chain)`` to its flow and is held for the whole run;
+    ``nearest_flow(a, b)`` gives the flow from a non-reference frame ``a``
+    to a nearest reference ``b`` (``nearest_pairs``).  It is called once
+    per pair, just before frame ``a``'s first pull and after the frame
+    before it is fused, outside the per-direction error wrapping, so its
+    own errors pass through unchanged.  ``pull_stacks`` runs once, for the
+    references; a non-reference frame's placement and its two nearest
+    flows are held while it is pulled and fused, and dropped then.
+
+    Pulls write only uncovered outpaint cells, so each result keeps the
+    frame's own values on its source region and 0 on cells no reference
+    reached.  A failed pull is re-raised as RuntimeError naming the frame
+    and the direction.
 
     Returns the propagated sequence as one float64 (N, C, h, w) array,
     frame i fused into row i and read-only once every frame is fused, and
     the per-frame results, whose latents are views of their rows: the
-    sequence is held once, and the array can be handed on whole.
+    sequence is held once, and the array can be handed on whole.  Their
+    provenance maps are the rows of one read-only (N, h, w) array.
     """
     n = len(latents)
     if n < 1:
@@ -265,23 +301,40 @@ def propagate_sequence(
         raise ValueError("chain and latents must agree on frame count")
     lat = spec.latent()
     shape = (2, lat.canvas_h, lat.canvas_w)
-    for (a, b), flow in flows.items():
-        if not (isinstance(flow, np.ndarray) and flow.shape == shape):
-            raise ValueError(f"flow {a}->{b} must be a {shape} displacement array on the latent canvas")
-    stacks = pull_stacks(latents, lat)
+    for pair, flow in hops.items():
+        _checked(pair, flow, shape)
+    channels = latents[0].channels
+    stacks = dict(zip(chain.indices, pull_stacks([latents[r] for r in chain.indices], lat)))
 
-    fused = np.empty((n, latents[0].channels, lat.canvas_h, lat.canvas_w))
-    rest = []  # each frame's PropagationResult fields after its latent
+    # every frame's latent and provenance go into rows made up front: kept
+    # arrays allocated frame by frame, among each frame's placement and
+    # nearest flows, would fragment the heap (on a 12-frame 1080p pan the
+    # scoring pass then peaked 7 MB higher)
+    fused = np.empty((n, channels, lat.canvas_h, lat.canvas_w))
+    provenance = np.empty((n, lat.canvas_h, lat.canvas_w), np.int32)
+    counts = []  # each frame's warp, compose and useful pull counts
     for i in range(n):
         past_ref, future_ref = nearest_refs(chain, i)
+        # a non-reference frame's placement and nearest-reference flows are
+        # read by it alone: built just before its pulls, and let go here,
+        # before the next frame's are built
+        frame_stacks, flows = stacks, hops
+        if past_ref != i:
+            frame_stacks = stacks | {i: _placed(latents[i], lat, channels)}
+            near = nearest_pairs(chain, i)
+            flows = hops | {pair: _checked(pair, nearest_flow(*pair), shape) for pair in near}
         pulled = {}
         for direction in ("past", "future"):
             try:
-                pulled[direction] = propagate_direction(i, chain, stacks, flows, direction)
+                pulled[direction] = propagate_direction(i, chain, frame_stacks, flows, direction)
             except Exception as exc:
                 raise RuntimeError(f"frame {i} {direction}: {exc}") from exc
         res = fuse_directions(pulled["past"], pulled["future"], i - past_ref, future_ref - i)
         fused[i] = res.latent.data
-        rest.append((res.provenance, res.warp_count, res.compose_count, res.useful_pull_count))
+        provenance[i] = res.provenance
+        counts.append((res.warp_count, res.compose_count, res.useful_pull_count))
     fused.flags.writeable = False
-    return fused, [PropagationResult(ChannelGrid(row), *r) for row, r in zip(fused, rest)]
+    provenance.flags.writeable = False
+    return fused, [
+        PropagationResult(ChannelGrid(row), prov, *c) for row, prov, c in zip(fused, provenance, counts)
+    ]

@@ -86,6 +86,26 @@ def test_flow_allows_junk_on_invalid_cells():
     assert f.u[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("plane", [0, 1], ids=["u", "v"])
+def test_flow_must_be_finite_where_valid(tmp_path, plane, value):
+    valid = np.array([[True, False]])
+    planes = [np.zeros((1, 2)), np.zeros((1, 2))]
+    planes[plane][0, 0] = value
+    with pytest.raises(ValueError, match="finite where valid"):
+        FlowField(*planes, valid)
+    # a file holding such a flow: the payload is the float32 u, v and valid
+    # planes, so overwrite the first valid cell of the plane in a good one
+    path = tmp_path / "f.s2sg"
+    write_grid(path, FlowField(np.zeros((1, 2)), np.zeros((1, 2)), valid))
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 3 * 2 * 4 + plane * 2 * 4
+    raw[at:at + 4] = np.float32(value).astype("<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(GridFormatError, match="finite where valid"):
+        read_grid(path)
+
+
 def test_grids_are_immutable():
     g = ChannelGrid(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
@@ -162,7 +182,7 @@ def producer_inputs():
         for a, b in required_flow_pairs(chain, 4)
     }
     ramp = FlowField(np.arange(64.0).reshape(8, 8) / 64.0, np.zeros((8, 8)), np.ones((8, 8), dtype=bool))
-    stacks = pull_stacks(latents, spec.latent())
+    stacks = dict(enumerate(pull_stacks(latents, spec.latent())))
     return SimpleNamespace(
         spec=spec,
         scene_config=scene_config,
@@ -189,7 +209,9 @@ PRODUCERS = {
     "propagate_direction": lambda p: propagate_direction(1, p.chain, p.stacks, p.flows, "future"),
     "fuse_directions": lambda p: fuse_directions(p.past, p.future, 1, 1),
     "PropagationResult.coverage": lambda p: p.past.coverage,
-    "propagate_sequence": lambda p: propagate_sequence(p.latents, p.spec, p.chain, p.flows),
+    "propagate_sequence": lambda p: propagate_sequence(
+        p.latents, p.spec, p.chain, p.flows, lambda a, b: p.flows[a, b]
+    ),
 }
 
 
@@ -238,19 +260,37 @@ def test_completion_returns_one_sealed_displacement(producer_inputs, flow):
 
 
 def test_propagate_stages_hand_the_completed_flows_on(producer_inputs, monkeypatch):
-    completed, handed = [], []
-    complete, propagate = pipeline._flow.complete_flow_laplacian, pipeline.propagate_sequence
+    completed, hops, nearest, handed = [], [], [], []
+    complete, propagate, direction = (
+        pipeline._flow.complete_flow_laplacian, pipeline.propagate_sequence, propagation.propagate_direction
+    )
     monkeypatch.setattr(
         pipeline._flow, "complete_flow_laplacian", lambda f: completed.append(complete(f)) or completed[-1]
     )
-    monkeypatch.setattr(pipeline, "propagate_sequence", lambda *args: handed.append(args[3]) or propagate(*args))
+
+    def spy_sequence(latents, spec, chain, given_hops, nearest_flow):
+        hops.append((list(completed), given_hops))
+        spied = lambda a, b: nearest.append(nearest_flow(a, b)) or nearest[-1]
+        return propagate(latents, spec, chain, given_hops, spied)
+
+    def spy_direction(i, chain, stacks, flows, way):
+        handed.append(flows)
+        return direction(i, chain, stacks, flows, way)
+
+    monkeypatch.setattr(pipeline, "propagate_sequence", spy_sequence)
+    monkeypatch.setattr(propagation, "propagate_direction", spy_direction)
     p = producer_inputs
     config = PipelineConfig(seed=3, canvas=p.spec, window=2, scene=p.scene_config)
     pipeline._propagate_stages(config, pipeline._StageClock())
-    [flows] = handed
-    assert len(completed) == len(flows) > 0
-    # the very arrays completion returned, in pair order: none was copied
-    assert all(f is c for f, c in zip(flows.values(), completed, strict=True))
+    [(before, given)] = hops
+    assert 0 < len(given) < len(completed) and len(nearest) > 0
+    # the hops, completed up front in pair order, then each frame's nearest
+    # flows: the very arrays completion returned, none of them copied
+    assert list(given) == propagation.hop_pairs(p.chain)
+    assert all(f is c for f, c in zip(given.values(), before, strict=True))
+    assert all(f is c for f, c in zip(nearest, completed[len(given):], strict=True))
+    # and each reaches the pulls as it is
+    assert all(any(f is g for flows in handed for g in flows.values()) for f in completed)
 
 
 class TestCanvasSpec:

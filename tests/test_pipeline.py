@@ -28,7 +28,7 @@ from outpaint.pipeline import (
     write_benchmark_csv,
     write_json,
 )
-from outpaint.propagation import required_flow_pairs
+from outpaint.propagation import hop_pairs, nearest_pairs, required_flow_pairs
 from outpaint.refselect import ReferenceChain, build_reference_chain
 from outpaint.synthetic import generate_scene, stand_in_encode
 from scene_frames import scene_frames
@@ -47,6 +47,13 @@ def pan_config(out_dir, seed=7, n_frames=16, mode="propagate", **overrides):
     )
     cfg.update(overrides)
     return PipelineConfig(**cfg)
+
+
+def flows_held(chain: ReferenceChain) -> int:
+    """The flows propagation holds at once: every hop, and one
+    non-reference frame's nearest-reference flows."""
+    n = chain.num_frames
+    return len(hop_pairs(chain)) + max(len(nearest_pairs(chain, i)) for i in range(n))
 
 
 def tree_digest(root: Path, exclude=()) -> dict[str, str]:
@@ -77,19 +84,26 @@ def write_file_scene(root: Path, cfg: PipelineConfig, gt: bool = False) -> Pipel
     return replace(cfg, scene=None, inputs=inputs)
 
 
-def run_with_bad_flow_1_to_0(tmp_path, bad_flow):
-    """Run a 3-frame file-driven still scene whose flow 1->0 file holds
-    ``bad_flow``; return the StageError and the summary it left."""
+# in the 3-frame chain [0, 2], 1->0 is frame 1's nearest-reference flow,
+# completed just before its pulls, and 2->0 a hop, completed up front
+BAD_FLOW_PAIRS = pytest.mark.parametrize("pair", [(1, 0), (2, 0)], ids=["nearest", "hop"])
+
+
+def run_with_bad_flow(tmp_path, pair, bad_flow):
+    """Run a 3-frame file-driven still scene, whose chain is [0, 2], with
+    the file of flow ``pair`` holding ``bad_flow``, or missing where it is
+    None; return the StageError and the summary it left."""
     spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
     traj = SceneConfig(n_frames=3, start_y=24.0, start_x=24.0)
     scene = generate_scene(3, 96, 96, 48, 48, 3, traj, spec)
     for i in range(3):
         write_grid(tmp_path / "frames" / f"frame_{i:04d}.s2sg", scene.frame(i))
-    pairs = required_flow_pairs(build_reference_chain(scene_frames(scene), 4), 3)
-    assert (1, 0) in pairs
-    for a, b in pairs:
-        flow = bad_flow if (a, b) == (1, 0) else scene.gt_flow(a, b)
-        write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", flow)
+    chain = build_reference_chain(scene_frames(scene), 4)
+    assert chain.indices == (0, 2)
+    for a, b in required_flow_pairs(chain, 3):
+        flow = bad_flow if (a, b) == pair else scene.gt_flow(a, b)
+        if flow is not None:
+            write_grid(tmp_path / "flows" / f"flow_{a:04d}_to_{b:04d}.s2sg", flow)
     cfg = PipelineConfig(
         seed=3,
         canvas=spec,
@@ -338,6 +352,22 @@ class TestRunPipeline:
         assert set(timings["wall_time_s"]) == set(timings["max_rss_mb"]) == stages
         assert all(mb > 0 for mb in timings["max_rss_mb"].values())
 
+    @pytest.mark.parametrize("mode", ["propagate", "sample"])
+    def test_timings_record_the_resident_set_after_each_stage(self, tmp_path, mode):
+        run_pipeline(pan_config(tmp_path, n_frames=4, mode=mode, timesteps=3, write_timings=True))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        if not Path("/proc/self/statm").exists():
+            assert "rss_mb" not in timings
+            return
+        # one value per stage that ran
+        assert set(timings["rss_mb"]) == set(timings["wall_time_s"])
+        assert all(mb > 0 for mb in timings["rss_mb"].values())
+
+    def test_timings_leave_out_the_resident_set_where_it_cannot_be_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_resident_mb", lambda: None)
+        run_pipeline(pan_config(tmp_path, n_frames=4, write_timings=True))
+        assert set(json.loads((tmp_path / "timings.json").read_text())) == {"wall_time_s", "max_rss_mb"}
+
     def test_nested_stage_counts_toward_its_own_name_only(self, monkeypatch):
         now = [0.0]
         monkeypatch.setattr(pipeline.time, "perf_counter", lambda: now[0])
@@ -550,10 +580,21 @@ class TestRunPipeline:
         assert err.value.stage == "chain"
         assert str(err.value.cause) == "frame 0: plane is 4x4, smaller than the 8x8 local window"
 
-    def test_wrong_size_flow_error_names_the_file(self, tmp_path):
-        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField.constant(40, 48, 0.0, 0.0))
+    @BAD_FLOW_PAIRS
+    def test_wrong_size_flow_error_names_the_file(self, tmp_path, pair):
+        a, b = pair
+        err, summary = run_with_bad_flow(tmp_path, pair, FlowField.constant(40, 48, 0.0, 0.0))
         assert err.stage == "flows"
-        assert "flow_0001_to_0000.s2sg" in summary["error"]
+        assert f"flow_{a:04d}_to_{b:04d}.s2sg" in summary["error"]
+
+    def test_missing_nearest_flow_file_fails_at_flows(self, tmp_path):
+        err, summary = run_with_bad_flow(tmp_path, (1, 0), None)
+        path = tmp_path / "flows" / "flow_0001_to_0000.s2sg"
+        assert err.stage == "flows"
+        assert summary["failed_stage"] == "flows"
+        assert summary["error"] == f"flow 1->0: missing flow file {path}"
+        # as for any flow failure, nothing but the config and the summary
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.json", "summary.json"]
 
     def test_file_driven_flows(self, tmp_path):
         spec = CanvasSpec(48, 48, 48, 64, 0, 16, downsample=2)
@@ -578,14 +619,16 @@ class TestRunPipeline:
         assert summary["status"] == "complete"
         assert summary["chain"] == list(chain.indices)
 
-    def test_flow_failure_names_the_pair(self, tmp_path):
+    @BAD_FLOW_PAIRS
+    def test_flow_failure_names_the_pair(self, tmp_path, pair):
+        a, b = pair
         # no valid cell: nothing to complete the band from
-        err, summary = run_with_bad_flow_1_to_0(tmp_path, FlowField(*np.zeros((3, 48, 48))))
+        err, summary = run_with_bad_flow(tmp_path, pair, FlowField(*np.zeros((3, 48, 48))))
         assert err.stage == "flows"
-        assert "flow 1->0: " in str(err)
+        assert f"flow {a}->{b}: " in str(err)
         assert isinstance(err.cause.__cause__, ValueError)
         assert summary["failed_stage"] == "flows"
-        assert summary["error"] == "flow 1->0: flow completion needs at least one known cell"
+        assert summary["error"] == f"flow {a}->{b}: flow completion needs at least one known cell"
 
 
     def test_sample_stage_holds_two_sequences_and_one_window(self, tmp_path, monkeypatch):
@@ -683,13 +726,65 @@ class TestBenchmark:
             # canvas (float64 u and v)
             frame = 3 * 8 * 16 * 16
             latents, placed = (n * 3 * 8 * cells for cells in (8 * 8, 8 * 16))
-            flows = len(required_flow_pairs(chain, n)) * 8 * 16 * (8 + 8)
+            flows = flows_held(chain) * 8 * 16 * (8 + 8)
             # chain holds the frame being read beside the latents; propagate
-            # holds the latents, the completed flows and the placed latents
+            # holds the latents, the completed hops, one frame's nearest
+            # flows and the placed latents
             in_chain, in_propagate = frame + latents, latents + flows + placed
             # a single frame has no flows, and its frame outweighs its latents
             assert (in_chain > in_propagate) == (n == 1)
             assert report.peak_live_bytes == max(in_chain, in_propagate)
+
+    def test_propagation_builds_only_what_the_chain_reads_when_it_reads_it(self, tmp_path, monkeypatch):
+        # one log of the flows read and completed, the stacks built, the
+        # pulls made and the frames fused, in the order they happen
+        log, seen = [], {}
+
+        def spy(owner, name, entry):
+            inner = getattr(owner, name)
+
+            def wrapped(*args):
+                log.append(entry(*args))
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        load = pipeline._load_inputs
+
+        def load_logged(config):
+            n, frame, gt, flow = load(config)
+            return n, frame, gt, lambda a, b: log.append(("read", a, b)) or flow(a, b)
+
+        monkeypatch.setattr(pipeline, "_load_inputs", load_logged)
+        spy(pipeline._flow, "complete_flow_laplacian", lambda flow: ("complete",))
+        spy(propagation, "pull_stacks", lambda latents, spec: ("stacks", list(latents)))
+        spy(propagation, "propagate_direction", lambda i, *rest: ("pull", i))
+        spy(propagation, "fuse_directions", lambda *args: ("fused",))
+        spy(pipeline, "propagate_sequence", lambda latents, *rest: seen.update(latents=latents) or ("propagate",))
+        _, chain, _, _, _ = pipeline._propagate_stages(pan_config(tmp_path, n_frames=8), pipeline._StageClock())
+        n, refs = 8, chain.indices
+        assert len(refs) < n
+
+        # stacks are built once, for the references' latents only
+        [stacks] = [e for e in log if e[0] == "stacks"]
+        assert len(stacks[1]) == len(refs)
+        assert all(z is seen["latents"][r] for z, r in zip(stacks[1], refs))
+        # every flow read is completed there and then, and read once
+        reads = [k for k, e in enumerate(log) if e[0] == "read"]
+        assert all(log[k + 1] == ("complete",) for k in reads)
+        assert len([e for e in log if e[0] == "complete"]) == len(reads)
+        at = {log[k][1:]: k for k in reads}
+        assert len(at) == len(reads) and set(at) == required_flow_pairs(chain, n)
+        # the hops before the first pull
+        first_pull = min(k for k, e in enumerate(log) if e[0] == "pull")
+        assert all(at[pair] < first_pull for pair in hop_pairs(chain))
+        # each nearest flow after the frame before it is fused, before its own first pull
+        fused = [k for k, e in enumerate(log) if e == ("fused",)]
+        assert len(fused) == n
+        for i in range(n):
+            own_first_pull = log.index(("pull", i))
+            for pair in nearest_pairs(chain, i):
+                assert fused[i - 1] < at[pair] < own_first_pull
 
     def test_shared_stages_free_what_no_later_stage_reads(self, tmp_path, monkeypatch):
         frames, refs = [], []
@@ -741,9 +836,9 @@ class TestBenchmark:
         frame, canvas, latent, placed = (
             3 * 8 * cells for cells in (48 * 48, 48 * 64, 24 * 24, 24 * 32)
         )
-        flows = len(required_flow_pairs(chain, n_frames)) * 24 * 32 * (8 + 8)
+        flows = flows_held(chain) * 24 * 32 * (8 + 8)
         # chain: the frame being read and the latents; propagate: the
-        # latents, flows and placed latents
+        # latents, the hops, one frame's nearest flows and placed latents
         shared = max(frame + n_frames * latent, n_frames * (latent + placed) + flows)
         # placed and sampled latents, one decoded frame and its ground truth
         later = n_frames * placed * (2 if mode == "sample" else 1) + canvas + canvas
@@ -773,9 +868,9 @@ class TestBenchmark:
             run_pipeline(pan_config(out, n_frames=n))
             peaks[n] = json.loads((out / "report.json").read_text())["peak_live_bytes"]
             chain = ReferenceChain(**json.loads((out / "chain.json").read_text()))
-            pairs[n] = len(required_flow_pairs(chain, n))
+            pairs[n] = flows_held(chain)
         # six more latents (24x24) and placed latents (24x32) of 3 float64
-        # planes, and the extra flows on the 24x32 latent canvas
+        # planes, and the extra hops on the 24x32 latent canvas
         latents = 6 * 3 * 8 * (24 * 24 + 24 * 32)
         flows = (pairs[12] - pairs[6]) * 24 * 32 * (8 + 8)
         assert peaks[12] - peaks[6] == latents + flows

@@ -16,6 +16,7 @@ from outpaint.propagation import (
     PropagationResult,
     fuse_directions,
     propagate_direction,
+    hop_pairs,
     propagate_sequence,
     pull_stacks,
     required_flow_pairs,
@@ -97,7 +98,7 @@ def strip_world(num_frames=5, width=8, src=(3, 6)):
     spec = CanvasSpec(1, src[1] - src[0], 1, width, 0, src[0])
     frames = [ChannelGrid(np.full((1, 1, src[1] - src[0]), 10.0 + r)) for r in range(num_frames)]
     latents = [place_on_canvas(z, spec) for z in frames]
-    return latents, make_outpaint_mask(spec), pull_stacks(frames, spec)
+    return latents, make_outpaint_mask(spec), dict(enumerate(pull_stacks(frames, spec)))
 
 
 class TestPropagateDirection:
@@ -128,6 +129,17 @@ class TestPropagateDirection:
         expect_vals = np.array([[14.0, 12.0, 12.0, 10.0, 10.0, 10.0, 0.0, 0.0]])
         assert np.array_equal(res.latent.data[0], expect_vals)
 
+    def test_needs_the_stacks_of_the_frame_and_its_references(self):
+        latents, mask, stacks = strip_world()
+        chain = self.make_chain()
+        # frame 1 pulls from 2 and 4 toward the future; 0 and 3 are not needed
+        needed = {f: stacks[f] for f in (1, 2, 4)}
+        still = {(1, 2): np.zeros((2, 1, 8)), (2, 4): np.zeros((2, 1, 8))}
+        assert propagate_direction(1, chain, needed, still, "future").warp_count == 2
+        for f in needed:
+            with pytest.raises(ValueError, match=rf"no pull stack for frames \[{f}\]"):
+                propagate_direction(1, chain, {g: st for g, st in needed.items() if g != f}, {}, "future")
+
     def test_missing_flow_raises_with_the_pair(self):
         latents, mask, stacks = strip_world()
         with pytest.raises(KeyError) as err:
@@ -151,7 +163,7 @@ class TestPropagateSequence:
         spec = CanvasSpec(1, 2, 1, 6, 0, 2)
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        _, out = propagate_sequence([latent], spec, chain, {})
+        _, out = propagate_sequence([latent], spec, chain, {}, lambda a, b: {}[a, b])
         assert sum(r.warp_count for r in out) == 0
         assert np.array_equal(out[0].latent.data[0, 0, 2:4], [5.0, 7.0])
 
@@ -170,7 +182,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
         f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
@@ -191,7 +203,7 @@ class TestPropagateSequence:
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
         placed_source = out[0].latent.data[:, :, 2:6]
@@ -209,11 +221,23 @@ class TestPropagateSequence:
         chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
         src_valid = ~mask.data
         zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid))
-        flows = {pair: zero for pair in required_flow_pairs(chain, 10)}
-        del flows[(2, 0)]
-        with pytest.raises(RuntimeError, match="frame 2 past: ") as err:
-            propagate_sequence(latents, spec, chain, flows)
+        hops = {pair: zero for pair in hop_pairs(chain)}
+        # a missing hop fails the first pull that needs it, frame 4's past one
+        del hops[(4, 0)]
+        with pytest.raises(RuntimeError, match="frame 4 past: ") as err:
+            propagate_sequence(latents, spec, chain, hops, lambda a, b: zero)
         assert isinstance(err.value.__cause__, KeyError)
+        # a nearest flow is built outside the pulls: its error passes through
+        hops[(4, 0)] = zero
+
+        def nearest(a, b):
+            if (a, b) == (2, 0):
+                raise KeyError((a, b))
+            return zero
+
+        with pytest.raises(KeyError) as err:
+            propagate_sequence(latents, spec, chain, hops, nearest)
+        assert err.value.args == ((2, 0),)
 
     @pytest.mark.parametrize(
         "bad", [FlowField.constant(4, 8, 0.0, 0.0), np.zeros((2, 8, 16))], ids=["FlowField", "pixel_size"]
@@ -226,7 +250,11 @@ class TestPropagateSequence:
         flows = {pair: np.zeros((2, 4, 8)) for pair in required_flow_pairs(chain, 3)}
         flows[(2, 0)] = bad
         with pytest.raises(ValueError, match=r"flow 2->0 must be a \(2, 4, 8\) displacement"):
-            propagate_sequence(latents, spec, chain, flows)
+            propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+        # a nearest-reference flow is checked as it is given
+        hops = {pair: np.zeros((2, 4, 8)) for pair in hop_pairs(chain)}
+        with pytest.raises(ValueError, match=r"flow 1->0 must be a \(2, 4, 8\) displacement"):
+            propagate_sequence(latents, spec, chain, hops, lambda a, b: bad)
 
     def test_source_preservation_with_motion(self):
         w0, w1, w2 = 0.2, 0.5, 0.8
@@ -242,7 +270,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows)
+        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
         for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
@@ -263,20 +291,25 @@ class TestPropagateSequence:
 
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
-        _, out_sparse = propagate_sequence(latents, spec, sparse, flows_for(sparse))
-        _, out_dense = propagate_sequence(latents, spec, dense, flows_for(dense))
+        flows_sparse, flows_dense = flows_for(sparse), flows_for(dense)
+        _, out_sparse = propagate_sequence(latents, spec, sparse, flows_sparse, lambda a, b: flows_sparse[a, b])
+        _, out_dense = propagate_sequence(latents, spec, dense, flows_dense, lambda a, b: flows_dense[a, b])
         for rs, rd in zip(out_sparse, out_dense):
             assert np.all(rd.coverage.data >= rs.coverage.data)
 
 
     def test_results_are_rows_of_one_read_only_array(self):
         chain, latents, spec, flows = paper_pan_inputs(n=6)
-        fused, out = propagate_sequence(latents, spec, chain, flows)
+        fused, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
         assert fused.shape == (6, 3, 24, 32) and fused.dtype == np.float64
         assert not fused.flags.writeable
         for i, res in enumerate(out):
             assert res.latent.data.base is fused
             assert res.latent.data.ctypes.data == fused[i].ctypes.data
+        # and the provenance maps are the rows of one more
+        provenance = out[0].provenance.base
+        assert provenance.shape == (6, 24, 32) and not provenance.flags.writeable
+        assert all(res.provenance.base is provenance for res in out)
 
 
 class TestPullStacks:
@@ -368,7 +401,7 @@ def early_exit_against_every_pull(chain, latents, spec, flows):
     """Propagate every frame both ways, assert the result equals pulling
     every reference, and return the (pulls made, useful pulls, pulls
     without the exit) of each frame and direction."""
-    stacks = pull_stacks(latents, spec)
+    stacks = dict(enumerate(pull_stacks(latents, spec)))
     latents, mask = [place_on_canvas(z, spec) for z in latents], make_outpaint_mask(spec)
     counts = []
     for i in range(chain.num_frames):
@@ -419,7 +452,7 @@ def test_warps_see_only_a_live_frontier_inside_the_canvas(monkeypatch, pan):
 
         monkeypatch.setattr(propagation, name, traced)
     chain, latents, spec, flows = paper_pan_inputs(**pan)
-    propagate_sequence(latents, spec, chain, flows)
+    propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
     assert all(calls and min(calls) > 0 for calls in sizes.values())
     assert all(ok.all() for ok in oks)
 
@@ -449,7 +482,7 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
         for a, b in required_flow_pairs(chain, n):
             flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
             flows[(a, b)] = complete_flow_laplacian(flow)
-        return propagate_sequence(latents, spec, chain, flows)[1]
+        return propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])[1]
 
     guided = propagate(build_reference_chain(frames, 4))
     dense = propagate(ReferenceChain(tuple(range(n)), 1, n))
