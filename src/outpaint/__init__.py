@@ -37,7 +37,7 @@ from .propagation import (
     fuse_directions,
     propagate_direction,
     propagate_sequence,
-    pull_stacks,
+    pull_stack,
     required_flow_pairs,
 )
 from .diffusion import (

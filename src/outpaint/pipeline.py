@@ -14,7 +14,7 @@ and decoded files and scores it, its ground truth built or read for that
 frame alone.  So what a run holds for its whole length is latent-sized
 (latents, the hop flows between consecutive references, the references'
 pull stacks, propagated and sampled latents), plus one frame's grids at a
-time: during propagation a non-reference frame's placement and its two
+time: during propagation a non-reference frame's pull stack and its two
 nearest-reference flows, afterwards its full-size grids.  Each latent
 sequence is one (N, C, h, w) array, held once: the propagated one is also
 the sampler's condition, and the per-frame grids are views of its rows and
@@ -37,6 +37,7 @@ import json
 import math
 import resource
 import shutil
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -56,7 +57,7 @@ from .grids import (
     write_grid,
 )
 from .metrics import psnr, psnr_masked, ssim_full
-from .propagation import hop_pairs, propagate_sequence
+from .propagation import propagate_sequence
 from .refselect import STRUCTURE_WINDOW, build_reference_chain
 from .synthetic import (
     SyntheticScene, check_in_world, generate_scene, stand_in_decode, stand_in_encode,
@@ -226,7 +227,7 @@ class BenchmarkReport:
     latents beside one non-reference frame's two nearest-reference flows;
     afterwards the propagated and sampled latents beside one frame's decoded
     canvas and ground truth.  Temporaries inside a stage (the chain's
-    moments, the pull stacks and a frame's placement) are not counted.
+    moments and the pull stacks) are not counted.
 
     ``warp_count_sequential`` is N(N-1), the pulls of dense per-frame
     accumulation; ``verify`` checks that the guided pulls do not exceed it.
@@ -384,8 +385,10 @@ class _StageClock:
         if self._nested:
             self._nested[-1] += elapsed
         self.times[name] = self.times.get(name, 0.0) + elapsed - nested
-        # ru_maxrss is in KiB on Linux
-        self.max_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        # ru_maxrss is in bytes on macOS and in KiB on Linux
+        self.max_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+            1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+        )
         rss = _resident_mb()
         if rss is not None:
             self.rss_mb[name] = rss
@@ -419,16 +422,15 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
     """The stages run_pipeline and run_benchmark share: inputs, chain, flows
     completed on the latent canvas, encode, propagate.  Frames stream through
     ``chain``: each is read (``inputs``) and encoded (``encode``) when the
-    chain reaches it, and dropped once the chain has its gray plane.  The
-    hop flows are completed before ``propagate``; each non-reference frame's
-    two nearest-reference flows are completed inside it, just before the
-    frame's pulls, and timed as ``flows``; a failed flow fails ``flows``.
-    Returns the function giving frame i's ground truth (or None), the chain,
-    the propagated (N, C, h, w) array and the per-frame propagation results
-    whose latents are its rows (see ``propagate_sequence``), and the
+    chain reaches it, and dropped once the chain has its gray plane.  Each
+    flow is completed inside ``propagate``, when propagation asks for it
+    (see ``propagate_sequence``), and timed as ``flows``; a failed flow fails
+    ``flows``, naming the pair.  Returns the function giving frame i's
+    ground truth (or None), the chain, the propagated (N, C, h, w) array and
+    the per-frame propagation results whose latents are its rows, and the
     verified report, whose ``peak_live_bytes`` is the grid bytes these stages
-    held at their widest point.  The hops and the encoded latents are freed
-    when it returns."""
+    held at their widest point.  The encoded latents are freed when it
+    returns."""
     _reuse_freed_memory()
     spec = config.canvas
     s = spec.downsample
@@ -452,33 +454,27 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         chain = build_reference_chain(map(read, range(n)), config.window)
 
     residual = 0.0
-    nearest_bytes = {}  # per non-reference frame, its nearest-reference flows
+    flow_bytes = {}  # per source frame, the bytes of its completed flows
 
     def completed(a: int, b: int) -> np.ndarray:
         """The flow a->b read, placed on the latent canvas and completed."""
         nonlocal residual
-        try:
-            on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
-            # looked up on the module at call time, so wrapping it there takes effect
-            flow = _flow.complete_flow_laplacian(on_latent)
-        except Exception as exc:
-            raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
-        residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
-        return flow
-
-    def nearest(a: int, b: int) -> np.ndarray:
-        # called inside `propagate`, just before frame a's pulls; the flow is
-        # freed once the frame is fused
         with clock("flows"):
-            flow = completed(a, b)
-        nearest_bytes[a] = nearest_bytes.get(a, 0) + flow.nbytes
+            try:
+                on_latent = map_flow_to_canvas(downscale_flow(pixel_flow(a, b), s), latent)
+                # looked up on the module at call time, so wrapping it there takes effect
+                flow = _flow.complete_flow_laplacian(on_latent)
+            except Exception as exc:
+                raise RuntimeError(f"flow {a}->{b}: {exc}") from exc
+            residual = max(residual, _flow.laplace_residual(flow, ~on_latent.valid))
+        flow_bytes[a] = flow_bytes.get(a, 0) + flow.nbytes
         return flow
 
-    # every frame composes through the hops, so they are held throughout
-    with clock("flows"):
-        hops = {(a, b): completed(a, b) for a, b in hop_pairs(chain)}
     with clock("propagate"):
-        propagated, results = propagate_sequence(latents, spec, chain, hops, nearest)
+        propagated, results = propagate_sequence(latents, spec, chain, completed)
+    # the flows from references are the hops, held throughout; each other
+    # frame's are held only while that frame is pulled
+    hop_bytes = sum(flow_bytes.pop(r, 0) for r in chain.indices)
     report = BenchmarkReport(
         n_frames=n,
         window=chain.window,
@@ -491,8 +487,7 @@ def _propagate_stages(config: PipelineConfig, clock: _StageClock):
         # and output beside one frame's nearest-reference flows
         peak_live_bytes=max(
             frame_bytes + _nbytes(latents),
-            _nbytes(latents) + sum(f.nbytes for f in hops.values()) + propagated.nbytes
-            + max(nearest_bytes.values(), default=0),
+            _nbytes(latents) + hop_bytes + propagated.nbytes + max(flow_bytes.values(), default=0),
         ),
         useful_pull_count=sum(r.useful_pull_count for r in results),
         completion_max_residual=residual,

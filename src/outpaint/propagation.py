@@ -2,7 +2,7 @@
 
 Every frame shares one outpaint mask, that of the latent canvas.  Each frame
 pulls content from chain references, nearest first: a reference's latent and
-its source mask, stacked once per run by ``pull_stacks``, are sampled in one
+its source mask, stacked once per run by ``pull_stack``, are sampled in one
 bilinear evaluation, and only cells that are still uncovered and whose
 warped source mask is (near) saturated get filled.  Farther references
 therefore only fill holes the nearer ones could not reach, and the frame's
@@ -19,12 +19,13 @@ views of its rows, so the propagated sequence exists once: it is what the
 results hold, what is written and what the sampler is conditioned on.  The
 results' provenance maps are likewise rows of one (N, h, w) array.
 
-Propagation holds only what the chain reads.  For the whole run: the
-references' stacks and the hops, the flows between consecutive references
-both ways, which every frame composes through.  For one frame at a time: a
-non-reference frame's own placement and its flows to its two nearest
-references, each read by that frame alone, which are built just before its
-pulls and dropped once it is fused.
+Propagation holds only what the chain reads, and asks its one flow source
+for each flow once, when it first needs it.  For the whole run: the hops, the
+flows between consecutive references both ways, which every frame composes
+through and which are asked for before any pull, and the references' stacks.
+For one frame at a time: a non-reference frame's own stack and its flows to
+its two nearest references, each read by that frame alone, which are built
+just before its pulls and dropped once it is fused.
 
 Pulling works on the frontier only: the flat indices of the outpaint cells
 a pull can still fill.  The flow from a frame to its references is held as
@@ -120,28 +121,21 @@ def _refs_outward(chain: ReferenceChain, i: int, direction: Direction) -> list[i
     return [r for r in chain.indices if r > i]
 
 
-def _placed(z: ChannelGrid, spec: CanvasSpec, channels: int) -> np.ndarray:
-    """The stack of one latent with ``channels`` channels (``pull_stacks``)."""
-    shape = (channels, spec.orig_h, spec.orig_w)
+def pull_stack(z: ChannelGrid, spec: CanvasSpec) -> np.ndarray:
+    """The latent ``z`` placed straight into its own stack on the canvas of
+    ``spec``: its channels, 0 off its source region, over the source mask
+    all frames share, 1 on the source region and 0 on the outpaint band.  A
+    pull gathers one such stack in one bilinear evaluation.  ``z`` must have
+    the original size of ``spec``."""
+    shape = (z.channels, spec.orig_h, spec.orig_w)
     if z.data.shape != shape:
         raise ValueError(f"latent shape is {z.data.shape}, expected {shape}")
     ys, xs = spec.source_slices
-    stack = np.zeros((channels + 1, spec.canvas_h, spec.canvas_w))
+    stack = np.zeros((z.channels + 1, spec.canvas_h, spec.canvas_w))
     stack[:-1, ys, xs] = z.data
     # a value, not a mask: bilinear warping blends it (see COVERAGE_THRESHOLD)
     stack[-1, ys, xs] = 1.0
     return stack
-
-
-def pull_stacks(latents: Sequence[ChannelGrid], spec: CanvasSpec) -> list[np.ndarray]:
-    """Each latent placed straight into its own stack on the canvas of
-    ``spec``: its channels, 0 off its source region, over the source mask
-    all frames share, 1 on the source region and 0 on the outpaint band.  A
-    pull gathers one such stack in one bilinear evaluation;
-    ``propagate_sequence`` builds them for the chain's references only.
-    Every latent must have the first one's channel count and the original
-    size of ``spec``."""
-    return [_placed(z, spec, latents[0].channels) for z in latents]
 
 
 def propagate_direction(
@@ -153,7 +147,7 @@ def propagate_direction(
 ) -> PropagationResult:
     """One-shot pull toward ``direction`` for frame ``i``.
 
-    ``stacks`` maps a frame index to its ``pull_stacks`` stack at latent
+    ``stacks`` maps a frame index to its ``pull_stack`` stack at latent
     resolution: frame ``i``'s own, which supplies its source region and
     band, and each reference's toward ``direction`` must be there.
     ``flows`` maps (src, dst) to the completed (2, h, w) displacements of
@@ -252,41 +246,31 @@ def fuse_directions(
     )
 
 
-def _checked(pair: tuple[int, int], flow, shape: tuple[int, int, int]) -> np.ndarray:
-    """``flow``, if it is a displacement array of ``shape``."""
-    if not (isinstance(flow, np.ndarray) and flow.shape == shape):
-        a, b = pair
-        raise ValueError(f"flow {a}->{b} must be a {shape} displacement array on the latent canvas")
-    return flow
-
-
 def propagate_sequence(
     latents: Sequence[ChannelGrid],
     spec: CanvasSpec,
     chain: ReferenceChain,
-    hops: dict[tuple[int, int], np.ndarray],
-    nearest_flow: Callable[[int, int], np.ndarray],
+    flow: Callable[[int, int], np.ndarray],
 ) -> tuple[np.ndarray, list[PropagationResult]]:
     """Full propagation driver: place latents on the latent canvas, pull in
     both directions per frame, and fuse.
 
-    ``latents`` are original-resolution latent grids (orig dims / s); every
-    frame shares the outpaint mask of ``spec.latent()``.  Flows are
-    completed (2, h, w) displacements on that canvas, and any other value
-    raises ValueError naming the pair.  ``hops`` maps each of
-    ``hop_pairs(chain)`` to its flow and is held for the whole run;
-    ``nearest_flow(a, b)`` gives the flow from a non-reference frame ``a``
-    to a nearest reference ``b`` (``nearest_pairs``).  It is called once
-    per pair, just before frame ``a``'s first pull and after the frame
-    before it is fused, outside the per-direction error wrapping, so its
-    own errors pass through unchanged.  ``pull_stacks`` runs once, for the
-    references; a non-reference frame's placement and its two nearest
-    flows are held while it is pulled and fused, and dropped then.
+    ``latents`` are original-resolution latent grids (orig dims / s), all
+    with one channel count; every frame shares the outpaint mask of
+    ``spec.latent()``.  ``flow(a, b)`` gives the flow from frame ``a`` to
+    frame ``b``, a completed (2, h, w) displacement on that canvas; any other
+    value raises ValueError naming the pair, and the source's own errors
+    pass through unchanged.  It is asked once for each pair of
+    ``required_flow_pairs(chain, n)``: first for the hops, in ``hop_pairs``
+    order, before any pull, and held for the whole run; then for each
+    non-reference frame's ``nearest_pairs``, after the frame before it is
+    fused and before its first pull, and dropped once the frame is fused.
+    ``pull_stack`` builds the references' stacks once, after the hops, and a
+    non-reference frame's own stack just before its flows.
 
     Pulls write only uncovered outpaint cells, so each result keeps the
     frame's own values on its source region and 0 on cells no reference
-    reached.  A failed pull is re-raised as RuntimeError naming the frame
-    and the direction.
+    reached.
 
     Returns the propagated sequence as one float64 (N, C, h, w) array,
     frame i fused into row i and read-only once every frame is fused, and
@@ -299,37 +283,43 @@ def propagate_sequence(
         raise ValueError("need at least one frame")
     if chain.num_frames != n:
         raise ValueError("chain and latents must agree on frame count")
+    channels = latents[0].channels
+    if any(z.channels != channels for z in latents):
+        raise ValueError("every latent must have the first one's channel count")
     lat = spec.latent()
     shape = (2, lat.canvas_h, lat.canvas_w)
-    for pair, flow in hops.items():
-        _checked(pair, flow, shape)
-    channels = latents[0].channels
-    stacks = dict(zip(chain.indices, pull_stacks([latents[r] for r in chain.indices], lat)))
+
+    def flows_for(pairs: list[tuple[int, int]]) -> dict[tuple[int, int], np.ndarray]:
+        out = {}
+        for a, b in pairs:
+            f = flow(a, b)
+            if not (isinstance(f, np.ndarray) and f.shape == shape):
+                raise ValueError(f"flow {a}->{b} must be a {shape} displacement array on the latent canvas")
+            out[a, b] = f
+        return out
+
+    hops = flows_for(hop_pairs(chain))
+    stacks = {r: pull_stack(latents[r], lat) for r in chain.indices}
 
     # every frame's latent and provenance go into rows made up front: kept
-    # arrays allocated frame by frame, among each frame's placement and
-    # nearest flows, would fragment the heap (on a 12-frame 1080p pan the
-    # scoring pass then peaked 7 MB higher)
+    # arrays allocated frame by frame, among each frame's stack and nearest
+    # flows, would fragment the heap (on a 12-frame 1080p pan the scoring
+    # pass then peaked 7 MB higher)
     fused = np.empty((n, channels, lat.canvas_h, lat.canvas_w))
     provenance = np.empty((n, lat.canvas_h, lat.canvas_w), np.int32)
     counts = []  # each frame's warp, compose and useful pull counts
     for i in range(n):
         past_ref, future_ref = nearest_refs(chain, i)
-        # a non-reference frame's placement and nearest-reference flows are
-        # read by it alone: built just before its pulls, and let go here,
-        # before the next frame's are built
+        # a non-reference frame's stack and nearest-reference flows are read
+        # by it alone: built just before its pulls, and let go here, before
+        # the next frame's are built
         frame_stacks, flows = stacks, hops
         if past_ref != i:
-            frame_stacks = stacks | {i: _placed(latents[i], lat, channels)}
-            near = nearest_pairs(chain, i)
-            flows = hops | {pair: _checked(pair, nearest_flow(*pair), shape) for pair in near}
-        pulled = {}
-        for direction in ("past", "future"):
-            try:
-                pulled[direction] = propagate_direction(i, chain, frame_stacks, flows, direction)
-            except Exception as exc:
-                raise RuntimeError(f"frame {i} {direction}: {exc}") from exc
-        res = fuse_directions(pulled["past"], pulled["future"], i - past_ref, future_ref - i)
+            frame_stacks = stacks | {i: pull_stack(latents[i], lat)}
+            flows = hops | flows_for(nearest_pairs(chain, i))
+        past = propagate_direction(i, chain, frame_stacks, flows, "past")
+        future = propagate_direction(i, chain, frame_stacks, flows, "future")
+        res = fuse_directions(past, future, i - past_ref, future_ref - i)
         fused[i] = res.latent.data
         provenance[i] = res.provenance
         counts.append((res.warp_count, res.compose_count, res.useful_pull_count))

@@ -1,6 +1,6 @@
 """The placement oracle: a frame on its expanded canvas as a grid of its
 own.  Propagation places each latent straight into its pull stack
-(``propagation.pull_stacks``); the tests check it against this."""
+(``propagation.pull_stack``); the tests check it against this."""
 
 import numpy as np
 

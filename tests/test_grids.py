@@ -25,7 +25,7 @@ from outpaint.propagation import (
     fuse_directions,
     propagate_direction,
     propagate_sequence,
-    pull_stacks,
+    pull_stack,
     required_flow_pairs,
 )
 from outpaint.refselect import build_reference_chain
@@ -182,7 +182,7 @@ def producer_inputs():
         for a, b in required_flow_pairs(chain, 4)
     }
     ramp = FlowField(np.arange(64.0).reshape(8, 8) / 64.0, np.zeros((8, 8)), np.ones((8, 8), dtype=bool))
-    stacks = dict(enumerate(pull_stacks(latents, spec.latent())))
+    stacks = {i: pull_stack(z, spec.latent()) for i, z in enumerate(latents)}
     return SimpleNamespace(
         spec=spec,
         scene_config=scene_config,
@@ -209,9 +209,7 @@ PRODUCERS = {
     "propagate_direction": lambda p: propagate_direction(1, p.chain, p.stacks, p.flows, "future"),
     "fuse_directions": lambda p: fuse_directions(p.past, p.future, 1, 1),
     "PropagationResult.coverage": lambda p: p.past.coverage,
-    "propagate_sequence": lambda p: propagate_sequence(
-        p.latents, p.spec, p.chain, p.flows, lambda a, b: p.flows[a, b]
-    ),
+    "propagate_sequence": lambda p: propagate_sequence(p.latents, p.spec, p.chain, lambda a, b: p.flows[a, b]),
 }
 
 
@@ -260,36 +258,23 @@ def test_completion_returns_one_sealed_displacement(producer_inputs, flow):
 
 
 def test_propagate_stages_hand_the_completed_flows_on(producer_inputs, monkeypatch):
-    completed, hops, nearest, handed = [], [], [], []
-    complete, propagate, direction = (
-        pipeline._flow.complete_flow_laplacian, pipeline.propagate_sequence, propagation.propagate_direction
-    )
+    completed, handed = [], []
+    complete, direction = pipeline._flow.complete_flow_laplacian, propagation.propagate_direction
     monkeypatch.setattr(
         pipeline._flow, "complete_flow_laplacian", lambda f: completed.append(complete(f)) or completed[-1]
     )
-
-    def spy_sequence(latents, spec, chain, given_hops, nearest_flow):
-        hops.append((list(completed), given_hops))
-        spied = lambda a, b: nearest.append(nearest_flow(a, b)) or nearest[-1]
-        return propagate(latents, spec, chain, given_hops, spied)
 
     def spy_direction(i, chain, stacks, flows, way):
         handed.append(flows)
         return direction(i, chain, stacks, flows, way)
 
-    monkeypatch.setattr(pipeline, "propagate_sequence", spy_sequence)
     monkeypatch.setattr(propagation, "propagate_direction", spy_direction)
     p = producer_inputs
     config = PipelineConfig(seed=3, canvas=p.spec, window=2, scene=p.scene_config)
     pipeline._propagate_stages(config, pipeline._StageClock())
-    [(before, given)] = hops
-    assert 0 < len(given) < len(completed) and len(nearest) > 0
-    # the hops, completed up front in pair order, then each frame's nearest
-    # flows: the very arrays completion returned, none of them copied
-    assert list(given) == propagation.hop_pairs(p.chain)
-    assert all(f is c for f, c in zip(given.values(), before, strict=True))
-    assert all(f is c for f, c in zip(nearest, completed[len(given):], strict=True))
-    # and each reaches the pulls as it is
+    assert len(completed) == len(propagation.required_flow_pairs(p.chain, 4))
+    # each completed flow reaches the pulls as it is: the very array
+    # completion returned, not a copy
     assert all(any(f is g for flows in handed for g in flows.values()) for f in completed)
 
 

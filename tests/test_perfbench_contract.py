@@ -5,6 +5,7 @@ run.py reads.  A break here otherwise shows only in a perfbench run."""
 import ast
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +123,10 @@ SEED_5_COUNTS = {
 
 def test_seed_5_workload_counts(tmp_path, monkeypatch):
     # pulls and composes are deterministic, so a change to them shows here
-    # rather than only in a perfbench run
+    # rather than only in a perfbench run, and so does a failed output check
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import child
+    import run
     import workloads
 
     assert set(workloads.WORKLOADS) == set(SEED_5_COUNTS)
@@ -142,4 +144,10 @@ def test_seed_5_workload_counts(tmp_path, monkeypatch):
             report[key]
             for key in ("chain_len", "warp_count_guided", "compose_count", "useful_pull_count")
         )
+        # the checks perfbench makes of every repetition's outputs
+        outputs = child.check_outputs(request)
+        if name == "paper_pan":
+            assert outputs["band_max_err"] <= run.ORACLE_TOL
+        assert 0.0 < outputs["coverage_frac"] <= 1.0, name
+        assert math.isfinite(outputs["outpaint_psnr_db"]), name
     assert counts == SEED_5_COUNTS

@@ -10,6 +10,7 @@ import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ def write_file_scene(root: Path, cfg: PipelineConfig, gt: bool = False) -> Pipel
 
 
 # in the 3-frame chain [0, 2], 1->0 is frame 1's nearest-reference flow,
-# completed just before its pulls, and 2->0 a hop, completed up front
+# completed just before its pulls, and 2->0 a hop, completed when
+# propagation starts
 BAD_FLOW_PAIRS = pytest.mark.parametrize("pair", [(1, 0), (2, 0)], ids=["nearest", "hop"])
 
 
@@ -367,6 +369,16 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "_resident_mb", lambda: None)
         run_pipeline(pan_config(tmp_path, n_frames=4, write_timings=True))
         assert set(json.loads((tmp_path / "timings.json").read_text())) == {"wall_time_s", "max_rss_mb"}
+
+    @pytest.mark.parametrize("platform, ru_maxrss", [("linux", 3 << 10), ("darwin", 3 << 20)])
+    def test_peak_rss_is_read_in_the_platforms_unit(self, monkeypatch, platform, ru_maxrss):
+        # ru_maxrss is in KiB on Linux and in bytes on macOS: 3 MB either way
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=ru_maxrss))
+        clock = pipeline._StageClock()
+        with clock("chain"):
+            pass
+        assert clock.max_rss_mb == {"chain": 3.0}
 
     def test_nested_stage_counts_toward_its_own_name_only(self, monkeypatch):
         now = [0.0]
@@ -757,7 +769,7 @@ class TestBenchmark:
 
         monkeypatch.setattr(pipeline, "_load_inputs", load_logged)
         spy(pipeline._flow, "complete_flow_laplacian", lambda flow: ("complete",))
-        spy(propagation, "pull_stacks", lambda latents, spec: ("stacks", list(latents)))
+        spy(propagation, "pull_stack", lambda z, spec: ("stack", z))
         spy(propagation, "propagate_direction", lambda i, *rest: ("pull", i))
         spy(propagation, "fuse_directions", lambda *args: ("fused",))
         spy(pipeline, "propagate_sequence", lambda latents, *rest: seen.update(latents=latents) or ("propagate",))
@@ -765,10 +777,10 @@ class TestBenchmark:
         n, refs = 8, chain.indices
         assert len(refs) < n
 
-        # stacks are built once, for the references' latents only
-        [stacks] = [e for e in log if e[0] == "stacks"]
-        assert len(stacks[1]) == len(refs)
-        assert all(z is seen["latents"][r] for z, r in zip(stacks[1], refs))
+        # each frame's stack is built once, from its own latent
+        frame_of = {id(z): i for i, z in enumerate(seen["latents"])}
+        built = {frame_of[id(e[1])]: k for k, e in enumerate(log) if e[0] == "stack"}
+        assert len([e for e in log if e[0] == "stack"]) == len(built) == n
         # every flow read is completed there and then, and read once
         reads = [k for k, e in enumerate(log) if e[0] == "read"]
         assert all(log[k + 1] == ("complete",) for k in reads)
@@ -778,11 +790,15 @@ class TestBenchmark:
         # the hops before the first pull
         first_pull = min(k for k, e in enumerate(log) if e[0] == "pull")
         assert all(at[pair] < first_pull for pair in hop_pairs(chain))
-        # each nearest flow after the frame before it is fused, before its own first pull
+        # and the references' stacks
+        assert all(built[r] < first_pull for r in refs)
+        # each non-reference frame's nearest flows and stack after the frame
+        # before it is fused, before its own first pull
         fused = [k for k, e in enumerate(log) if e == ("fused",)]
         assert len(fused) == n
-        for i in range(n):
+        for i in sorted(set(range(n)) - set(refs)):
             own_first_pull = log.index(("pull", i))
+            assert fused[i - 1] < built[i] < own_first_pull
             for pair in nearest_pairs(chain, i):
                 assert fused[i - 1] < at[pair] < own_first_pull
 

@@ -17,8 +17,9 @@ from outpaint.propagation import (
     fuse_directions,
     propagate_direction,
     hop_pairs,
+    nearest_pairs,
     propagate_sequence,
-    pull_stacks,
+    pull_stack,
     required_flow_pairs,
 )
 from outpaint.refselect import ReferenceChain, build_reference_chain
@@ -98,7 +99,7 @@ def strip_world(num_frames=5, width=8, src=(3, 6)):
     spec = CanvasSpec(1, src[1] - src[0], 1, width, 0, src[0])
     frames = [ChannelGrid(np.full((1, 1, src[1] - src[0]), 10.0 + r)) for r in range(num_frames)]
     latents = [place_on_canvas(z, spec) for z in frames]
-    return latents, make_outpaint_mask(spec), dict(enumerate(pull_stacks(frames, spec)))
+    return latents, make_outpaint_mask(spec), {i: pull_stack(z, spec) for i, z in enumerate(frames)}
 
 
 class TestPropagateDirection:
@@ -158,12 +159,21 @@ class TestPropagationResult:
             )
 
 
+def flow_source_inputs():
+    """A 10-frame still scene with non-reference frames: spec, latents,
+    chain and the zero flow on its 4x8 latent canvas."""
+    spec = CanvasSpec(4, 4, 4, 8, 0, 2)
+    latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(10)]
+    chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
+    return spec, latents, chain, np.zeros((2, 4, 8))
+
+
 class TestPropagateSequence:
     def test_single_frame(self):
         spec = CanvasSpec(1, 2, 1, 6, 0, 2)
         latent = ChannelGrid(np.array([[[5.0, 7.0]]]))
         chain = ReferenceChain((0,), window=1, num_frames=1)
-        _, out = propagate_sequence([latent], spec, chain, {}, lambda a, b: {}[a, b])
+        _, out = propagate_sequence([latent], spec, chain, lambda a, b: {}[a, b])
         assert sum(r.warp_count for r in out) == 0
         assert np.array_equal(out[0].latent.data[0, 0, 2:4], [5.0, 7.0])
 
@@ -182,7 +192,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+        _, out = propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])
         f0, f1 = out
         assert np.allclose(f0.latent.data[0, 0], [0.0, 0.0, w0, w1, w2, 0.0], atol=1e-9)
         assert np.allclose(f1.latent.data[0, 0], [0.0, w0, w1, w2, 0.0, 0.0], atol=1e-9)
@@ -203,7 +213,7 @@ class TestPropagateSequence:
         for a, b in required_flow_pairs(chain, n):
             raw = FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+        _, out = propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])
         # zero flows: coverage is exactly the shared source region, every
         # frame identical, and pulls happen for every (frame, ref) pair
         placed_source = out[0].latent.data[:, :, 2:6]
@@ -214,47 +224,68 @@ class TestPropagateSequence:
         assert np.array_equal(placed_source, base)
         assert sum(r.warp_count for r in out) == n * 4 - 4
 
-    def test_missing_flow_names_frame_and_direction(self):
-        spec = CanvasSpec(4, 4, 4, 8, 0, 2)
-        latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(10)]
-        mask = make_outpaint_mask(spec.latent())
-        chain = ReferenceChain((0, 4, 8, 9), window=4, num_frames=10)
-        src_valid = ~mask.data
-        zero = complete_flow_laplacian(FlowField(0.0 * src_valid, 0.0 * src_valid, src_valid))
-        hops = {pair: zero for pair in hop_pairs(chain)}
-        # a missing hop fails the first pull that needs it, frame 4's past one
-        del hops[(4, 0)]
-        with pytest.raises(RuntimeError, match="frame 4 past: ") as err:
-            propagate_sequence(latents, spec, chain, hops, lambda a, b: zero)
-        assert isinstance(err.value.__cause__, KeyError)
-        # a nearest flow is built outside the pulls: its error passes through
-        hops[(4, 0)] = zero
+    def test_asks_the_flow_source_once_per_pair_when_it_first_needs_it(self, monkeypatch):
+        spec, latents, chain, zero = flow_source_inputs()
+        log = []
+        direction, fuse = propagation.propagate_direction, propagation.fuse_directions
+        monkeypatch.setattr(
+            propagation, "propagate_direction", lambda i, *rest: log.append(("pull", i)) or direction(i, *rest)
+        )
+        monkeypatch.setattr(propagation, "fuse_directions", lambda *args: log.append(("fused",)) or fuse(*args))
+        propagate_sequence(latents, spec, chain, lambda a, b: log.append(("flow", a, b)) or zero)
+        asked = [e[1:] for e in log if e[0] == "flow"]
+        assert len(asked) == len(set(asked)) and set(asked) == required_flow_pairs(chain, 10)
+        # the hops first, in pair order, before any pull
+        first_pull = log.index(("pull", 0))
+        assert [e[1:] for e in log[:first_pull]] == hop_pairs(chain)
+        # each nearest flow after the frame before it is fused, before its own first pull
+        fused = [k for k, e in enumerate(log) if e == ("fused",)]
+        assert len(fused) == 10
+        for i in range(10):
+            for pair in nearest_pairs(chain, i):
+                assert fused[i - 1] < log.index(("flow", *pair)) < log.index(("pull", i))
 
-        def nearest(a, b):
-            if (a, b) == (2, 0):
-                raise KeyError((a, b))
+    @pytest.mark.parametrize("missing, pulled", [((4, 0), []), ((2, 0), [0, 0, 1, 1])], ids=["hop", "nearest"])
+    def test_flow_source_errors_pass_through(self, monkeypatch, missing, pulled):
+        spec, latents, chain, zero = flow_source_inputs()
+        error, pulls = KeyError(missing), []
+        direction = propagation.propagate_direction
+        monkeypatch.setattr(
+            propagation, "propagate_direction", lambda i, *rest: pulls.append(i) or direction(i, *rest)
+        )
+
+        def flow(a, b):
+            if (a, b) == missing:
+                raise error
             return zero
 
         with pytest.raises(KeyError) as err:
-            propagate_sequence(latents, spec, chain, hops, nearest)
-        assert err.value.args == ((2, 0),)
+            propagate_sequence(latents, spec, chain, flow)
+        assert err.value is error
+        # raised before any pull that would read the flow
+        assert pulls == pulled
 
     @pytest.mark.parametrize(
         "bad", [FlowField.constant(4, 8, 0.0, 0.0), np.zeros((2, 8, 16))], ids=["FlowField", "pixel_size"]
     )
-    def test_flows_must_be_displacements_on_the_latent_canvas(self, bad):
+    @pytest.mark.parametrize("pair", [(2, 0), (1, 0)], ids=["hop", "nearest"])
+    def test_flows_must_be_displacements_on_the_latent_canvas(self, bad, pair):
         # s=2: the latent canvas is 4x8, the pixel canvas 8x16
         spec = CanvasSpec(8, 8, 8, 16, 0, 4, downsample=2)
         latents = [ChannelGrid(np.zeros((2, 4, 4))) for _ in range(3)]
         chain = ReferenceChain((0, 2), window=2, num_frames=3)
-        flows = {pair: np.zeros((2, 4, 8)) for pair in required_flow_pairs(chain, 3)}
-        flows[(2, 0)] = bad
-        with pytest.raises(ValueError, match=r"flow 2->0 must be a \(2, 4, 8\) displacement"):
-            propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
-        # a nearest-reference flow is checked as it is given
-        hops = {pair: np.zeros((2, 4, 8)) for pair in hop_pairs(chain)}
-        with pytest.raises(ValueError, match=r"flow 1->0 must be a \(2, 4, 8\) displacement"):
-            propagate_sequence(latents, spec, chain, hops, lambda a, b: bad)
+        a, b = pair
+        with pytest.raises(ValueError, match=rf"flow {a}->{b} must be a \(2, 4, 8\) displacement"):
+            propagate_sequence(latents, spec, chain, lambda *p: bad if p == pair else np.zeros((2, 4, 8)))
+
+    def test_mixed_channel_counts_fail_before_any_flow_is_asked_for(self):
+        spec, latents, chain, zero = flow_source_inputs()
+        # frame 5 is not a reference, so its stack would be built last
+        latents[5] = ChannelGrid(np.zeros((1, 4, 4)))
+        asked = []
+        with pytest.raises(ValueError, match="channel count"):
+            propagate_sequence(latents, spec, chain, lambda a, b: asked.append((a, b)) or zero)
+        assert asked == []
 
     def test_source_preservation_with_motion(self):
         w0, w1, w2 = 0.2, 0.5, 0.8
@@ -270,7 +301,7 @@ class TestPropagateSequence:
         for a, b in ((0, 1), (1, 0)):
             raw = FlowField((a - b) * src_valid, 0.0 * src_valid, src_valid)
             flows[(a, b)] = complete_flow_laplacian(raw)
-        _, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+        _, out = propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])
         for i, res in enumerate(out):
             assert np.array_equal(res.latent.data[0, 0, 2:4], latents[i].data[0, 0])
 
@@ -292,15 +323,15 @@ class TestPropagateSequence:
         sparse = ReferenceChain((0, 2), window=2, num_frames=3)
         dense = ReferenceChain((0, 1, 2), window=2, num_frames=3)
         flows_sparse, flows_dense = flows_for(sparse), flows_for(dense)
-        _, out_sparse = propagate_sequence(latents, spec, sparse, flows_sparse, lambda a, b: flows_sparse[a, b])
-        _, out_dense = propagate_sequence(latents, spec, dense, flows_dense, lambda a, b: flows_dense[a, b])
+        _, out_sparse = propagate_sequence(latents, spec, sparse, lambda a, b: flows_sparse[a, b])
+        _, out_dense = propagate_sequence(latents, spec, dense, lambda a, b: flows_dense[a, b])
         for rs, rd in zip(out_sparse, out_dense):
             assert np.all(rd.coverage.data >= rs.coverage.data)
 
 
     def test_results_are_rows_of_one_read_only_array(self):
         chain, latents, spec, flows = paper_pan_inputs(n=6)
-        fused, out = propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+        fused, out = propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])
         assert fused.shape == (6, 3, 24, 32) and fused.dtype == np.float64
         assert not fused.flags.writeable
         for i, res in enumerate(out):
@@ -316,19 +347,24 @@ class TestPullStacks:
     def test_match_the_placement_oracle(self):
         rng = np.random.default_rng(4)
         spec = CanvasSpec(6, 4, 10, 12, 2, 5)
-        latents = [ChannelGrid(rng.random((3, 6, 4))) for _ in range(4)]
         source = (1.0 - make_outpaint_mask(spec).data)[None]
-        stacks = pull_stacks(latents, spec)
-        assert len(stacks) == len(latents)
-        for stack, z in zip(stacks, latents):
-            assert np.array_equal(stack, np.concatenate([place_on_canvas(z, spec).data, source]))
+        for channels in (3, 1):
+            z = ChannelGrid(rng.random((channels, 6, 4)))
+            assert np.array_equal(pull_stack(z, spec), np.concatenate([place_on_canvas(z, spec).data, source]))
 
-    @pytest.mark.parametrize("shape", [(3, 5, 4), (3, 6, 5), (1, 6, 4)])
-    def test_every_latent_must_fit_the_spec(self, shape):
+    @pytest.mark.parametrize(
+        "shape, error",
+        [((3, 5, 4), "latent shape"), ((3, 6, 5), "latent shape"), ((1, 6, 4), "channel count")],
+        ids=["shape0", "shape1", "shape2"],
+    )
+    def test_every_latent_must_fit_the_spec(self, shape, error):
+        # each stack fits its own latent to the spec, and propagation takes
+        # one channel count
         spec = CanvasSpec(6, 4, 10, 12, 2, 5)
         latents = [ChannelGrid(np.zeros((3, 6, 4))), ChannelGrid(np.zeros(shape))]
-        with pytest.raises(ValueError, match="latent shape"):
-            pull_stacks(latents, spec)
+        chain = ReferenceChain((0, 1), window=1, num_frames=2)
+        with pytest.raises(ValueError, match=error):
+            propagate_sequence(latents, spec, chain, lambda a, b: np.zeros((2, 10, 12)))
 
 
 class TestRequiredFlowPairs:
@@ -401,7 +437,7 @@ def early_exit_against_every_pull(chain, latents, spec, flows):
     """Propagate every frame both ways, assert the result equals pulling
     every reference, and return the (pulls made, useful pulls, pulls
     without the exit) of each frame and direction."""
-    stacks = dict(enumerate(pull_stacks(latents, spec)))
+    stacks = {i: pull_stack(z, spec) for i, z in enumerate(latents)}
     latents, mask = [place_on_canvas(z, spec) for z in latents], make_outpaint_mask(spec)
     counts = []
     for i in range(chain.num_frames):
@@ -452,7 +488,7 @@ def test_warps_see_only_a_live_frontier_inside_the_canvas(monkeypatch, pan):
 
         monkeypatch.setattr(propagation, name, traced)
     chain, latents, spec, flows = paper_pan_inputs(**pan)
-    propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])
+    propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])
     assert all(calls and min(calls) > 0 for calls in sizes.values())
     assert all(ok.all() for ok in oks)
 
@@ -482,7 +518,7 @@ def test_guided_chain_matches_dense_sequential_with_fewer_pulls(seed, spec, worl
         for a, b in required_flow_pairs(chain, n):
             flow = downscale_flow(map_flow_to_canvas(scene.gt_flow(a, b), spec), s)
             flows[(a, b)] = complete_flow_laplacian(flow)
-        return propagate_sequence(latents, spec, chain, flows, lambda a, b: flows[a, b])[1]
+        return propagate_sequence(latents, spec, chain, lambda a, b: flows[a, b])[1]
 
     guided = propagate(build_reference_chain(frames, 4))
     dense = propagate(ReferenceChain(tuple(range(n)), 1, n))
